@@ -220,17 +220,13 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     )
     pretrain.save_checkpoint(ckpt_out, out / "cpi.ckpt")
 
-    cache = cpi_mod.build_protein_cache(result.model, train + list(valid))
+    cache = cpi_mod.build_protein_cache(result.model, train + list(valid), rc.batch_size)
     for spec in args.test or []:
         if "=" not in spec:
             raise ValidationError(f"--test expects NAME=PATH, got {spec!r}")
         name, path = spec.split("=", 1)
         records = parse_dataset(path, _schema(args), l_max=rc.l_max, max_atoms=rc.max_atoms)
-        for rec in records:
-            if rec.protein.raw not in cache:
-                cache[rec.protein.raw] = enc.protein_embedding(
-                    result.model.encoder_state, rec.protein, result.model.segmentation
-                )
+        cpi_mod.build_protein_cache(result.model, records, rc.batch_size, cache)
         scores = cpi_mod.predict_pairs(result.model, records, cache)
         cpi_mod.write_predictions(
             out / f"predictions_{name}.csv",
@@ -328,7 +324,7 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
     ckpt = pretrain.load_checkpoint(args.checkpoint)
     state = pretrain.encoder_state_from_checkpoint(ckpt)
     seg = RAcutConfig(n=state.config.n, l_max=state.config.n * state.config.f_max)
-    rows, skipped = [], []
+    pids, proteins, skipped = [], [], []
     for lineno, line in enumerate(
         Path(args.proteins).read_text(encoding="utf-8").splitlines(), 1
     ):
@@ -339,12 +335,15 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
         pid, seq = (fields[0], fields[1]) if len(fields) > 1 else (f"row{lineno}", fields[0])
         try:
             protein = encode_protein(seq, l_max=seg.l_max)
-            vec = enc.protein_embedding(state, protein, seg)
+            enc.segment_protein(state.config, protein)  # too short to segment raises
         except (ValidationError, SeqReorderError) as exc:
             logger.warning("skipping %s: %s", pid, exc)
             skipped.append(f"{pid}\t{exc}")
             continue
-        rows.append(pid + "\t" + "\t".join(f"{v:.17g}" for v in vec))
+        pids.append(pid)
+        proteins.append(protein)
+    vectors = enc.protein_embeddings(state, proteins, seg, rc.batch_size)
+    rows = [pid + "\t" + "\t".join(f"{v:.17g}" for v in vec) for pid, vec in zip(pids, vectors)]
     (out / "embeddings.tsv").write_text(
         "\n".join(rows) + ("\n" if rows else ""), encoding="utf-8"
     )

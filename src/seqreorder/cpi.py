@@ -27,8 +27,10 @@ from .corpus import (
     SMILES_VOCAB_SIZE,
     CompoundRecord,
     InteractionRecord,
+    ProteinRecord,
 )
-from .encoder import EncoderConfig, EncoderState, protein_embedding
+from .encoder import EncoderConfig, EncoderState, protein_embeddings
+from .encoder import protein_embedding  # noqa: F401  (perfbench traces this name)
 from .errors import CheckpointError, NumericError, ValidationError
 from .evaluation import auroc
 from .pretrain import Checkpoint, StepRecord, TrainLog
@@ -256,15 +258,26 @@ def cpi_loss(
 
 
 def build_protein_cache(
-    model: CpiModel, records: Sequence[InteractionRecord]
+    model: CpiModel,
+    records: Sequence[InteractionRecord],
+    batch_size: int = FinetuneConfig.batch_size,
+    cache: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """One frozen-encoder embedding per distinct sequence."""
-    seg = model.segmentation
-    cache: dict[str, np.ndarray] = {}
+    """One frozen-encoder embedding per distinct sequence.
+
+    Sequences not yet in ``cache`` are embedded ``batch_size`` at a time
+    and added to it (in place when a cache is given); the cache is
+    returned.
+    """
+    cache = {} if cache is None else cache
+    missing: dict[str, ProteinRecord] = {}
     for rec in records:
-        key = rec.protein.raw
-        if key not in cache:
-            cache[key] = protein_embedding(model.encoder_state, rec.protein, seg)
+        if rec.protein.raw not in cache:
+            missing.setdefault(rec.protein.raw, rec.protein)
+    vectors = protein_embeddings(
+        model.encoder_state, list(missing.values()), model.segmentation, batch_size
+    )
+    cache.update(zip(missing, vectors))
     return cache
 
 
@@ -363,7 +376,7 @@ def finetune_run(
     if not train:
         raise ValidationError("training set is empty")
     model = init_cpi(config, frozen, seed=ft.seed)
-    cache = build_protein_cache(model, list(train) + list(valid))
+    cache = build_protein_cache(model, list(train) + list(valid), ft.batch_size)
     adam = nn.adam_init(model.params)
     log = TrainLog(acc_label="acc")
     val_history: list[tuple[int, float]] = []

@@ -1,17 +1,22 @@
 """Shuffled-subsequence encoder with a slot-to-position score head.
 
-Each block is embedded as token + within-block position + slot embeddings,
-the flattened blocks run through a pre-norm transformer stack whose
-attention masks pad keys, tokens are mean-pooled per block (pads
-excluded), and a linear head scores every block against every original
-position. Scores are exponentiated clamped logits, so they are strictly
-positive — row i scores the block sitting in shuffled slot i against each
-original position j.
+A batch arrives as blocks padded to f_max, shape (B, n, f_max), and is
+packed before the transformer sees it: each example keeps only its real
+tokens, in slot order, so the stack runs over (B, T) positions with T the
+longest example in the batch rather than n * f_max. Every token is
+embedded as token + within-block position + slot embeddings, the packed
+tokens run through a pre-norm transformer stack whose attention masks only
+the batch-tail padding of shorter examples, tokens are mean-pooled per
+block by a segment matrix, and a linear head scores every block against
+every original position. Scores are exponentiated clamped logits, so they
+are strictly positive — row i scores the block sitting in shuffled slot i
+against each original position j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -77,27 +82,38 @@ def parameter_count(state: EncoderState) -> int:
 def _forward_core(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
     """Batched forward. blocks (B, n, f_max) int, lengths (B, n) int.
 
+    The padded blocks are packed into (B, T) real tokens, T being the
+    largest real-token count in the batch: row b holds the first
+    ``lengths[b, i]`` tokens of each block i in slot order, followed by
+    batch-tail positions that the attention key mask hides. Each token
+    carries its slot id and within-block position for the embedding
+    lookups. Pads are never keys and never pooled, so dropping them as
+    queries is exact. Blocks are mean-pooled by the (B, n, T) segment
+    matrix ``seg``.
+
     Blocks of length 0 are legal here (inference-time equal splits can
-    leave trailing empties); they pool to the zero vector.
+    leave trailing empties); their ``seg`` row is zero, so they pool to the
+    zero vector.
     """
     cfg = state.config
     p = state.params
     b, n, f = blocks.shape
-    tokens = blocks.reshape(b, n * f)
-    pos_idx = np.tile(np.arange(f), n)
-    slot_idx = np.repeat(np.arange(n), f)
-    x = p["tok_embed"][tokens] + p["pos_embed"][pos_idx] + p["slot_embed"][slot_idx]
-    key_mask = (np.arange(f)[None, None, :] < lengths[:, :, None]).reshape(b, n * f)
+    # (example, slot, position) of every real token, slot-major per example
+    ex, slot, pos = np.nonzero(np.arange(f) < lengths[:, :, None])
+    counts = lengths.sum(axis=1)
+    tok = np.arange(ex.size) - (np.cumsum(counts) - counts)[ex]
+    ids = blocks[ex, slot, pos]
+    x = np.zeros((b, int(counts.max()), cfg.embed_dim))
+    x[ex, tok] = p["tok_embed"][ids] + p["pos_embed"][pos] + p["slot_embed"][slot]
+    key_mask = np.arange(x.shape[1]) < counts[:, None]
     h, stack_cache = nn.stack_forward(x, p, "", cfg.layers, key_mask, cfg.heads)
-    # per-block mean over real tokens
-    hr = h.reshape(b, n, f, cfg.embed_dim)
-    mask3 = key_mask.reshape(b, n, f)
-    denom = np.maximum(lengths, 1).astype(np.float64)
-    pooled = (hr * mask3[..., None]).sum(axis=2) / denom[:, :, None]
+    seg = np.zeros((b, n, x.shape[1]))
+    seg[ex, slot, tok] = 1.0 / lengths[ex, slot]
+    pooled = seg @ h
     logits = pooled @ p["head.w"] + p["head.b"]
     clamped = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
     scores = np.exp(clamped)
-    cache = (tokens, pos_idx, slot_idx, key_mask, stack_cache, mask3, denom, pooled, logits, scores)
+    cache = (ex, slot, pos, tok, ids, stack_cache, seg, pooled, logits, scores)
     return pooled, scores, cache
 
 
@@ -110,9 +126,8 @@ def _backward_core(
     """Exact parameter gradients for the batched forward."""
     cfg = state.config
     p = state.params
-    tokens, pos_idx, slot_idx, key_mask, stack_cache, mask3, denom, pooled, logits, scores = cache
-    b, n, f = mask3.shape
-    d = cfg.embed_dim
+    ex, slot, pos, tok, ids, stack_cache, seg, pooled, logits, scores = cache
+    n, d = cfg.n, cfg.embed_dim
     grads = nn.zero_grads_like(p)
 
     dpooled_total = np.zeros_like(pooled)
@@ -125,16 +140,15 @@ def _backward_core(
         grads["head.b"] += dlogits.reshape(-1, n).sum(axis=0)
         dpooled_total += dlogits @ p["head.w"].T
 
-    dh = np.zeros((b, n, f, d))
-    dh += (dpooled_total / denom[:, :, None])[:, :, None, :] * mask3[..., None]
-    dx, stack_grads = nn.stack_backward(stack_cache, dh.reshape(b, n * f, d))
+    dh = seg.transpose(0, 2, 1) @ dpooled_total
+    dx, stack_grads = nn.stack_backward(stack_cache, dh)
     nn.accumulate(grads, stack_grads)
 
-    dx2 = dx.reshape(-1, d)
-    np.add.at(grads["tok_embed"], tokens.ravel(), dx2)
-    dxr = dx.reshape(b, n, f, d)
-    grads["pos_embed"] += dxr.sum(axis=(0, 1))
-    grads["slot_embed"] += dxr.sum(axis=(0, 2))
+    # scatter-add by token, position and slot id, as one-hot matmuls
+    # (several times faster than np.add.at at these table sizes)
+    dx_real = dx[ex, tok]
+    for key, index in (("tok_embed", ids), ("pos_embed", pos), ("slot_embed", slot)):
+        grads[key] += np.eye(len(p[key]))[index].T @ dx_real
     return grads
 
 
@@ -149,16 +163,31 @@ def _validate_input(state: EncoderState, sset: SubsequenceSet) -> None:
         raise ValidationError("block token id out of vocabulary range")
 
 
+def forward_batch(
+    state: EncoderState, ssets: Sequence[SubsequenceSet]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode SubsequenceSets in one packed forward.
+
+    Returns the pooled block vectors (B, n, embed_dim) and the score
+    matrices (B, n, n).
+    """
+    for sset in ssets:
+        _validate_input(state, sset)
+    pooled, scores, _ = _forward_core(
+        state,
+        np.stack([s.blocks for s in ssets]),
+        np.stack([s.true_lengths for s in ssets]),
+    )
+    if not (np.isfinite(pooled).all() and np.isfinite(scores).all()):
+        raise NumericError("encoder forward produced non-finite activations")
+    return pooled, scores
+
+
 def forward(
     state: EncoderState, sset: SubsequenceSet
 ) -> tuple[SubsequenceEmbeddings, perm.ScoreMatrix]:
     """Encode one SubsequenceSet into block embeddings and a score matrix."""
-    _validate_input(state, sset)
-    pooled, scores, _ = _forward_core(
-        state, sset.blocks[None, :, :], sset.true_lengths[None, :]
-    )
-    if not (np.isfinite(pooled).all() and np.isfinite(scores).all()):
-        raise NumericError("encoder forward produced non-finite activations")
+    pooled, scores = forward_batch(state, [sset])
     return SubsequenceEmbeddings(pooled[0]), perm.ScoreMatrix(scores[0])
 
 
@@ -194,15 +223,38 @@ def predict_q(
     return perm.sinkhorn(scores, sk)
 
 
-def protein_embedding(
-    state: EncoderState, protein: ProteinRecord, config: RAcutConfig
-) -> np.ndarray:
-    """Whole-protein vector for downstream use.
+def segment_protein(
+    config: EncoderConfig, protein: ProteinRecord
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inference-time blocks (n, f_max) and lengths (n,) of one protein.
 
-    Deterministic segmentation: the token list (truncated to n * f_max) is
-    split into n consecutive blocks of f_max; trailing blocks may be empty
-    and are excluded from the final mean over block embeddings. No noise,
-    natural slot order.
+    The token list (truncated to n * f_max) is split into n consecutive
+    blocks of f_max in natural slot order; trailing blocks may be empty.
+    """
+    n, f = config.n, config.f_max
+    tokens = protein.tokens[: n * f]
+    if len(tokens) < n:
+        raise ValidationError(
+            f"protein has {len(tokens)} tokens but at least {n} are required"
+        )
+    blocks = np.full(n * f, RESIDUE_VOCAB.pad_id, dtype=np.int64)
+    blocks[: len(tokens)] = tokens
+    lengths = np.clip(len(tokens) - f * np.arange(n), 0, f)
+    return blocks.reshape(n, f), lengths
+
+
+def protein_embeddings(
+    state: EncoderState,
+    proteins: Sequence[ProteinRecord],
+    config: RAcutConfig,
+    batch_size: int,
+) -> np.ndarray:
+    """Whole-protein vectors for downstream use, shape (len(proteins), embed_dim).
+
+    Each protein is cut by ``segment_protein`` (no noise, natural slot
+    order) and its vector is the mean of its non-empty block embeddings.
+    Proteins are encoded ``batch_size`` at a time, each chunk in one
+    packed forward.
     """
     cfg = state.config
     if config.n != cfg.n or config.f_max != cfg.f_max:
@@ -210,22 +262,22 @@ def protein_embedding(
             f"segmentation {config.n} x {config.f_max} does not match encoder "
             f"{cfg.n} x {cfg.f_max}"
         )
-    n, f = cfg.n, cfg.f_max
-    tokens = protein.tokens[: n * f]
-    if len(tokens) < n:
-        raise ValidationError(
-            f"protein has {len(tokens)} tokens but at least {n} are required"
-        )
-    blocks = np.full((n, f), RESIDUE_VOCAB.pad_id, dtype=np.int64)
-    lengths = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        seg = tokens[i * f : (i + 1) * f]
-        lengths[i] = len(seg)
-        if seg:
-            blocks[i, : len(seg)] = seg
-    pooled, _, _ = _forward_core(state, blocks[None], lengths[None])
-    nonempty = lengths > 0
-    vec = pooled[0][nonempty].mean(axis=0)
-    if not np.isfinite(vec).all():
+    segments = [segment_protein(cfg, protein) for protein in proteins]
+    out = np.empty((len(proteins), cfg.embed_dim))
+    for start in range(0, len(segments), batch_size):
+        chunk = segments[start : start + batch_size]
+        lengths = np.stack([ln for _, ln in chunk])
+        pooled, _, _ = _forward_core(state, np.stack([bl for bl, _ in chunk]), lengths)
+        nonempty = (lengths > 0).sum(axis=1, keepdims=True)
+        # empty blocks pool to zero, so the sum runs over non-empty ones
+        out[start : start + len(chunk)] = pooled.sum(axis=1) / nonempty
+    if not np.isfinite(out).all():
         raise NumericError("protein embedding contains non-finite values")
-    return vec
+    return out
+
+
+def protein_embedding(
+    state: EncoderState, protein: ProteinRecord, config: RAcutConfig
+) -> np.ndarray:
+    """Whole-protein vector of one protein; see ``protein_embeddings``."""
+    return protein_embeddings(state, [protein], config, batch_size=1)[0]

@@ -1,8 +1,10 @@
 """Finite-difference verification of the analytic gradients.
 
 Two component families are checked: the normalization backward on its own
-(several unroll depths) and the full model — reordering loss through the
-projection and every encoder layer down to the embeddings. Errors are
+(several unroll depths) and the full model — the batch-mean reordering
+loss through the projection and every encoder layer down to the
+embeddings, on a batch of two short proteins whose ragged blocks and
+unequal lengths exercise the packed layout and its key mask. Errors are
 relative with a small floor so exactly-zero gradients (e.g. column-bias
 directions that column normalization annihilates) do not divide by zero.
 """
@@ -64,24 +66,35 @@ def _sinkhorn_component(m: int, rng: np.random.Generator, perturb: float) -> Com
 def _model_component(rng: np.random.Generator, perturb: float) -> ComponentReport:
     cfg = enc.EncoderConfig(embed_dim=8, layers=1, heads=2, ffn_dim=16, n=3, f_max=4)
     state = enc.init(cfg, seed=int(rng.integers(1 << 30)))
-    protein = encode_protein("ACDEFGHIKLMN")
-    example = make_pretrain_example(
-        protein,
-        RAcutConfig(n=3, l_max=12),
-        NoiseSpec("mask", 0.15),
-        seed=int(rng.integers(1 << 30)),
-    )
+    # Proteins shorter than n * f_max give ragged blocks, and unequal lengths
+    # leave batch-tail padding under the attention key mask.
+    examples = [
+        make_pretrain_example(
+            encode_protein(seq),
+            RAcutConfig(n=3, l_max=12),
+            NoiseSpec("mask", 0.15),
+            seed=int(rng.integers(1 << 30)),
+        )
+        for seq in ("ACDEFGHI", "KLMNP")
+    ]
+    blocks = np.stack([ex.shuffled.blocks for ex in examples])
+    lengths = np.stack([ex.shuffled.true_lengths for ex in examples])
     sk = perm.SinkhornConfig(m=3)
 
-    def loss_value() -> float:
-        _, scores = enc.forward(state, example.shuffled)
-        return perm.reorder_loss(example.target, perm.sinkhorn(scores, sk))
+    def loss_value() -> float:  # the batch mean, as in a pretraining step
+        _, scores, _ = enc._forward_core(state, blocks, lengths)
+        return sum(
+            perm.reorder_loss(ex.target, perm.sinkhorn(s, sk))
+            for ex, s in zip(examples, scores)
+        ) / len(examples)
 
-    _, scores = enc.forward(state, example.shuffled)
-    q = perm.sinkhorn(scores, sk)
-    _, dq = perm.reorder_loss_grad(example.target, q.entries)
-    d_scores = perm.sinkhorn_backward(scores, sk, dq)
-    grads = enc.backward(state, example.shuffled, d_scores)
+    _, scores, cache = enc._forward_core(state, blocks, lengths)
+    d_scores = np.empty_like(scores)
+    for i, ex in enumerate(examples):
+        q = perm.sinkhorn(scores[i], sk)
+        _, dq = perm.reorder_loss_grad(ex.target, q.entries)
+        d_scores[i] = perm.sinkhorn_backward(scores[i], sk, dq) / len(examples)
+    grads = enc._backward_core(state, cache, d_scores, None)
     if perturb:
         grads = {k: g.copy() for k, g in grads.items()}
         first = sorted(grads)[0]

@@ -299,14 +299,24 @@ def pretrain_step(
 
 
 def heldout_accuracy(
-    state: enc.EncoderState, examples: Sequence[PretrainExample], eval_m: int
+    state: enc.EncoderState,
+    examples: Sequence[PretrainExample],
+    eval_m: int,
+    batch_size: int,
 ) -> float:
-    """Mean slot accuracy under the deeper evaluation-time projection."""
+    """Mean slot accuracy under the deeper evaluation-time projection.
+
+    Examples are scored ``batch_size`` at a time through one encoder
+    forward; the projection and rounding then run per example.
+    """
     sk = perm.SinkhornConfig(m=eval_m)
     total = 0.0
-    for ex in examples:
-        q = enc.predict_q(state, ex.shuffled, sk)
-        total += perm.permutation_accuracy(perm.round_to_permutation(q), ex.target)
+    for start in range(0, len(examples), batch_size):
+        chunk = examples[start : start + batch_size]
+        _, scores = enc.forward_batch(state, [ex.shuffled for ex in chunk])
+        for ex, s in zip(chunk, scores):
+            q = perm.sinkhorn(s, sk)
+            total += perm.permutation_accuracy(perm.round_to_permutation(q), ex.target)
     return total / len(examples)
 
 
@@ -393,7 +403,9 @@ def pretrain_run(
             epoch_accs.append(rec.perm_acc)
 
         if val_examples:
-            val_acc = heldout_accuracy(state, val_examples, config.eval_m)
+            val_acc = heldout_accuracy(
+                state, val_examples, config.eval_m, config.batch_size
+            )
         else:
             val_acc = float(np.mean(epoch_accs))
         val_history.append((epoch, val_acc))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqreorder import encoder as enc
+from seqreorder import nn
 from seqreorder.augment import (
     NoiseSpec,
     RAcutConfig,
@@ -205,3 +206,96 @@ def test_scores_respond_to_shuffle(tiny_config):
     _, s1 = enc.forward(state, shuffle_apply(sset, p1))
     _, s2 = enc.forward(state, shuffle_apply(sset, p2))
     assert not np.array_equal(s1.entries, s2.entries)
+
+
+def _padded_reference(state, blocks, lengths, d_scores, d_pooled):
+    """Dense padded layout: all n * f_max positions run, pads masked as keys."""
+    cfg, p = state.config, state.params
+    b, n, f = blocks.shape
+    d = cfg.embed_dim
+    tokens = blocks.reshape(b, n * f)
+    pos_idx, slot_idx = np.tile(np.arange(f), n), np.repeat(np.arange(n), f)
+    x = p["tok_embed"][tokens] + p["pos_embed"][pos_idx] + p["slot_embed"][slot_idx]
+    real = np.arange(f) < lengths[:, :, None]
+    h, stack_cache = nn.stack_forward(x, p, "", cfg.layers, real.reshape(b, n * f), cfg.heads)
+    denom = np.maximum(lengths, 1)[:, :, None]
+    pooled = (h.reshape(b, n, f, d) * real[..., None]).sum(axis=2) / denom
+    logits = pooled @ p["head.w"] + p["head.b"]
+    scores = np.exp(np.clip(logits, -enc.LOGIT_CLAMP, enc.LOGIT_CLAMP))
+
+    grads = nn.zero_grads_like(p)
+    dlogits = d_scores * scores * (np.abs(logits) < enc.LOGIT_CLAMP)
+    grads["head.w"] += pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
+    grads["head.b"] += dlogits.reshape(-1, n).sum(axis=0)
+    dpooled = dlogits @ p["head.w"].T + d_pooled
+    dh = (dpooled / denom)[:, :, None, :] * real[..., None]
+    dx, stack_grads = nn.stack_backward(stack_cache, dh.reshape(b, n * f, d))
+    nn.accumulate(grads, stack_grads)
+    np.add.at(grads["tok_embed"], tokens.ravel(), dx.reshape(-1, d))
+    grads["pos_embed"] += dx.reshape(b, n, f, d).sum(axis=(0, 1))
+    grads["slot_embed"] += dx.reshape(b, n, f, d).sum(axis=(0, 2))
+    return pooled, scores, grads
+
+
+def _rel_err(actual, expected):
+    return np.abs(actual - expected).max() / max(np.abs(expected).max(), 1e-300)
+
+
+def _ragged_batch(rng, b, n, f):
+    """Random blocks with empty blocks and unequal totals (batch-tail padding)."""
+    lengths = rng.integers(0, f + 1, size=(b, n))
+    lengths[:, 0] = np.maximum(lengths[:, 0], 1)  # no example is all padding
+    lengths[0, -1] = 0
+    lengths[1] = f
+    blocks = rng.integers(1, RESIDUE_VOCAB.size, size=(b, n, f))
+    blocks[np.arange(f) >= lengths[:, :, None]] = RESIDUE_VOCAB.pad_id
+    return blocks, lengths
+
+
+@pytest.mark.parametrize("n,f_max,layers", [(3, 4, 1), (4, 6, 2), (6, 3, 2)])
+def test_packed_core_matches_padded_reference(n, f_max, layers):
+    cfg = EncoderConfig(embed_dim=8, layers=layers, heads=2, ffn_dim=16, n=n, f_max=f_max)
+    state = enc.init(cfg, seed=n)
+    rng = np.random.default_rng(f_max)
+    for _ in range(3):
+        blocks, lengths = _ragged_batch(rng, 4, n, f_max)
+        assert len(set(lengths.sum(axis=1))) > 1 and (lengths == 0).any()
+        d_scores = rng.normal(size=(4, n, n))
+        d_pooled = rng.normal(size=(4, n, 8))
+        pooled, scores, cache = enc._forward_core(state, blocks, lengths)
+        grads = enc._backward_core(state, cache, d_scores, d_pooled)
+        ref_pooled, ref_scores, ref_grads = _padded_reference(
+            state, blocks, lengths, d_scores, d_pooled
+        )
+        np.testing.assert_array_equal(pooled[lengths == 0], 0.0)
+        assert _rel_err(pooled, ref_pooled) <= 1e-12
+        assert _rel_err(scores, ref_scores) <= 1e-12
+        assert sorted(grads) == sorted(ref_grads)
+        for key in grads:
+            if key.endswith("attn.bk"):
+                # softmax is shift-invariant per query, so the exact key-bias
+                # gradient is zero and both sides hold rounding noise only
+                assert max(np.abs(grads[key]).max(), np.abs(ref_grads[key]).max()) <= 1e-14
+            else:
+                assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
+
+
+def test_scores_do_not_depend_on_batch_neighbours(tiny_config):
+    state = enc.init(tiny_config, seed=0)
+    cfg = RAcutConfig(n=3, l_max=12)
+    short = make_pretrain_example(_protein(5), cfg, NoiseSpec(), seed=1).shuffled
+    longer = make_pretrain_example(_protein(12, offset=3), cfg, NoiseSpec(), seed=2).shuffled
+    alone_pooled, alone_scores = enc.forward_batch(state, [short])
+    pooled, scores = enc.forward_batch(state, [short, longer])
+    assert _rel_err(pooled[0], alone_pooled[0]) <= 1e-12
+    assert _rel_err(scores[0], alone_scores[0]) <= 1e-12
+
+
+def test_protein_embeddings_match_one_at_a_time(tiny_config):
+    state = enc.init(tiny_config, seed=0)
+    seg = RAcutConfig(n=3, l_max=12)
+    proteins = [_protein(k, offset=k) for k in (12, 7, 3, 40, 9)]
+    batched = enc.protein_embeddings(state, proteins, seg, batch_size=2)
+    assert batched.shape == (5, 8)
+    for vec, protein in zip(batched, proteins):
+        assert _rel_err(vec, enc.protein_embedding(state, protein, seg)) <= 1e-12

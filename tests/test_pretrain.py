@@ -9,6 +9,7 @@ from seqreorder.augment import NoiseSpec, RAcutConfig, make_pretrain_example
 from seqreorder.corpus import CANONICAL_RESIDUES, PretrainDataset, encode_protein
 from seqreorder.encoder import EncoderConfig
 from seqreorder.errors import CheckpointError, NumericError, ValidationError
+from seqreorder import perm
 from seqreorder.perm import SinkhornConfig
 from seqreorder.pretrain import (
     Checkpoint,
@@ -17,6 +18,7 @@ from seqreorder.pretrain import (
     TrainLog,
     checkpoint_from_encoder,
     encoder_state_from_checkpoint,
+    heldout_accuracy,
     load_checkpoint,
     pretrain_run,
     pretrain_step,
@@ -92,6 +94,29 @@ def test_step_is_deterministic():
         np.testing.assert_array_equal(
             records[0][2].params[key], records[1][2].params[key]
         )
+
+
+def test_batched_heldout_accuracy_matches_one_at_a_time():
+    state = enc.init(TINY, seed=0)
+    adam = nn.adam_init(state.params)
+    for _ in range(5):
+        state, _ = pretrain_step(state, _examples(4), _config(lr=1e-2), adam)
+    # unequal lengths, so every chunk carries batch-tail padding
+    examples = [
+        make_pretrain_example(_protein(length, offset=i), CUT, NOISE, seed=(0, 0, i))
+        for i, length in enumerate((12, 5, 9, 3, 7, 12, 4, 10, 6))
+    ]
+    sk = SinkhornConfig(m=10)
+    one_at_a_time = np.mean(
+        [
+            perm.permutation_accuracy(
+                perm.round_to_permutation(enc.predict_q(state, ex.shuffled, sk)), ex.target
+            )
+            for ex in examples
+        ]
+    )
+    for batch_size in (1, 4, 9):
+        assert heldout_accuracy(state, examples, 10, batch_size) == one_at_a_time
 
 
 def test_train_log_rejects_disorder_and_nonfinite():
