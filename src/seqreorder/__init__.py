@@ -63,8 +63,6 @@ from .evaluation import (
     split_scenarios,
 )
 from .perm import (
-    DoublyStochasticMatrix,
-    ScoreMatrix,
     SinkhornConfig,
     permutation_accuracy,
     reorder_loss,
@@ -89,7 +87,6 @@ __all__ = [
     "CpiConfig",
     "CpiModel",
     "DatasetSchema",
-    "DoublyStochasticMatrix",
     "EncoderConfig",
     "EncoderState",
     "FinetuneConfig",
@@ -106,7 +103,6 @@ __all__ = [
     "ResidueVocabulary",
     "RunConfig",
     "ScenarioSplit",
-    "ScoreMatrix",
     "SeqReorderError",
     "ShuffleMatrix",
     "SinkhornConfig",

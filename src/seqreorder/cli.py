@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,31 +38,9 @@ logger = logging.getLogger(__name__)
 
 OUT_ROOT_ENV = "SEQREORDER_OUT"
 
-_CONFIG_FLAGS = {
-    "epochs": int,
-    "lr": float,
-    "batch_size": int,
-    "weight_decay": float,
-    "embed_dim": int,
-    "layers": int,
-    "heads": int,
-    "ffn_dim": int,
-    "n": int,
-    "l_max": int,
-    "max_atoms": int,
-    "mask_prob": float,
-    "noise_kind": str,
-    "sinkhorn_m": int,
-    "eval_m": int,
-    "fusion_dim": int,
-    "comp_layers": int,
-    "comp_heads": int,
-    "comp_ffn_dim": int,
-    "lam": float,
-    "train_ratio": float,
-    "valid_ratio": float,
-    "test_ratio": float,
-}
+# Every RunConfig field except seed (which has its own flag) is a
+# --kebab-case flag typed by its default value.
+_FLAG_TYPES = {f.name: type(f.default) for f in fields(RunConfig) if f.name != "seed"}
 
 _GEOMETRY_FLAGS = ("embed_dim", "layers", "heads", "ffn_dim", "n")
 
@@ -70,14 +49,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
-    for name, typ in _CONFIG_FLAGS.items():
+    for name, typ in _FLAG_TYPES.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     rc = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {"seed": args.seed}
-    for name in _CONFIG_FLAGS:
+    for name in _FLAG_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value

@@ -11,6 +11,10 @@ block by a segment matrix, and a linear head scores every block against
 every original position. Scores are exponentiated clamped logits, so they
 are strictly positive — row i scores the block sitting in shuffled slot i
 against each original position j.
+
+Every entry point is batched and returns plain arrays: pooled block
+vectors (B, n, embed_dim) and a (B, n, n) stack of score matrices, which
+``perm.sinkhorn`` normalizes in one call.
 """
 
 from __future__ import annotations
@@ -52,13 +56,6 @@ class EncoderConfig:
 class EncoderState:
     config: EncoderConfig
     params: dict[str, np.ndarray]
-
-
-@dataclass
-class SubsequenceEmbeddings:
-    """Per-block pooled vectors, shape (n, embed_dim)."""
-
-    vectors: np.ndarray
 
 
 def init(config: EncoderConfig, seed: int = 0) -> EncoderState:
@@ -183,44 +180,14 @@ def forward_batch(
     return pooled, scores
 
 
-def forward(
-    state: EncoderState, sset: SubsequenceSet
-) -> tuple[SubsequenceEmbeddings, perm.ScoreMatrix]:
-    """Encode one SubsequenceSet into block embeddings and a score matrix."""
-    pooled, scores = forward_batch(state, [sset])
-    return SubsequenceEmbeddings(pooled[0]), perm.ScoreMatrix(scores[0])
-
-
-def backward(
-    state: EncoderState,
-    sset: SubsequenceSet,
-    d_scores: np.ndarray | None,
-    d_embeddings: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Parameter gradients given upstream gradients on the forward outputs.
-
-    ``d_scores`` is the loss gradient w.r.t. the score matrix entries and
-    ``d_embeddings`` (optional) w.r.t. the pooled block embeddings. The
-    forward pass is recomputed internally, so this is a pure function of
-    (state, input, upstream).
-    """
-    _validate_input(state, sset)
-    _, _, cache = _forward_core(
-        state, sset.blocks[None, :, :], sset.true_lengths[None, :]
-    )
-    ds = None if d_scores is None else np.asarray(d_scores, dtype=np.float64)[None]
-    de = None if d_embeddings is None else np.asarray(d_embeddings, dtype=np.float64)[None]
-    return _backward_core(state, cache, ds, de)
-
-
 def predict_q(
     state: EncoderState,
     sset: SubsequenceSet,
     sk: perm.SinkhornConfig = perm.SinkhornConfig(m=perm.EVAL_SINKHORN_M),
-) -> perm.DoublyStochasticMatrix:
-    """Forward plus Sinkhorn projection of the scores."""
-    _, scores = forward(state, sset)
-    return perm.sinkhorn(scores, sk)
+) -> np.ndarray:
+    """Forward plus Sinkhorn projection of one example's (n, n) scores."""
+    _, scores = forward_batch(state, [sset])
+    return perm.sinkhorn(scores[0], sk)
 
 
 def segment_protein(

@@ -202,10 +202,11 @@ def emit_report(
 ) -> dict:
     """Aggregate per-seed (scores, labels) into the mean/std report.
 
-    Writes report.json plus one ROC and one PR curve CSV per partition per
-    seed. Partitions that are undefined (empty or single-class) for any
-    seed are skipped and listed under skipped_partitions. std is the
-    population standard deviation, so a single seed reports 0.
+    Writes report.json plus one ROC and one PR curve CSV per scored
+    partition per seed. Partitions that are undefined (empty or
+    single-class) for any seed are skipped, listed under
+    skipped_partitions, and get no curve files. std is the population
+    standard deviation, so a single seed reports 0.
     """
     if not per_seed:
         raise ValidationError("need results from at least one seed")
@@ -217,31 +218,29 @@ def emit_report(
     for name in names:
         aurocs: list[float] = []
         auprcs: list[float] = []
-        n_pairs = 0
+        curves: list[tuple] = []
         try:
             for k, seed_results in enumerate(per_seed):
                 if name not in seed_results:
                     raise MetricError(f"seed {k} has no results for {name}")
                 scores, labels = seed_results[name]
-                if k == 0:
-                    n_pairs = len(labels)
                 aurocs.append(auroc(scores, labels))
                 auprcs.append(auprc(scores, labels))
-                fpr, tpr = roc_curve(scores, labels)
-                _write_curve(out_path / f"{name}_roc_seed{k}.csv", "fpr,tpr", fpr, tpr)
-                recall, precision = pr_curve(scores, labels)
-                _write_curve(
-                    out_path / f"{name}_pr_seed{k}.csv", "recall,precision", recall, precision
-                )
+                curves.append((roc_curve(scores, labels), pr_curve(scores, labels)))
         except MetricError as exc:
             skipped[name] = str(exc)
             continue
+        for k, ((fpr, tpr), (recall, precision)) in enumerate(curves):
+            _write_curve(out_path / f"{name}_roc_seed{k}.csv", "fpr,tpr", fpr, tpr)
+            _write_curve(
+                out_path / f"{name}_pr_seed{k}.csv", "recall,precision", recall, precision
+            )
         partitions[name] = {
             "auroc_mean": float(np.mean(aurocs)),
             "auroc_std": float(np.std(aurocs)),
             "auprc_mean": float(np.mean(auprcs)),
             "auprc_std": float(np.std(auprcs)),
-            "n_pairs": n_pairs,
+            "n_pairs": len(per_seed[0][name][1]),
         }
     report = {
         "dataset": dataset,

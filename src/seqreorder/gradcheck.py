@@ -57,8 +57,8 @@ def _sinkhorn_component(m: int, rng: np.random.Generator, perturb: float) -> Com
             qp[i, j] += FD_STEP
             qm = q.copy()
             qm[i, j] -= FD_STEP
-            fp = float((perm.sinkhorn(qp, cfg).entries * upstream).sum())
-            fm = float((perm.sinkhorn(qm, cfg).entries * upstream).sum())
+            fp = float((perm.sinkhorn(qp, cfg) * upstream).sum())
+            fm = float((perm.sinkhorn(qm, cfg) * upstream).sum())
             worst = max(worst, _rel(analytic[i, j], (fp - fm) / (2 * FD_STEP)))
     return ComponentReport(f"sinkhorn_backward_m{m}", worst, SINKHORN_TOL)
 
@@ -83,17 +83,14 @@ def _model_component(rng: np.random.Generator, perturb: float) -> ComponentRepor
 
     def loss_value() -> float:  # the batch mean, as in a pretraining step
         _, scores, _ = enc._forward_core(state, blocks, lengths)
-        return sum(
-            perm.reorder_loss(ex.target, perm.sinkhorn(s, sk))
-            for ex, s in zip(examples, scores)
-        ) / len(examples)
+        q = perm.sinkhorn(scores, sk)
+        losses = [perm.reorder_loss(ex.target, qi) for ex, qi in zip(examples, q)]
+        return sum(losses) / len(examples)
 
     _, scores, cache = enc._forward_core(state, blocks, lengths)
-    d_scores = np.empty_like(scores)
-    for i, ex in enumerate(examples):
-        q = perm.sinkhorn(scores[i], sk)
-        _, dq = perm.reorder_loss_grad(ex.target, q.entries)
-        d_scores[i] = perm.sinkhorn_backward(scores[i], sk, dq) / len(examples)
+    q = perm.sinkhorn(scores, sk)
+    dq = np.stack([perm.reorder_loss_grad(ex.target, qi)[1] for ex, qi in zip(examples, q)])
+    d_scores = perm.sinkhorn_backward(scores, sk, dq) / len(examples)
     grads = enc._backward_core(state, cache, d_scores, None)
     if perturb:
         grads = {k: g.copy() for k, g in grads.items()}

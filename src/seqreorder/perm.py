@@ -1,10 +1,12 @@
 """Permutation recovery: Sinkhorn normalization, rounding, and the loss.
 
-A strictly positive score matrix is pushed toward the doubly-stochastic
-polytope by alternating row and column normalization (column last, so
-column sums are exact); the recovered permutation is the assignment that
-maximizes the matched score total. The backward pass differentiates
-through the unrolled normalization steps exactly — for one row step,
+Sinkhorn runs on one strictly positive n x n score matrix or on a stack of
+them, shape (..., n, n); every matrix in the stack is normalized on its
+own, by alternating row and column normalization (column last, so column
+sums are exact). The recovered permutation is the assignment that
+maximizes the matched score total; rounding and the loss take one matrix
+at a time. The backward pass differentiates through the unrolled
+normalization steps exactly — for one row step,
 
     d out[p,j] / d in[p,q]  =  [[j == q]] / Z_p  -  in[p,j] / Z_p**2,
 
@@ -28,117 +30,74 @@ DEFAULT_LOG_EPS = 1e-9
 TRAIN_SINKHORN_M = 10
 EVAL_SINKHORN_M = 50
 
+# Sums over the last axis normalize rows, over the second-to-last columns.
+_ROW, _COL = -1, -2
+
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Iteration count and the clamp floor used inside the log loss."""
+    """Number of row+column normalization steps."""
 
     m: int = TRAIN_SINKHORN_M
-    eps: float = DEFAULT_LOG_EPS
 
     def __post_init__(self) -> None:
         if self.m < 0:
             raise ValidationError(f"m must be >= 0, got {self.m}")
-        if self.eps <= 0:
-            raise ValidationError(f"eps must be > 0, got {self.eps}")
 
 
-@dataclass
-class ScoreMatrix:
-    """Raw n x n block-to-position scores; strictly positive and finite."""
-
-    entries: np.ndarray
-
-
-@dataclass
-class DoublyStochasticMatrix:
-    entries: np.ndarray
-    iterations_used: int
-
-
-def _as_matrix(q) -> np.ndarray:
-    entries = getattr(q, "entries", q)
-    arr = np.asarray(entries, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+def _as_square(q, stack: bool = False) -> np.ndarray:
+    """q as float64: one square matrix, or with ``stack`` a (..., n, n) stack."""
+    arr = np.asarray(q, dtype=np.float64)
+    if arr.ndim < 2 or (arr.ndim > 2 and not stack) or arr.shape[-1] != arr.shape[-2]:
+        kind = "a stack of square matrices" if stack else "a square matrix"
+        raise ValidationError(f"expected {kind}, got shape {arr.shape}")
     return arr
 
 
-def _check_positive(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
+def _as_scores(q) -> np.ndarray:
+    x = _as_square(q, stack=True)
+    if not np.isfinite(x).all():
         raise NumericError("score matrix contains non-finite entries")
-    if (arr <= 0).any():
+    if (x <= 0).any():
         raise NumericError("score matrix entries must be strictly positive")
-
-
-def row_normalize(q) -> np.ndarray:
-    x = _as_matrix(q)
-    if not np.isfinite(x).all():
-        raise NumericError("matrix contains non-finite entries")
-    sums = x.sum(axis=1, keepdims=True)
-    if (sums <= 0).any():
-        bad = int(np.argmax(sums.ravel() <= 0))
-        raise NumericError(f"row {bad} has non-positive sum {sums.ravel()[bad]!r}")
-    return x / sums
-
-
-def col_normalize(q) -> np.ndarray:
-    x = _as_matrix(q)
-    if not np.isfinite(x).all():
-        raise NumericError("matrix contains non-finite entries")
-    sums = x.sum(axis=0, keepdims=True)
-    if (sums <= 0).any():
-        bad = int(np.argmax(sums.ravel() <= 0))
-        raise NumericError(f"column {bad} has non-positive sum {sums.ravel()[bad]!r}")
-    return x / sums
+    return x
 
 
 def _forward_steps(x: np.ndarray, m: int):
-    """Run m row+column steps, keeping the input of every normalization."""
-    row_inputs = []
-    col_inputs = []
+    """Run m row+column steps, keeping the input and axis of every normalization."""
+    steps = []
     for _ in range(m):
-        row_inputs.append(x)
-        x = row_normalize(x)
-        col_inputs.append(x)
-        x = col_normalize(x)
-    return x, row_inputs, col_inputs
+        for axis in (_ROW, _COL):
+            steps.append((x, axis))
+            x = x / x.sum(axis=axis, keepdims=True)
+    # Scores spanning more than the float64 range can underflow a whole
+    # column to zero or overflow a row sum; 0/0 then spreads NaN to the end.
+    if not np.isfinite(x).all():
+        raise NumericError("normalization lost a row or column to under- or overflow")
+    return x, steps
 
 
-def sinkhorn(q, config: SinkhornConfig = SinkhornConfig()) -> DoublyStochasticMatrix:
+def sinkhorn(q, config: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
     """Alternate row and column normalization m times (column last).
 
-    m = 0 returns the input unchanged. For m >= 1 every column sums to 1
+    ``q`` is one matrix or a (..., n, n) stack; the result has its shape.
+    m = 0 returns a copy of the input. For m >= 1 every column sums to 1
     exactly (up to rounding) and row sums converge to 1 as m grows.
     """
-    x = _as_matrix(q)
-    _check_positive(x)
+    x = _as_scores(q)
     if config.m == 0:
-        return DoublyStochasticMatrix(entries=x.copy(), iterations_used=0)
-    out, _, _ = _forward_steps(x, config.m)
-    return DoublyStochasticMatrix(entries=out, iterations_used=config.m)
+        return x.copy()
+    return _forward_steps(x, config.m)[0]
 
 
-def row_normalize_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient through one row normalization, given its input x."""
-    z = x.sum(axis=1, keepdims=True)
-    return upstream / z - ((upstream * x).sum(axis=1, keepdims=True)) / (z * z)
-
-
-def col_normalize_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    z = x.sum(axis=0, keepdims=True)
-    return upstream / z - ((upstream * x).sum(axis=0, keepdims=True)) / (z * z)
-
-
-def sinkhorn_backward(q, config: SinkhornConfig, upstream: np.ndarray) -> np.ndarray:
+def sinkhorn_backward(q, config: SinkhornConfig, upstream) -> np.ndarray:
     """Exact gradient of a scalar loss through m normalization steps.
 
     ``upstream`` is the loss gradient with respect to the normalized
-    output; the return value is the loss gradient with respect to the raw
-    input. m = 0 passes the gradient through unchanged.
+    output, shaped like ``q``; the return value is the loss gradient with
+    respect to the raw input. m = 0 passes the gradient through unchanged.
     """
-    x = _as_matrix(q)
-    _check_positive(x)
+    x = _as_scores(q)
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != x.shape:
         raise ValidationError(
@@ -146,15 +105,11 @@ def sinkhorn_backward(q, config: SinkhornConfig, upstream: np.ndarray) -> np.nda
         )
     if config.m == 0:
         return g.copy()
-    _, row_inputs, col_inputs = _forward_steps(x, config.m)
-    for t in range(config.m - 1, -1, -1):
-        g = col_normalize_backward(col_inputs[t], g)
-        g = row_normalize_backward(row_inputs[t], g)
+    _, steps = _forward_steps(x, config.m)
+    for x_in, axis in reversed(steps):
+        z = x_in.sum(axis=axis, keepdims=True)
+        g = g / z - (g * x_in).sum(axis=axis, keepdims=True) / (z * z)
     return g
-
-
-def _assignment_entries(entries: np.ndarray, rows, cols) -> list[float]:
-    return [float(entries[r, c]) for r, c in zip(rows, cols)]
 
 
 def _lexicographic_refine(entries: np.ndarray) -> np.ndarray:
@@ -194,7 +149,7 @@ def _lexicographic_refine(entries: np.ndarray) -> np.ndarray:
 def round_to_permutation(q) -> ShuffleMatrix:
     """The assignment maximizing the matched total; ties break toward the
     lexicographically smallest permutation."""
-    entries = _as_matrix(q)
+    entries = _as_square(q)
     if not np.isfinite(entries).all():
         raise NumericError("matrix contains non-finite entries")
     rows, cols = linear_sum_assignment(entries, maximize=True)
@@ -205,27 +160,15 @@ def round_to_permutation(q) -> ShuffleMatrix:
     return ShuffleMatrix(perm)
 
 
-def reorder_loss(p: ShuffleMatrix, q, eps: float = DEFAULT_LOG_EPS) -> float:
-    """Mean negative log of the matched entries: -(1/n) sum_i log Q[i][p(i)].
+def reorder_loss_grad(p: ShuffleMatrix, q) -> tuple[float, np.ndarray]:
+    """Mean negative log of the matched entries, -(1/n) sum_i log Q[i][p(i)],
+    plus its gradient with respect to the matrix entries.
 
-    Entries are clamped to [eps, 1] before the log, so the loss is finite
-    and non-negative, and zero exactly when every matched entry is 1.
+    Entries are clamped to [DEFAULT_LOG_EPS, 1] before the log, so the loss
+    is finite and non-negative, and zero exactly when every matched entry
+    is 1; a clamped entry gets zero gradient.
     """
-    entries = _as_matrix(q)
-    if p.n != entries.shape[0]:
-        raise ValidationError(
-            f"permutation over {p.n} slots does not match matrix of size {entries.shape[0]}"
-        )
-    matched = entries[np.arange(p.n), p.perm]
-    clamped = np.clip(matched, eps, 1.0)
-    return float(-np.mean(np.log(clamped)))
-
-
-def reorder_loss_grad(
-    p: ShuffleMatrix, q, eps: float = DEFAULT_LOG_EPS
-) -> tuple[float, np.ndarray]:
-    """Loss plus its gradient with respect to the matrix entries."""
-    entries = _as_matrix(q)
+    entries = _as_square(q)
     if p.n != entries.shape[0]:
         raise ValidationError(
             f"permutation over {p.n} slots does not match matrix of size {entries.shape[0]}"
@@ -233,12 +176,17 @@ def reorder_loss_grad(
     n = p.n
     idx = np.arange(n)
     matched = entries[idx, p.perm]
-    clamped = np.clip(matched, eps, 1.0)
+    clamped = np.clip(matched, DEFAULT_LOG_EPS, 1.0)
     loss = float(-np.mean(np.log(clamped)))
     grad = np.zeros_like(entries)
-    active = (matched > eps) & (matched < 1.0)
+    active = (matched > DEFAULT_LOG_EPS) & (matched < 1.0)
     grad[idx[active], p.perm[active]] = -1.0 / (n * matched[active])
     return loss, grad
+
+
+def reorder_loss(p: ShuffleMatrix, q) -> float:
+    """The loss of ``reorder_loss_grad`` alone."""
+    return reorder_loss_grad(p, q)[0]
 
 
 def permutation_accuracy(predicted: ShuffleMatrix, target: ShuffleMatrix) -> float:

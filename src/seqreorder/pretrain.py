@@ -38,7 +38,6 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = b"SRCK"
 CHECKPOINT_VERSION = 1
 LOG_TAIL_LIMIT = 20
-TRAIN_LOG_HEADER = "epoch,step,loss,perm_acc,wall_ms"
 
 
 @dataclass(frozen=True)
@@ -268,14 +267,14 @@ def pretrain_step(
             f"logit range would exceed float64"
         )
     b = len(batch)
-    d_scores = np.zeros_like(scores)
+    q = perm.sinkhorn(scores, config.sinkhorn)
+    dq = np.empty_like(q)
     losses = np.empty(b)
     accs = np.empty(b)
     for i, ex in enumerate(batch):
-        q = perm.sinkhorn(scores[i], config.sinkhorn)
-        losses[i], dq = perm.reorder_loss_grad(ex.target, q.entries, config.sinkhorn.eps)
-        d_scores[i] = perm.sinkhorn_backward(scores[i], config.sinkhorn, dq) / b
-        accs[i] = perm.permutation_accuracy(perm.round_to_permutation(q), ex.target)
+        losses[i], dq[i] = perm.reorder_loss_grad(ex.target, q[i])
+        accs[i] = perm.permutation_accuracy(perm.round_to_permutation(q[i]), ex.target)
+    d_scores = perm.sinkhorn_backward(scores, config.sinkhorn, dq) / b
     penalty = nn.l2_penalty(state.params, config.weight_decay)
     loss = float(losses.mean() + penalty)
     if not np.isfinite(loss):
@@ -307,15 +306,14 @@ def heldout_accuracy(
     """Mean slot accuracy under the deeper evaluation-time projection.
 
     Examples are scored ``batch_size`` at a time through one encoder
-    forward; the projection and rounding then run per example.
+    forward and one projection; rounding then runs per example.
     """
     sk = perm.SinkhornConfig(m=eval_m)
     total = 0.0
     for start in range(0, len(examples), batch_size):
         chunk = examples[start : start + batch_size]
         _, scores = enc.forward_batch(state, [ex.shuffled for ex in chunk])
-        for ex, s in zip(chunk, scores):
-            q = perm.sinkhorn(s, sk)
+        for ex, q in zip(chunk, perm.sinkhorn(scores, sk)):
             total += perm.permutation_accuracy(perm.round_to_permutation(q), ex.target)
     return total / len(examples)
 

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior on tiny corpora."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from seqreorder.cli import main
+from seqreorder.cli import _run_config, build_parser, main
+from seqreorder.config import RunConfig
 from seqreorder.gradcheck import run_gradcheck
 from seqreorder.synthetic import interaction_corpus, motif_sequences, write_interaction_tsv, write_sequence_tsv
 
@@ -230,3 +232,24 @@ def test_synth_commands(tmp_path):
     rows = cpi_out.read_text().splitlines()
     assert len(rows) == 25
     assert all(len(r.split("\t")) == 3 for r in rows)
+
+
+def _parse_config(argv):
+    return _run_config(build_parser().parse_args(["evaluate", "--run", "r"] + argv))
+
+
+@pytest.mark.parametrize(
+    "field", [f for f in fields(RunConfig) if f.name != "seed"], ids=lambda f: f.name
+)
+def test_every_run_config_field_has_a_typed_flag(field):
+    value = {int: 7, float: 0.125, str: "shuffle"}[type(field.default)]
+    rc = _parse_config([f"--{field.name.replace('_', '-')}", str(value)])
+    assert getattr(rc, field.name) == value
+    assert type(getattr(rc, field.name)) is type(field.default)
+
+
+def test_explicit_flag_beats_config_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"epochs": 3, "lr": 0.5}), encoding="utf-8")
+    rc = _parse_config(["--config", str(path), "--epochs", "9", "--seed", "4"])
+    assert (rc.epochs, rc.lr, rc.seed) == (9, 0.5, 4)

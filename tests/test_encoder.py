@@ -31,6 +31,17 @@ def _example(seed=0, length=12):
     )
 
 
+def _scores(state, sset):
+    """The (n, n) score matrix of one example."""
+    return enc.forward_batch(state, [sset])[1][0]
+
+
+def _grads(state, sset, d_scores):
+    """Parameter gradients of one example given upstream score gradients."""
+    _, _, cache = enc._forward_core(state, sset.blocks[None], sset.true_lengths[None])
+    return enc._backward_core(state, cache, np.asarray(d_scores)[None], None)
+
+
 def test_config_validates_head_divisibility():
     with pytest.raises(ValidationError):
         EncoderConfig(embed_dim=10, layers=1, heads=3, ffn_dim=16, n=3, f_max=4)
@@ -70,19 +81,19 @@ def test_parameter_count_formula(tiny_config):
 def test_forward_shapes_and_positivity(tiny_config):
     state = enc.init(tiny_config, seed=0)
     example = _example(seed=1)
-    embeddings, scores = enc.forward(state, example.shuffled)
-    assert embeddings.vectors.shape == (3, 8)
-    assert scores.entries.shape == (3, 3)
-    assert (scores.entries > 0).all()
-    assert np.isfinite(scores.entries).all()
+    pooled, scores = enc.forward_batch(state, [example.shuffled])
+    assert pooled.shape == (1, 3, 8)
+    assert scores.shape == (1, 3, 3)
+    assert (scores > 0).all()
+    assert np.isfinite(scores).all()
 
 
 def test_forward_deterministic(tiny_config):
     state = enc.init(tiny_config, seed=0)
     example = _example(seed=1)
-    _, a = enc.forward(state, example.shuffled)
-    _, b = enc.forward(state, example.shuffled)
-    np.testing.assert_array_equal(a.entries, b.entries)
+    a = _scores(state, example.shuffled)
+    b = _scores(state, example.shuffled)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_pad_tokens_do_not_affect_scores(tiny_config):
@@ -90,7 +101,7 @@ def test_pad_tokens_do_not_affect_scores(tiny_config):
     rng = np.random.default_rng(2)
     sset = racut(_protein(6), RAcutConfig(n=3, l_max=12), rng)
     assert (sset.true_lengths < sset.f_max).any()
-    _, before = enc.forward(state, sset)
+    before = _scores(state, sset)
     corrupted = sset.copy()
     for i in range(corrupted.n):
         li = int(corrupted.true_lengths[i])
@@ -98,28 +109,29 @@ def test_pad_tokens_do_not_affect_scores(tiny_config):
     corrupted.blocks[
         np.arange(corrupted.f_max)[None, :] >= corrupted.true_lengths[:, None]
     ] = RESIDUE_VOCAB.pad_id
-    _, after = enc.forward(state, corrupted)
-    np.testing.assert_array_equal(before.entries, after.entries)
+    after = _scores(state, corrupted)
+    np.testing.assert_array_equal(before, after)
 
 
 def test_predict_q_columns_sum_to_one(tiny_config):
     state = enc.init(tiny_config, seed=0)
     q = enc.predict_q(state, _example(seed=3).shuffled)
-    np.testing.assert_allclose(q.entries.sum(axis=0), 1.0, atol=1e-12)
+    assert q.shape == (3, 3)
+    np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_predict_q_zero_iterations_returns_raw_scores(tiny_config):
     state = enc.init(tiny_config, seed=0)
     example = _example(seed=3)
-    _, scores = enc.forward(state, example.shuffled)
+    scores = _scores(state, example.shuffled)
     q = enc.predict_q(state, example.shuffled, SinkhornConfig(m=0))
-    np.testing.assert_array_equal(q.entries, scores.entries)
+    np.testing.assert_array_equal(q, scores)
 
 
 def test_backward_zero_upstream_gives_zero_grads(tiny_config):
     state = enc.init(tiny_config, seed=0)
     example = _example(seed=4)
-    grads = enc.backward(state, example.shuffled, np.zeros((3, 3)))
+    grads = _grads(state, example.shuffled, np.zeros((3, 3)))
     assert sorted(grads) == sorted(state.params)
     for key, g in grads.items():
         assert g.shape == state.params[key].shape
@@ -129,7 +141,7 @@ def test_backward_zero_upstream_gives_zero_grads(tiny_config):
 def test_backward_unused_token_rows_have_zero_grad(tiny_config):
     state = enc.init(tiny_config, seed=0)
     example = _example(seed=5)
-    grads = enc.backward(state, example.shuffled, np.ones((3, 3)))
+    grads = _grads(state, example.shuffled, np.ones((3, 3)))
     used = set(example.shuffled.blocks.ravel().tolist())
     tok_grad = grads["tok_embed"]
     for token in range(RESIDUE_VOCAB.size):
@@ -143,8 +155,8 @@ def test_backward_is_pure(tiny_config):
     example = _example(seed=6)
     before = {k: v.copy() for k, v in state.params.items()}
     d_scores = np.random.default_rng(0).normal(size=(3, 3))
-    a = enc.backward(state, example.shuffled, d_scores)
-    b = enc.backward(state, example.shuffled, d_scores)
+    a = _grads(state, example.shuffled, d_scores)
+    b = _grads(state, example.shuffled, d_scores)
     for key in state.params:
         np.testing.assert_array_equal(state.params[key], before[key])
         np.testing.assert_array_equal(a[key], b[key])
@@ -203,9 +215,9 @@ def test_scores_respond_to_shuffle(tiny_config):
     p2 = sample_shuffle(3, np.random.default_rng(99))
     if np.array_equal(p1.perm, p2.perm):
         p2 = sample_shuffle(3, np.random.default_rng(100))
-    _, s1 = enc.forward(state, shuffle_apply(sset, p1))
-    _, s2 = enc.forward(state, shuffle_apply(sset, p2))
-    assert not np.array_equal(s1.entries, s2.entries)
+    s1 = _scores(state, shuffle_apply(sset, p1))
+    s2 = _scores(state, shuffle_apply(sset, p2))
+    assert not np.array_equal(s1, s2)
 
 
 def _padded_reference(state, blocks, lengths, d_scores, d_pooled):

@@ -265,3 +265,18 @@ def test_emit_report_skips_undefined_partitions(tmp_path):
     assert "seen_both" in report["partitions"]
     assert "unseen_both" not in report["partitions"]
     assert "unseen_both" in report["skipped_partitions"]
+
+
+def test_emit_report_writes_no_curves_for_a_partition_a_later_seed_skips(tmp_path):
+    scores = np.linspace(0.1, 0.9, 10)
+    report = emit_report(
+        "toy",
+        [
+            {"seen_both": (scores, np.array([0, 1] * 5))},
+            {"seen_both": (scores, np.ones(10, dtype=int))},  # single class
+        ],
+        tmp_path,
+    )
+    assert report["partitions"] == {}
+    assert "seen_both" in report["skipped_partitions"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

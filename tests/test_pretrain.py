@@ -96,6 +96,41 @@ def test_step_is_deterministic():
         )
 
 
+def test_step_matches_a_per_example_projection():
+    # reference: Sinkhorn, loss and VJP one score matrix at a time
+    config = _config(lr=1e-2, weight_decay=1e-3)
+    batch = [
+        make_pretrain_example(_protein(length, offset=i), CUT, NOISE, seed=(0, 1, i))
+        for i, length in enumerate((12, 5, 9, 7))
+    ]
+    ref = enc.init(TINY, seed=0)
+    ref_adam = nn.adam_init(ref.params)
+    blocks = np.stack([ex.shuffled.blocks for ex in batch])
+    lengths = np.stack([ex.shuffled.true_lengths for ex in batch])
+    _, scores, cache = enc._forward_core(ref, blocks, lengths)
+    d_scores = np.empty_like(scores)
+    losses, accs = [], []
+    for i, ex in enumerate(batch):
+        q = perm.sinkhorn(scores[i], config.sinkhorn)
+        loss, dq = perm.reorder_loss_grad(ex.target, q)
+        d_scores[i] = perm.sinkhorn_backward(scores[i], config.sinkhorn, dq) / len(batch)
+        losses.append(loss)
+        accs.append(perm.permutation_accuracy(perm.round_to_permutation(q), ex.target))
+    want_loss = float(np.mean(losses) + nn.l2_penalty(ref.params, config.weight_decay))
+    grads = enc._backward_core(ref, cache, d_scores, None)
+    nn.adam_step(
+        ref.params, grads, ref_adam, lr=config.lr, beta1=config.beta1,
+        beta2=config.beta2, eps=config.adam_eps, weight_decay=config.weight_decay,
+    )
+
+    state = enc.init(TINY, seed=0)
+    state, rec = pretrain_step(state, batch, config, nn.adam_init(state.params))
+    assert rec.loss == want_loss
+    assert rec.perm_acc == float(np.mean(accs))
+    for key in ref.params:
+        np.testing.assert_array_equal(state.params[key], ref.params[key])
+
+
 def test_batched_heldout_accuracy_matches_one_at_a_time():
     state = enc.init(TINY, seed=0)
     adam = nn.adam_init(state.params)
