@@ -1,13 +1,15 @@
 """Compound-protein interaction head on top of a frozen protein encoder.
 
 Compounds run through their own small attention stack over SMILES
-characters and are mean-pooled; the protein side is the frozen encoder's
-whole-protein embedding, computed once per distinct sequence and cached.
-The two vectors are concatenated, fused by a two-layer MLP, and decoded to
-an interaction probability by a single sigmoid unit. The training loss is
-the summed (not averaged) binary cross-entropy plus an L2 penalty
-(lambda / 2) * ||theta||^2 over the trainable parameters; the encoder
-parameters are frozen and receive no gradient.
+characters, as packed rows of their real tokens only (attention alone sees
+the padded (B, T) layout), and are mean-pooled; the protein side is the
+frozen encoder's whole-protein embedding, computed once per distinct
+sequence and cached. The two vectors are concatenated, fused by a
+two-layer MLP, and decoded to an interaction probability by a single
+sigmoid unit. The training loss is the summed (not averaged) binary
+cross-entropy plus an L2 penalty (lambda / 2) * ||theta||^2 over the
+trainable parameters; the encoder parameters are frozen and receive no
+gradient.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from . import nn
 from .augment import RAcutConfig
 from .corpus import (
-    SMILES_PAD_ID,
     SMILES_VOCAB_SIZE,
     CompoundRecord,
     InteractionRecord,
@@ -33,7 +34,7 @@ from .encoder import EncoderConfig, EncoderState, protein_embeddings
 from .encoder import protein_embedding  # noqa: F401  (perfbench traces this name)
 from .errors import CheckpointError, NumericError, ValidationError
 from .evaluation import auroc
-from .pretrain import Checkpoint, StepRecord, TrainLog
+from .pretrain import Checkpoint, StepRecord, TrainLog, write_val_log
 
 logger = logging.getLogger(__name__)
 
@@ -134,46 +135,43 @@ def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> C
 def _compound_batch(
     model: CpiModel, token_rows: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The real SMILES token ids (N,), compound by compound, and the (B, T) key mask."""
     cfg = model.config
     if not token_rows:
         raise ValidationError("no compounds in batch")
-    longest = max(len(r) for r in token_rows)
-    if longest > cfg.max_atoms:
+    lengths = np.array([len(r) for r in token_rows])
+    if lengths.max() > cfg.max_atoms:
         raise ValidationError(
-            f"compound has {longest} tokens, model limit is {cfg.max_atoms}"
+            f"compound has {lengths.max()} tokens, model limit is {cfg.max_atoms}"
         )
-    if min(len(r) for r in token_rows) == 0:
+    if lengths.min() == 0:
         raise ValidationError("compound token list is empty")
-    tokens = np.full((len(token_rows), longest), SMILES_PAD_ID, dtype=np.int64)
-    for i, row in enumerate(token_rows):
-        tokens[i, : len(row)] = row
-    mask = tokens != SMILES_PAD_ID
-    return tokens, mask
+    ids = np.concatenate([np.asarray(r, dtype=np.int64) for r in token_rows])
+    return ids, np.arange(lengths.max()) < lengths[:, None]
 
 
 def _compound_forward(model: CpiModel, token_rows: Sequence[Sequence[int]]):
+    """Pooled compound vectors (B, embed_dim); the stack runs on real tokens only."""
     cfg = model.config
     p = model.params
-    tokens, mask = _compound_batch(model, token_rows)
-    b, t = tokens.shape
-    x = p["comp.tok_embed"][tokens] + p["comp.pos_embed"][:t]
-    h, stack_cache = nn.stack_forward(x, p, "comp.", cfg.comp_layers, mask, cfg.comp_heads)
-    lengths = mask.sum(axis=1).astype(np.float64)
-    pooled = (h * mask[..., None]).sum(axis=1) / lengths[:, None]
-    cache = (tokens, mask, lengths, stack_cache, t)
+    ids, key_mask = _compound_batch(model, token_rows)
+    comp, pos = np.nonzero(key_mask)
+    x = p["comp.tok_embed"][ids] + p["comp.pos_embed"][pos]
+    h, stack_cache = nn.stack_forward(x, p, "comp.", cfg.comp_layers, key_mask, cfg.comp_heads)
+    lengths = key_mask.sum(axis=1)
+    # each compound's rows are contiguous and non-empty
+    pooled = np.add.reduceat(h, np.cumsum(lengths) - lengths) / lengths[:, None]
+    cache = (ids, comp, pos, lengths, stack_cache)
     return pooled, cache
 
 
 def _compound_backward(model: CpiModel, cache, d_pooled: np.ndarray) -> dict[str, np.ndarray]:
     p = model.params
-    tokens, mask, lengths, stack_cache, t = cache
-    d = model.config.embed_dim
-    dh = (d_pooled / lengths[:, None])[:, None, :] * mask[..., None]
+    ids, comp, pos, lengths, stack_cache = cache
+    dh = (d_pooled / lengths[:, None])[comp]
     dx, grads = nn.stack_backward(stack_cache, dh)
-    grads["comp.tok_embed"] = np.zeros_like(p["comp.tok_embed"])
-    np.add.at(grads["comp.tok_embed"], tokens.ravel(), dx.reshape(-1, d))
-    grads["comp.pos_embed"] = np.zeros_like(p["comp.pos_embed"])
-    grads["comp.pos_embed"][:t] = dx.sum(axis=0)
+    for key, index in (("comp.tok_embed", ids), ("comp.pos_embed", pos)):
+        grads[key] = nn.embedding_backward(index, dx, len(p[key]))
     return grads
 
 
@@ -372,6 +370,8 @@ def finetune_run(
     The returned model carries the parameters of the epoch with the best
     validation AUROC. The encoder is never updated: no gradient path
     reaches it and the protein embeddings are computed once up front.
+    With ``out_dir`` the step log lands in finetune_log.csv and the
+    per-epoch validation AUROC in val_log.csv.
     """
     if not train:
         raise ValidationError("training set is empty")
@@ -429,6 +429,7 @@ def finetune_run(
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         log.write_csv(out_path / "finetune_log.csv")
+        write_val_log(out_path / "val_log.csv", "val_auroc", val_history)
     return FinetuneResult(
         model=model, log=log, selected_epoch=best_epoch, val_history=val_history
     )

@@ -1,16 +1,15 @@
 """Shuffled-subsequence encoder with a slot-to-position score head.
 
 A batch arrives as blocks padded to f_max, shape (B, n, f_max), and is
-packed before the transformer sees it: each example keeps only its real
-tokens, in slot order, so the stack runs over (B, T) positions with T the
-longest example in the batch rather than n * f_max. Every token is
-embedded as token + within-block position + slot embeddings, the packed
-tokens run through a pre-norm transformer stack whose attention masks only
-the batch-tail padding of shorter examples, tokens are mean-pooled per
-block by a segment matrix, and a linear head scores every block against
-every original position. Scores are exponentiated clamped logits, so they
-are strictly positive — row i scores the block sitting in shuffled slot i
-against each original position j.
+packed before the transformer sees it: only real tokens are embedded, one
+row each, in slot order per example, as token + within-block position +
+slot embeddings. The rows run through a pre-norm transformer stack whose
+attention, its only (B, T) op, masks the batch-tail positions of shorter
+examples (T is the longest example in the batch, not n * f_max). Tokens
+are mean-pooled per block by a segment matrix, and a linear head scores
+every block against every original position. Scores are exponentiated
+clamped logits, so they are strictly positive — row i scores the block
+sitting in shuffled slot i against each original position j.
 
 Every entry point is batched and returns plain arrays: pooled block
 vectors (B, n, embed_dim) and a (B, n, n) stack of score matrices, which
@@ -79,14 +78,13 @@ def parameter_count(state: EncoderState) -> int:
 def _forward_core(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
     """Batched forward. blocks (B, n, f_max) int, lengths (B, n) int.
 
-    The padded blocks are packed into (B, T) real tokens, T being the
-    largest real-token count in the batch: row b holds the first
-    ``lengths[b, i]`` tokens of each block i in slot order, followed by
-    batch-tail positions that the attention key mask hides. Each token
-    carries its slot id and within-block position for the embedding
-    lookups. Pads are never keys and never pooled, so dropping them as
-    queries is exact. Blocks are mean-pooled by the (B, n, T) segment
-    matrix ``seg``.
+    Only real tokens are embedded: one row per token, example by example
+    and in slot order within an example, each carrying its slot id and
+    within-block position. The stack runs on these rows; its attention key
+    mask is (B, T), T being the largest real-token count in the batch, and
+    hides the batch-tail positions of shorter examples. Blocks are
+    mean-pooled by the (B, n, T) segment matrix ``seg`` from the output
+    rows laid out as (B, T, d), which is a view when no example is short.
 
     Blocks of length 0 are legal here (inference-time equal splits can
     leave trailing empties); their ``seg`` row is zero, so they pool to the
@@ -100,52 +98,41 @@ def _forward_core(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
     counts = lengths.sum(axis=1)
     tok = np.arange(ex.size) - (np.cumsum(counts) - counts)[ex]
     ids = blocks[ex, slot, pos]
-    x = np.zeros((b, int(counts.max()), cfg.embed_dim))
-    x[ex, tok] = p["tok_embed"][ids] + p["pos_embed"][pos] + p["slot_embed"][slot]
-    key_mask = np.arange(x.shape[1]) < counts[:, None]
+    key_mask = np.arange(int(counts.max())) < counts[:, None]
+    x = p["tok_embed"][ids] + p["pos_embed"][pos] + p["slot_embed"][slot]
     h, stack_cache = nn.stack_forward(x, p, "", cfg.layers, key_mask, cfg.heads)
-    seg = np.zeros((b, n, x.shape[1]))
-    seg[ex, slot, tok] = 1.0 / lengths[ex, slot]
-    pooled = seg @ h
+    share = 1.0 / lengths[ex, slot]  # each token's weight in its block mean
+    seg = np.zeros((b, n, key_mask.shape[1]))
+    seg[ex, slot, tok] = share
+    pooled = seg @ nn.rows_to_padded(h, key_mask)
     logits = pooled @ p["head.w"] + p["head.b"]
     clamped = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
     scores = np.exp(clamped)
-    cache = (ex, slot, pos, tok, ids, stack_cache, seg, pooled, logits, scores)
+    cache = (ex, slot, pos, ids, share, stack_cache, pooled, logits, scores)
     return pooled, scores, cache
 
 
 def _backward_core(
-    state: EncoderState,
-    cache,
-    d_scores: np.ndarray | None,
-    d_pooled: np.ndarray | None,
+    state: EncoderState, cache, d_scores: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Exact parameter gradients for the batched forward."""
+    """Exact parameter gradients for the batched forward, given d(loss)/d(scores)."""
     cfg = state.config
     p = state.params
-    ex, slot, pos, tok, ids, stack_cache, seg, pooled, logits, scores = cache
+    ex, slot, pos, ids, share, stack_cache, pooled, logits, scores = cache
     n, d = cfg.n, cfg.embed_dim
     grads = nn.zero_grads_like(p)
 
-    dpooled_total = np.zeros_like(pooled)
-    if d_pooled is not None:
-        dpooled_total += d_pooled
-    if d_scores is not None:
-        inside = (logits > -LOGIT_CLAMP) & (logits < LOGIT_CLAMP)
-        dlogits = d_scores * scores * inside
-        grads["head.w"] += pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
-        grads["head.b"] += dlogits.reshape(-1, n).sum(axis=0)
-        dpooled_total += dlogits @ p["head.w"].T
+    inside = (logits > -LOGIT_CLAMP) & (logits < LOGIT_CLAMP)
+    dlogits = d_scores * scores * inside
+    grads["head.w"] += pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
+    grads["head.b"] += dlogits.reshape(-1, n).sum(axis=0)
+    dpooled = dlogits @ p["head.w"].T
 
-    dh = seg.transpose(0, 2, 1) @ dpooled_total
+    dh = dpooled[ex, slot] * share[:, None]
     dx, stack_grads = nn.stack_backward(stack_cache, dh)
     nn.accumulate(grads, stack_grads)
-
-    # scatter-add by token, position and slot id, as one-hot matmuls
-    # (several times faster than np.add.at at these table sizes)
-    dx_real = dx[ex, tok]
     for key, index in (("tok_embed", ids), ("pos_embed", pos), ("slot_embed", slot)):
-        grads[key] += np.eye(len(p[key]))[index].T @ dx_real
+        grads[key] += nn.embedding_backward(index, dx, len(p[key]))
     return grads
 
 

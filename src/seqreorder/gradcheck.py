@@ -91,7 +91,7 @@ def _model_component(rng: np.random.Generator, perturb: float) -> ComponentRepor
     q = perm.sinkhorn(scores, sk)
     dq = np.stack([perm.reorder_loss_grad(ex.target, qi)[1] for ex, qi in zip(examples, q)])
     d_scores = perm.sinkhorn_backward(scores, sk, dq) / len(examples)
-    grads = enc._backward_core(state, cache, d_scores, None)
+    grads = enc._backward_core(state, cache, d_scores)
     if perturb:
         grads = {k: g.copy() for k, g in grads.items()}
         first = sorted(grads)[0]

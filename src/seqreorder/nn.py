@@ -2,11 +2,14 @@
 
 Everything is float64 numpy. Each ``*_forward`` returns (output, cache) and
 the matching ``*_backward`` consumes that cache plus the upstream gradient,
-returning input gradients and a dict of parameter gradients. Activations
-flow as (batch, positions, dim) arrays; attention masks are boolean
-(batch, positions) arrays that are True at real tokens. Masked positions
-never contribute as keys or values, so their token content cannot leak
-into any other position.
+returning input gradients and a dict of parameter gradients. The
+transformer stack carries its residual stream as packed rows (N, dim),
+one per real token: the boolean (batch, positions) key mask is True at
+real tokens, and the rows are its True entries in row-major order.
+Layernorm, the FFN and the residual adds run on the rows; attention is the
+only op that sees (batch, positions, dim), with pads scattered in as zero
+rows. Masked positions are never keys or values, so their content cannot
+leak into any other position.
 """
 
 from __future__ import annotations
@@ -163,17 +166,44 @@ def ffn_backward(cache, dout: Array):
     }
 
 
+def rows_to_padded(rows: Array, key_mask: Array) -> Array:
+    """Scatter packed rows (N, d) into a zero-padded (B, T, d) array.
+
+    Row k is the k-th True entry of ``key_mask`` in row-major order. When
+    every position is real the result is a reshaped view, not a copy.
+    """
+    if key_mask.all():
+        return rows.reshape(key_mask.shape + rows.shape[1:])
+    out = np.zeros(key_mask.shape + rows.shape[1:])
+    out[key_mask] = rows
+    return out
+
+
+def padded_to_rows(padded: Array, key_mask: Array) -> Array:
+    """Gather the real positions of a (B, T, d) array into rows (N, d)."""
+    if key_mask.all():
+        return padded.reshape(-1, padded.shape[-1])
+    return padded[key_mask]
+
+
 def layer_forward(x: Array, p: dict, prefix: str, key_mask: Array, heads: int):
+    """One pre-norm layer on packed rows x (N, d); only attention sees (B, T, d).
+
+    Pad positions enter attention as zero rows. They are never keys, so
+    their queries feed nothing, and dropping their outputs is exact.
+    """
     h1, c_ln1 = layernorm_forward(x, p[prefix + "ln1.gamma"], p[prefix + "ln1.beta"])
-    a, c_att = attention_forward(h1, p, prefix + "attn.", key_mask, heads)
-    x1 = x + a
+    a, c_att = attention_forward(
+        rows_to_padded(h1, key_mask), p, prefix + "attn.", key_mask, heads
+    )
+    x1 = x + padded_to_rows(a, key_mask)
     h2, c_ln2 = layernorm_forward(x1, p[prefix + "ln2.gamma"], p[prefix + "ln2.beta"])
     f, c_ffn = ffn_forward(h2, p, prefix + "ffn.")
-    return x1 + f, (c_ln1, c_att, c_ln2, c_ffn, prefix)
+    return x1 + f, (c_ln1, c_att, c_ln2, c_ffn, key_mask, prefix)
 
 
 def layer_backward(cache, dout: Array):
-    c_ln1, c_att, c_ln2, c_ffn, prefix = cache
+    c_ln1, c_att, c_ln2, c_ffn, key_mask, prefix = cache
     grads = {}
     dh2, g_ffn = ffn_backward(c_ffn, dout)
     grads.update(g_ffn)
@@ -181,9 +211,10 @@ def layer_backward(cache, dout: Array):
     grads[prefix + "ln2.gamma"] = dg2
     grads[prefix + "ln2.beta"] = db2
     dx1 = dout + dx1_ln
-    dh1, g_att = attention_backward(c_att, dx1)
+    # pads get a zero upstream gradient; their input gradient is exactly zero
+    dh1, g_att = attention_backward(c_att, rows_to_padded(dx1, key_mask))
     grads.update(g_att)
-    dx_ln, dg1, db1 = layernorm_backward(c_ln1, dh1)
+    dx_ln, dg1, db1 = layernorm_backward(c_ln1, padded_to_rows(dh1, key_mask))
     grads[prefix + "ln1.gamma"] = dg1
     grads[prefix + "ln1.beta"] = db1
     dx = dx1 + dx_ln
@@ -218,6 +249,11 @@ def init_stack_params(
 
 
 def stack_forward(x: Array, p: dict, prefix: str, layers: int, key_mask: Array, heads: int):
+    """The layers plus the final layernorm on packed rows x (N, d).
+
+    ``key_mask`` (B, T) is True at real tokens; x holds their rows in
+    row-major order, and the output rows keep that order.
+    """
     caches = []
     for layer in range(layers):
         x, c = layer_forward(x, p, f"{prefix}layers.{layer}.", key_mask, heads)
@@ -288,6 +324,15 @@ def l2_penalty(params: dict, coef: float) -> float:
     if coef == 0.0:
         return 0.0
     return 0.5 * coef * float(sum((p * p).sum() for p in params.values()))
+
+
+def embedding_backward(index: Array, drows: Array, vocab: int) -> Array:
+    """Gradient of an embedding table from the rows that looked it up.
+
+    A one-hot matmul: several times faster than ``np.add.at`` at these
+    table sizes.
+    """
+    return np.eye(vocab)[index].T @ drows
 
 
 def zero_grads_like(params: dict) -> dict:

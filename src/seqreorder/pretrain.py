@@ -113,6 +113,12 @@ class TrainLog:
         ]
 
 
+def write_val_log(path: str | Path, label: str, history: Sequence[tuple[int, float]]) -> None:
+    """Per-epoch validation history as ``epoch,<label>`` rows (no wall-clock field)."""
+    lines = [f"epoch,{label}"] + [f"{epoch},{value:.17g}" for epoch, value in history]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 @dataclass
 class Checkpoint:
     section: str
@@ -282,7 +288,7 @@ def pretrain_step(
             f"non-finite loss at epoch {epoch} step {step}: "
             f"data={losses.mean()!r} penalty={penalty!r}"
         )
-    grads = enc._backward_core(state, cache, d_scores, None)
+    grads = enc._backward_core(state, cache, d_scores)
     nn.adam_step(
         state.params,
         grads,
@@ -337,8 +343,8 @@ def pretrain_run(
 
     Proteins shorter than n tokens are skipped with a warning. When an
     output directory is given, a checkpoint is written per epoch, the best
-    checkpoint is kept up to date, and the step log lands in
-    train_log.csv.
+    checkpoint is kept up to date, the step log lands in train_log.csv and
+    the per-epoch held-out accuracy in val_log.csv.
     """
     if racut_config.n != encoder_config.n or racut_config.f_max != encoder_config.f_max:
         raise ValidationError(
@@ -424,6 +430,7 @@ def pretrain_run(
 
     if out_path is not None:
         log.write_csv(out_path / "train_log.csv")
+        write_val_log(out_path / "val_log.csv", "heldout_acc", val_history)
     assert best_ckpt is not None
     return PretrainResult(
         best_checkpoint=best_ckpt,

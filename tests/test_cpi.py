@@ -3,12 +3,16 @@
 import math
 
 import numpy as np
+import padded_stack
 import pytest
 
+from seqreorder import cpi
 from seqreorder import encoder as enc
 from seqreorder.augment import RAcutConfig
 from seqreorder.corpus import (
     CANONICAL_RESIDUES,
+    SMILES_CHARS,
+    SMILES_PAD_ID,
     CompoundRecord,
     InteractionRecord,
     encode_protein,
@@ -161,6 +165,7 @@ def test_head_gradients_match_finite_differences():
 
     model = _model()
     records = _pairs(6)
+    assert len({len(r.compound.tokens) for r in records}) > 1  # a ragged batch
     cache = build_protein_cache(model, records)
     lam = 0.01
     _, _, grads = _batch_grads(model, records, cache, lam)
@@ -269,3 +274,101 @@ def test_write_predictions_format(tmp_path):
     assert lines[0] == "pair_id,score,label"
     assert lines[1] == "a-0,0.25,0"
     assert len(lines) == 3
+
+
+def _padded_compound_forward(model, token_rows):
+    """Dense padded compound stack: every compound padded to the longest."""
+    cfg, p = model.config, model.params
+    t = max(len(r) for r in token_rows)
+    tokens = np.full((len(token_rows), t), SMILES_PAD_ID)
+    for i, row in enumerate(token_rows):
+        tokens[i, : len(row)] = row
+    mask = tokens != SMILES_PAD_ID
+    x = p["comp.tok_embed"][tokens] + p["comp.pos_embed"][:t]
+    h, stack_cache = padded_stack.stack_forward(
+        x, p, "comp.", cfg.comp_layers, mask, cfg.comp_heads
+    )
+    lengths = mask.sum(axis=1)[:, None]
+    pooled = (h * mask[..., None]).sum(axis=1) / lengths
+    return pooled, (tokens, mask, lengths, stack_cache)
+
+
+def _padded_compound_backward(model, cache, d_pooled):
+    tokens, mask, lengths, stack_cache = cache
+    p, d = model.params, model.config.embed_dim
+    dx, grads = padded_stack.stack_backward(
+        stack_cache, (d_pooled / lengths)[:, None, :] * mask[..., None]
+    )
+    grads["comp.tok_embed"] = np.zeros_like(p["comp.tok_embed"])
+    np.add.at(grads["comp.tok_embed"], tokens.ravel(), dx.reshape(-1, d))
+    grads["comp.pos_embed"] = np.zeros_like(p["comp.pos_embed"])
+    grads["comp.pos_embed"][: tokens.shape[1]] = dx.sum(axis=0)
+    return grads
+
+
+def _ragged_pairs(lengths, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        InteractionRecord(
+            compound=encode_smiles(
+                "".join(rng.choice(list(SMILES_CHARS), size=length)), max_atoms=length
+            ),
+            protein=_protein(12, offset=i % 5),
+            label=i % 2,
+        )
+        for i, length in enumerate(lengths)
+    ]
+
+
+def _rel_err(actual, expected):
+    return np.abs(actual - expected).max() / max(np.abs(expected).max(), 1e-300)
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [(5, 17, 3, 9), (TINY_CPI.max_atoms, 1, 12, 30, 7), (TINY_CPI.max_atoms, 2), (6,)],
+)
+def test_batch_grads_match_padded_compound_oracle(lengths, monkeypatch):
+    model = _model(seed=1)
+    records = _ragged_pairs(lengths, seed=len(lengths))
+    cache = build_protein_cache(model, records)
+    loss, probs, grads = cpi._batch_grads(model, records, cache, lam=0.01)
+    monkeypatch.setattr(cpi, "_compound_forward", _padded_compound_forward)
+    monkeypatch.setattr(cpi, "_compound_backward", _padded_compound_backward)
+    ref_loss, ref_probs, ref_grads = cpi._batch_grads(model, records, cache, lam=0.01)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert _rel_err(probs, ref_probs) <= 1e-12
+    assert sorted(grads) == sorted(ref_grads)
+    for key in grads:
+        # lam * theta keeps attn.bk's gradient away from zero
+        assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
+
+
+def test_predict_pairs_does_not_depend_on_batch_size():
+    model = _model(seed=2)
+    records = _ragged_pairs((4, 32, 1, 11, 20, 7, 15), seed=5)
+    cache = build_protein_cache(model, records)
+    one = predict_pairs(model, records, cache, batch_size=1)
+    many = predict_pairs(model, records, cache, batch_size=256)
+    assert _rel_err(one, many) <= 1e-12
+
+
+def test_finetune_val_log_is_reproducible(tmp_path):
+    records = _pairs(12)
+
+    def run(tag):
+        finetune_run(
+            records[:9],
+            records[9:],
+            enc.init(TINY_ENC, seed=0),
+            TINY_CPI,
+            FinetuneConfig(epochs=3, lr=1e-3, batch_size=4, seed=3),
+            out_dir=tmp_path / tag,
+        )
+        return (tmp_path / tag / "val_log.csv").read_bytes()
+
+    first = run("a")
+    assert first == run("b")
+    lines = first.decode().splitlines()
+    assert lines[0] == "epoch,val_auroc"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]

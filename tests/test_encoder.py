@@ -1,6 +1,7 @@
 """Encoder forward/backward, score positivity, and protein embeddings."""
 
 import numpy as np
+import padded_stack
 import pytest
 
 from seqreorder import encoder as enc
@@ -39,7 +40,7 @@ def _scores(state, sset):
 def _grads(state, sset, d_scores):
     """Parameter gradients of one example given upstream score gradients."""
     _, _, cache = enc._forward_core(state, sset.blocks[None], sset.true_lengths[None])
-    return enc._backward_core(state, cache, np.asarray(d_scores)[None], None)
+    return enc._backward_core(state, cache, np.asarray(d_scores)[None])
 
 
 def test_config_validates_head_divisibility():
@@ -220,7 +221,7 @@ def test_scores_respond_to_shuffle(tiny_config):
     assert not np.array_equal(s1, s2)
 
 
-def _padded_reference(state, blocks, lengths, d_scores, d_pooled):
+def _padded_reference(state, blocks, lengths, d_scores):
     """Dense padded layout: all n * f_max positions run, pads masked as keys."""
     cfg, p = state.config, state.params
     b, n, f = blocks.shape
@@ -229,7 +230,9 @@ def _padded_reference(state, blocks, lengths, d_scores, d_pooled):
     pos_idx, slot_idx = np.tile(np.arange(f), n), np.repeat(np.arange(n), f)
     x = p["tok_embed"][tokens] + p["pos_embed"][pos_idx] + p["slot_embed"][slot_idx]
     real = np.arange(f) < lengths[:, :, None]
-    h, stack_cache = nn.stack_forward(x, p, "", cfg.layers, real.reshape(b, n * f), cfg.heads)
+    h, stack_cache = padded_stack.stack_forward(
+        x, p, "", cfg.layers, real.reshape(b, n * f), cfg.heads
+    )
     denom = np.maximum(lengths, 1)[:, :, None]
     pooled = (h.reshape(b, n, f, d) * real[..., None]).sum(axis=2) / denom
     logits = pooled @ p["head.w"] + p["head.b"]
@@ -239,9 +242,9 @@ def _padded_reference(state, blocks, lengths, d_scores, d_pooled):
     dlogits = d_scores * scores * (np.abs(logits) < enc.LOGIT_CLAMP)
     grads["head.w"] += pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
     grads["head.b"] += dlogits.reshape(-1, n).sum(axis=0)
-    dpooled = dlogits @ p["head.w"].T + d_pooled
+    dpooled = dlogits @ p["head.w"].T
     dh = (dpooled / denom)[:, :, None, :] * real[..., None]
-    dx, stack_grads = nn.stack_backward(stack_cache, dh.reshape(b, n * f, d))
+    dx, stack_grads = padded_stack.stack_backward(stack_cache, dh.reshape(b, n * f, d))
     nn.accumulate(grads, stack_grads)
     np.add.at(grads["tok_embed"], tokens.ravel(), dx.reshape(-1, d))
     grads["pos_embed"] += dx.reshape(b, n, f, d).sum(axis=(0, 1))
@@ -273,12 +276,9 @@ def test_packed_core_matches_padded_reference(n, f_max, layers):
         blocks, lengths = _ragged_batch(rng, 4, n, f_max)
         assert len(set(lengths.sum(axis=1))) > 1 and (lengths == 0).any()
         d_scores = rng.normal(size=(4, n, n))
-        d_pooled = rng.normal(size=(4, n, 8))
         pooled, scores, cache = enc._forward_core(state, blocks, lengths)
-        grads = enc._backward_core(state, cache, d_scores, d_pooled)
-        ref_pooled, ref_scores, ref_grads = _padded_reference(
-            state, blocks, lengths, d_scores, d_pooled
-        )
+        grads = enc._backward_core(state, cache, d_scores)
+        ref_pooled, ref_scores, ref_grads = _padded_reference(state, blocks, lengths, d_scores)
         np.testing.assert_array_equal(pooled[lengths == 0], 0.0)
         assert _rel_err(pooled, ref_pooled) <= 1e-12
         assert _rel_err(scores, ref_scores) <= 1e-12

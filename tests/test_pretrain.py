@@ -117,7 +117,7 @@ def test_step_matches_a_per_example_projection():
         losses.append(loss)
         accs.append(perm.permutation_accuracy(perm.round_to_permutation(q), ex.target))
     want_loss = float(np.mean(losses) + nn.l2_penalty(ref.params, config.weight_decay))
-    grads = enc._backward_core(ref, cache, d_scores, None)
+    grads = enc._backward_core(ref, cache, d_scores)
     nn.adam_step(
         ref.params, grads, ref_adam, lr=config.lr, beta1=config.beta1,
         beta2=config.beta2, eps=config.adam_eps, weight_decay=config.weight_decay,
@@ -280,3 +280,17 @@ def test_run_rejects_mismatched_geometry(tmp_path):
     dataset = PretrainDataset(proteins=[_protein(12)])
     with pytest.raises(ValidationError):
         pretrain_run(dataset, TINY, RAcutConfig(n=4, l_max=16), _config(), out_dir=tmp_path)
+
+
+def test_run_writes_reproducible_val_log(tmp_path):
+    dataset = PretrainDataset(proteins=[_protein(12, offset=i) for i in range(8)])
+    config = _config(epochs=3, batch_size=4)
+    result = pretrain_run(dataset, TINY, CUT, config, out_dir=tmp_path / "a")
+    pretrain_run(dataset, TINY, CUT, config, out_dir=tmp_path / "b")
+    log = (tmp_path / "a" / "val_log.csv").read_bytes()
+    assert log == (tmp_path / "b" / "val_log.csv").read_bytes()
+    lines = log.decode().splitlines()
+    assert lines[0] == "epoch,heldout_acc"
+    assert [(int(e), float(v)) for e, v in (line.split(",") for line in lines[1:])] == (
+        result.val_history
+    )
