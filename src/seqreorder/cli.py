@@ -159,9 +159,13 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     write_vocab_table(out / "vocab.tsv")
     _write_meta(out, "pretrain", rc, {"source": source, "proteins": len(dataset)})
     last_epoch, last_acc = result.val_history[-1]
+    if result.val_label == "heldout_acc":
+        acc_name = "held-out accuracy"
+    else:
+        acc_name = "training accuracy (nothing held out)"
     print(
         f"pretrained {last_epoch} epochs on {len(dataset)} proteins; "
-        f"best epoch {result.best_epoch}, held-out accuracy "
+        f"best epoch {result.best_epoch}, {acc_name} "
         f"{max(a for _, a in result.val_history):.4f} (final {last_acc:.4f})"
     )
     print(f"best checkpoint: {out / 'best.ckpt'}")

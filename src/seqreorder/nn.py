@@ -92,19 +92,25 @@ def _merge_heads(x: Array) -> Array:
 
 
 def attention_forward(x: Array, p: dict, prefix: str, key_mask: Array, heads: int):
-    """Scaled dot-product attention; masked keys are unreachable (-inf)."""
+    """Scaled dot-product attention; masked keys are unreachable (-inf).
+
+    The (B, h, T, T) score matrix is the one full-size array: the scale is
+    folded into q, and masking and the softmax run in place on the
+    matmul's output. The cached q is the scaled one.
+    """
     wq, wk, wv, wo = (p[prefix + n] for n in ("wq", "wk", "wv", "wo"))
     bq, bk, bv, bo = (p[prefix + n] for n in ("bq", "bk", "bv", "bo"))
     q = _split_heads(x @ wq + bq, heads)
     k = _split_heads(x @ wk + bk, heads)
     v = _split_heads(x @ wv + bv, heads)
-    dh = q.shape[-1]
-    scale = 1.0 / math.sqrt(dh)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    scores = np.where(key_mask[:, None, None, :], scores, -np.inf)
-    mx = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - mx)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    q = q * scale
+    attn = q @ k.transpose(0, 1, 3, 2)
+    if not key_mask.all():
+        np.copyto(attn, -np.inf, where=~key_mask[:, None, None, :])
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     ctx = attn @ v
     merged = _merge_heads(ctx)
     out = merged @ wo + bo
@@ -120,12 +126,14 @@ def attention_backward(cache, dout: Array):
     grads[prefix + "wo"] = merged.reshape(-1, d).T @ dout2
     grads[prefix + "bo"] = dout2.sum(axis=0)
     dctx = _split_heads(dout @ wo.T, heads)
-    dattn = dctx @ v.transpose(0, 1, 3, 2)
     dv = attn.transpose(0, 1, 3, 2) @ dctx
-    # softmax backward; masked entries have attn == 0, so their grad is 0
-    ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    ds = ds * scale
-    dq = ds @ k
+    # softmax backward in place on d(attn); masked entries have attn == 0,
+    # so their grad is 0. ds is the gradient of the scores q·k with q
+    # already scaled, so dk pairs it with that q and only dq takes the scale.
+    ds = dctx @ v.transpose(0, 1, 3, 2)
+    ds -= np.einsum("...ij,...ij->...i", ds, attn)[..., None]
+    ds *= attn
+    dq = (ds @ k) * scale
     dk = ds.transpose(0, 1, 3, 2) @ q
     dq2 = _merge_heads(dq).reshape(-1, d)
     dk2 = _merge_heads(dk).reshape(-1, d)
@@ -304,19 +312,36 @@ def adam_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One Adam update in place; weight decay is applied decoupled."""
+    """One Adam update in place; weight decay is applied decoupled.
+
+    Parameters and both moments are updated in their own arrays, through
+    two scratch arrays per key. Every rounding step is that of
+        m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
+        p -= lr*(m/bc1) / (sqrt(v/bc2) + eps);  p -= (lr*weight_decay)*p
+    so the result is bit-identical to evaluating those expressions.
+    """
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
     for key in sorted(params):
-        g = grads[key]
-        state.m[key] = beta1 * state.m[key] + (1.0 - beta1) * g
-        state.v[key] = beta2 * state.v[key] + (1.0 - beta2) * (g * g)
-        mhat = state.m[key] / bc1
-        vhat = state.v[key] / bc2
-        params[key] -= lr * mhat / (np.sqrt(vhat) + eps)
+        g, m, v, p = grads[key], state.m[key], state.v[key], params[key]
+        # explicit out= arrays keep 0-d parameters 0-d arrays, not scalars
+        tmp, step = np.empty_like(p), np.empty_like(p)
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=tmp)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        v *= beta2
+        v += tmp
+        np.divide(m, bc1, out=step)
+        step *= lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step /= tmp
+        p -= step
         if weight_decay > 0.0:
-            params[key] -= lr * weight_decay * params[key]
+            p -= np.multiply(p, lr * weight_decay, out=step)
 
 
 def l2_penalty(params: dict, coef: float) -> float:

@@ -330,6 +330,9 @@ class PretrainResult:
     log: TrainLog
     val_history: list[tuple[int, float]]
     best_epoch: int
+    # "heldout_acc", or "train_acc" when nothing was held out and
+    # val_history holds each epoch's mean training-batch accuracy
+    val_label: str
 
 
 def pretrain_run(
@@ -341,10 +344,13 @@ def pretrain_run(
 ) -> PretrainResult:
     """Pretrain from scratch; returns the best-by-held-out checkpoint.
 
-    Proteins shorter than n tokens are skipped with a warning. When an
-    output directory is given, a checkpoint is written per epoch, the best
+    Proteins shorter than n tokens are skipped with a warning. When
+    nothing is held out (``valid_fraction`` 0 or fewer than two admissible
+    proteins), epochs are ranked by their mean training-batch accuracy
+    instead, and the history is labelled ``train_acc``. When an output
+    directory is given, a checkpoint is written per epoch, the best
     checkpoint is kept up to date, the step log lands in train_log.csv and
-    the per-epoch held-out accuracy in val_log.csv.
+    the per-epoch accuracy in val_log.csv.
     """
     if racut_config.n != encoder_config.n or racut_config.f_max != encoder_config.f_max:
         raise ValidationError(
@@ -369,6 +375,7 @@ def pretrain_run(
     if total >= 2 and config.valid_fraction > 0:
         val_count = min(max(1, round(config.valid_fraction * total)), total - 1)
     order = np.random.default_rng((gs, 0)).permutation(total)
+    val_label = "heldout_acc" if val_count else "train_acc"
     val_idx = np.sort(order[:val_count])
     train_idx = np.sort(order[val_count:])
     val_examples = [
@@ -425,16 +432,17 @@ def pretrain_run(
             if out_path is not None:
                 save_checkpoint(ckpt, out_path / "best.ckpt")
         if config.stop_accuracy is not None and val_acc >= config.stop_accuracy:
-            logger.info("early stop at epoch %d: held-out accuracy %.4f", epoch, val_acc)
+            logger.info("early stop at epoch %d: %s %.4f", epoch, val_label, val_acc)
             break
 
     if out_path is not None:
         log.write_csv(out_path / "train_log.csv")
-        write_val_log(out_path / "val_log.csv", "heldout_acc", val_history)
+        write_val_log(out_path / "val_log.csv", val_label, val_history)
     assert best_ckpt is not None
     return PretrainResult(
         best_checkpoint=best_ckpt,
         log=log,
         val_history=val_history,
         best_epoch=best_epoch,
+        val_label=val_label,
     )

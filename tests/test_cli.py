@@ -87,6 +87,21 @@ def test_pretrain_writes_checkpoints_and_log(pretrain_dir):
     assert meta["config"]["n"] == 4
 
 
+def test_pretrain_names_the_source_of_its_accuracy(corpus_dir, tmp_path, capsys):
+    held_out = tmp_path / "held_out"
+    args = ["--seed", "7", "--epochs", "1", "--batch-size", "8"] + TINY_ENCODER
+    assert main(["pretrain", "--proteins", str(corpus_dir / "seqs.tsv"), "--out", str(held_out)] + args) == 0
+    assert "held-out accuracy" in capsys.readouterr().out
+    assert (held_out / "val_log.csv").read_text().startswith("epoch,heldout_acc\n")
+    # one protein leaves nothing to hold out
+    write_sequence_tsv(tmp_path / "one.tsv", motif_sequences(num_sequences=1, seed=7))
+    alone = tmp_path / "alone"
+    assert main(["pretrain", "--proteins", str(tmp_path / "one.tsv"), "--out", str(alone)] + args) == 0
+    printed = capsys.readouterr().out
+    assert "training accuracy (nothing held out)" in printed and "held-out" not in printed
+    assert (alone / "val_log.csv").read_text().startswith("epoch,train_acc\n")
+
+
 def test_pretrain_rejects_zero_epochs(corpus_dir, tmp_path, capsys):
     code = main(
         ["pretrain", "--proteins", str(corpus_dir / "seqs.tsv"), "--out", str(tmp_path),

@@ -1,4 +1,11 @@
-"""The packed-rows transformer stack against the dense padded stack."""
+"""Shared layers against independent references.
+
+The packed-rows transformer stack against the dense padded stack, the
+in-place attention against the out-of-place formula it replaced, and the
+in-place Adam step against the expressions it evaluates.
+"""
+
+import math
 
 import numpy as np
 import padded_stack
@@ -95,3 +102,155 @@ def test_embedding_backward_matches_add_at():
     want = np.zeros((7, 3))
     np.add.at(want, index, drows)
     assert _rel_err(nn.embedding_backward(index, drows, 7), want) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# attention against the out-of-place formula
+# ---------------------------------------------------------------------------
+
+
+def _reference_attention(x, p, prefix, key_mask, heads):
+    """Scaled dot-product attention, forward and a backward closure.
+
+    The formula ``nn.attention_forward``/``attention_backward`` used before
+    they worked in place: scores are scaled after ``q @ k.T``, masked with
+    ``np.where``, and the softmax backward is ``attn * (dattn - rowsum)``.
+    """
+    wq, wk, wv, wo = (p[prefix + n] for n in ("wq", "wk", "wv", "wo"))
+    bq, bk, bv, bo = (p[prefix + n] for n in ("bq", "bk", "bv", "bo"))
+    b, t, d = x.shape
+
+    def split(a):
+        return a.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(b * t, d)
+
+    q, k, v = split(x @ wq + bq), split(x @ wk + bk), split(x @ wv + bv)
+    scale = 1.0 / math.sqrt(d // heads)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores = np.where(key_mask[:, None, None, :], scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    merged = merge(attn @ v)
+    out = (merged @ wo + bo).reshape(b, t, d)
+
+    def backward(dout):
+        dout2 = dout.reshape(-1, d)
+        dctx = split(dout @ wo.T)
+        dattn = dctx @ v.transpose(0, 1, 3, 2)
+        ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) * scale
+        dq = merge(ds @ k)
+        dk = merge(ds.transpose(0, 1, 3, 2) @ q)
+        dv = merge(attn.transpose(0, 1, 3, 2) @ dctx)
+        x2 = x.reshape(-1, d)
+        grads = {
+            "wo": merged.T @ dout2, "bo": dout2.sum(axis=0),
+            "wq": x2.T @ dq, "bq": dq.sum(axis=0),
+            "wk": x2.T @ dk, "bk": dk.sum(axis=0),
+            "wv": x2.T @ dv, "bv": dv.sum(axis=0),
+        }
+        dx = (dq @ wq.T + dk @ wk.T + dv @ wv.T).reshape(x.shape)
+        return dx, {prefix + name: g for name, g in grads.items()}
+
+    return out, backward
+
+
+ATTENTION_MASKS = {
+    "all-real": ((6, 6, 6), 6),
+    "ragged": ((5, 2, 7, 1), 7),
+    "one-key": ((1, 1, 1), 1),
+    "batch-of-one": ((4,), 6),
+}
+
+
+@pytest.mark.parametrize("dh", [2, 4, 8])  # 1/sqrt(dh) is inexact at 2 and 8
+@pytest.mark.parametrize("mask", sorted(ATTENTION_MASKS))
+def test_attention_matches_out_of_place_reference(mask, dh):
+    lengths, t = ATTENTION_MASKS[mask]
+    heads = 2
+    d = heads * dh
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        p = {}
+        nn.init_stack_params(rng, p, "s.", 1, d, 2 * d)
+        p = {k[len("s.layers.0."):]: v for k, v in p.items() if ".attn." in k}
+        key_mask = np.arange(t) < np.asarray(lengths)[:, None]
+        x = rng.normal(size=key_mask.shape + (d,))
+        dout = rng.normal(size=x.shape)
+        x_before = x.copy()
+        p_before = {k: v.copy() for k, v in p.items()}
+
+        out, cache = nn.attention_forward(x, p, "attn.", key_mask, heads)
+        dx, grads = nn.attention_backward(cache, dout)
+        ref_out, ref_backward = _reference_attention(x, p, "attn.", key_mask, heads)
+        ref_dx, ref_grads = ref_backward(dout)
+
+        assert _rel_err(out, ref_out) <= 1e-12
+        assert _rel_err(dx, ref_dx) <= 1e-12
+        assert sorted(grads) == sorted(ref_grads)
+        for key in grads:
+            if key.endswith("attn.bk"):
+                # the exact key-bias gradient is zero (softmax is shift-invariant)
+                assert max(np.abs(grads[key]).max(), np.abs(ref_grads[key]).max()) <= 1e-14
+            else:
+                assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
+        attn = cache[4]
+        assert attn.shape == (len(lengths), heads, t, t)
+        assert np.all(attn[np.broadcast_to(~key_mask[:, None, None, :], attn.shape)] == 0.0)
+        if t == 1:
+            # one key: the softmax is constant, so queries and keys get no gradient
+            for name in ("wq", "wk", "bq"):
+                np.testing.assert_array_equal(grads["attn." + name], 0.0)
+        np.testing.assert_array_equal(x, x_before)
+        for key in p:
+            np.testing.assert_array_equal(p[key], p_before[key])
+
+
+# ---------------------------------------------------------------------------
+# in-place Adam against the expressions it evaluates
+# ---------------------------------------------------------------------------
+
+
+def _reference_adam_step(params, grads, m, v, t, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The out-of-place Adam update ``nn.adam_step`` replaced; returns new dicts."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    params, m, v = dict(params), dict(m), dict(v)
+    for key in sorted(params):
+        g = grads[key]
+        m[key] = beta1 * m[key] + (1.0 - beta1) * g
+        v[key] = beta2 * v[key] + (1.0 - beta2) * (g * g)
+        mhat = m[key] / bc1
+        vhat = v[key] / bc2
+        params[key] = params[key] - lr * mhat / (np.sqrt(vhat) + eps)
+        if weight_decay > 0.0:
+            params[key] = params[key] - lr * weight_decay * params[key]
+    return params, m, v
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_step_in_place_is_bit_identical_to_reference(weight_decay):
+    rng = np.random.default_rng(0)
+    shapes = {"w": (5, 3), "b": (3,), "dec.b": ()}  # a 0-d parameter, like the CPI head's bias
+    params = {k: np.asarray(rng.normal(size=s)) for k, s in shapes.items()}
+    state = nn.adam_init(params)
+    ref_params = {k: p.copy() for k, p in params.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in params.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in params.items()}
+    arrays = {k: (params[k], state.m[k], state.v[k]) for k in params}
+    for step in range(1, 4):
+        grads = {k: np.asarray(rng.normal(size=s)) for k, s in shapes.items()}
+        nn.adam_step(params, grads, state, lr=1e-2, weight_decay=weight_decay)
+        ref_params, ref_m, ref_v = _reference_adam_step(
+            ref_params, grads, ref_m, ref_v, step, 1e-2, weight_decay
+        )
+        assert state.t == step
+        for key in shapes:
+            assert np.array_equal(params[key], ref_params[key]), key
+            assert np.array_equal(state.m[key], ref_m[key]), key
+            assert np.array_equal(state.v[key], ref_v[key]), key
+    # updated in place: the same arrays, still of their original shape
+    for key, (p, m, v) in arrays.items():
+        assert params[key] is p and state.m[key] is m and state.v[key] is v
+        assert p.shape == m.shape == v.shape == shapes[key]

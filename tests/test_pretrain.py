@@ -294,3 +294,23 @@ def test_run_writes_reproducible_val_log(tmp_path):
     assert [(int(e), float(v)) for e, v in (line.split(",") for line in lines[1:])] == (
         result.val_history
     )
+
+
+@pytest.mark.parametrize(
+    "valid_fraction,proteins,label",
+    [(0.25, 8, "heldout_acc"), (0.0, 8, "train_acc"), (0.25, 1, "train_acc")],
+)
+def test_val_log_names_where_its_accuracy_came_from(tmp_path, valid_fraction, proteins, label):
+    dataset = PretrainDataset(proteins=[_protein(12, offset=i) for i in range(proteins)])
+    config = _config(epochs=2, valid_fraction=valid_fraction)
+    result = pretrain_run(dataset, TINY, CUT, config, out_dir=tmp_path)
+    assert result.val_label == label
+    lines = (tmp_path / "val_log.csv").read_text().splitlines()
+    assert lines[0] == f"epoch,{label}"
+    assert len(lines) == 1 + len(result.val_history) == 3
+    if label == "train_acc":
+        # with nothing held out, an epoch's entry is its mean batch accuracy
+        per_epoch = {}
+        for rec in result.log.records:
+            per_epoch.setdefault(rec.epoch, []).append(rec.perm_acc)
+        assert result.val_history == [(e, float(np.mean(a))) for e, a in per_epoch.items()]
