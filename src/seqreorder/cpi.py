@@ -2,7 +2,9 @@
 
 Compounds run through their own small attention stack over SMILES
 characters, as packed rows of their real tokens only (attention alone sees
-the padded (B, T) layout), and are mean-pooled; the protein side is the
+the padded (B, T) layout, one call per length band), and are mean-pooled.
+Each distinct token list in a batch is encoded once, and the pairs gather
+their compound vectors from those encodings. The protein side is the
 frozen encoder's whole-protein embedding, computed once per distinct
 sequence and cached. The two vectors are concatenated, fused by a
 two-layer MLP, and decoded to an interaction probability by a single
@@ -205,13 +207,19 @@ def fuse(model: CpiModel, z_comp: np.ndarray, z_prot: np.ndarray) -> np.ndarray:
     return joint[0]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic function; exp only ever sees a non-positive argument."""
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
-    return np.clip(out, 1e-15, 1.0 - 1e-15)
+    return out
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function clipped to [1e-15, 1 - 1e-15], for reported probabilities."""
+    return np.clip(_expit(x), 1e-15, 1.0 - 1e-15)
 
 
 def predict(model: CpiModel, z_joint: np.ndarray) -> float:
@@ -284,11 +292,20 @@ def _pair_logits(
     records: Sequence[InteractionRecord],
     cache: dict[str, np.ndarray],
 ):
-    z_comp, comp_cache = _compound_forward(model, [r.compound.tokens for r in records])
+    """Logits of the pairs; each distinct compound token list is encoded once.
+
+    The distinct lists keep their order of first appearance, and
+    ``inverse`` maps each pair to its list.
+    """
+    distinct: dict[tuple[int, ...], int] = {}
+    inverse = np.array(
+        [distinct.setdefault(tuple(r.compound.tokens), len(distinct)) for r in records]
+    )
+    pooled, comp_cache = _compound_forward(model, list(distinct))
     z_prot = np.stack([cache[r.protein.raw] for r in records])
-    joint, fuse_cache = _fuse_batch(model, z_comp, z_prot)
+    joint, fuse_cache = _fuse_batch(model, pooled[inverse], z_prot)
     logits = joint @ model.params["dec.w"] + model.params["dec.b"]
-    return logits, joint, comp_cache, fuse_cache
+    return logits, joint, (comp_cache, inverse, len(distinct)), fuse_cache
 
 
 def predict_pairs(
@@ -327,34 +344,39 @@ def _batch_grads(
     """Loss, probabilities, and head gradients for one batch.
 
     Protein embeddings come from the cache and are treated as constants;
-    the summed BCE is computed in stable logit form and the gradients
-    include the lam * theta regularizer term.
+    the summed BCE is computed in stable logit form, and so is its
+    gradient: d(loss)/d(logit) is -sigmoid(-logit) for a positive and
+    sigmoid(logit) for a negative, which neither cancels nor clips at
+    saturated logits. The gradients include the lam * theta regularizer
+    term. Compound gradients are summed onto the distinct compounds
+    before the compound backward.
     """
     y = np.array([r.label for r in chunk], dtype=np.float64)
-    logits, joint, comp_cache, fuse_cache = _pair_logits(model, chunk, cache)
-    probs = _sigmoid(logits)
+    logits, joint, (comp_cache, inverse, n_distinct), fuse_cache = _pair_logits(
+        model, chunk, cache
+    )
     data_loss = float((np.logaddexp(0.0, logits) - y * logits).sum())
     loss = data_loss + nn.l2_penalty(model.params, lam)
     p = model.params
-    dlogit = probs - y
-    grads = nn.zero_grads_like(p)
-    grads["dec.w"] += joint.T @ dlogit
-    grads["dec.b"] += dlogit.sum()
+    dlogit = np.where(y == 1.0, -_expit(-logits), _expit(logits))
     djoint = dlogit[:, None] * p["dec.w"][None, :]
     cat, pre, hid = fuse_cache
-    grads["fusion.w2"] += hid.T @ djoint
-    grads["fusion.b2"] += djoint.sum(axis=0)
     dhid = djoint @ p["fusion.w2"].T
     dpre = dhid * (pre > 0)
-    grads["fusion.w1"] += cat.T @ dpre
-    grads["fusion.b1"] += dpre.sum(axis=0)
     dcat = dpre @ p["fusion.w1"].T
     dz_comp = dcat[:, : model.config.embed_dim]  # protein side is constant
-    nn.accumulate(grads, _compound_backward(model, comp_cache, dz_comp))
+    d_pooled = nn.embedding_backward(inverse, dz_comp, n_distinct)
+    grads = _compound_backward(model, comp_cache, d_pooled)
+    grads["dec.w"] = joint.T @ dlogit
+    grads["dec.b"] = np.asarray(dlogit.sum())  # 0-d array: the L2 term adds in place
+    grads["fusion.w2"] = hid.T @ djoint
+    grads["fusion.b2"] = djoint.sum(axis=0)
+    grads["fusion.w1"] = cat.T @ dpre
+    grads["fusion.b1"] = dpre.sum(axis=0)
     if lam > 0:
-        for k in grads:
-            grads[k] += lam * p[k]
-    return loss, probs, grads
+        for k, g in grads.items():
+            g += lam * p[k]
+    return loss, _sigmoid(logits), grads
 
 
 def finetune_run(

@@ -9,7 +9,11 @@ real tokens, and the rows are its True entries in row-major order.
 Layernorm, the FFN and the residual adds run on the rows; attention is the
 only op that sees (batch, positions, dim), with pads scattered in as zero
 rows. Masked positions are never keys or values, so their content cannot
-leak into any other position.
+leak into any other position. Attention runs once per length band: the
+examples of a batch are grouped by ceil(log2(real tokens)), and each group
+is cut to its own widest example, so short examples do not pay for the
+longest one's T^2. A batch that falls in one band makes a single call.
+The FFN builds and rectifies its hidden activation in place.
 """
 
 from __future__ import annotations
@@ -29,23 +33,8 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# linear / layernorm / relu
+# layernorm
 # ---------------------------------------------------------------------------
-
-
-def linear_forward(x: Array, w: Array, b: Array):
-    return x @ w + b, (x, w)
-
-
-def linear_backward(cache, dy: Array):
-    x, w = cache
-    din, dout = w.shape
-    x2 = x.reshape(-1, din)
-    dy2 = dy.reshape(-1, dout)
-    dx = (dy2 @ w.T).reshape(x.shape)
-    dw = x2.T @ dy2
-    db = dy2.sum(axis=0)
-    return dx, dw, db
 
 
 def layernorm_forward(x: Array, gamma: Array, beta: Array):
@@ -66,14 +55,6 @@ def layernorm_backward(cache, dy: Array):
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv * (dxhat - m1 - xhat * m2)
     return dx, dgamma, dbeta
-
-
-def relu_forward(x: Array):
-    return np.maximum(x, 0.0), (x > 0)
-
-
-def relu_backward(cache, dy: Array):
-    return dy * cache
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +136,30 @@ def attention_backward(cache, dout: Array):
 
 
 def ffn_forward(x: Array, p: dict, prefix: str):
-    h, c1 = linear_forward(x, p[prefix + "w1"], p[prefix + "b1"])
-    a, cr = relu_forward(h)
-    out, c2 = linear_forward(a, p[prefix + "w2"], p[prefix + "b2"])
-    return out, (c1, cr, c2, prefix)
+    """relu(x @ w1 + b1) @ w2 + b2 on rows x (N, d).
+
+    The hidden activation is biased and rectified in place, and it is the
+    only array the backward keeps besides x: a unit is active where it is
+    positive.
+    """
+    w1, w2 = p[prefix + "w1"], p[prefix + "w2"]
+    a = x @ w1
+    a += p[prefix + "b1"]
+    np.maximum(a, 0.0, out=a)
+    out = a @ w2
+    out += p[prefix + "b2"]
+    return out, (x, a, w1, w2, prefix)
 
 
 def ffn_backward(cache, dout: Array):
-    c1, cr, c2, prefix = cache
-    da, dw2, db2 = linear_backward(c2, dout)
-    dh = relu_backward(cr, da)
-    dx, dw1, db1 = linear_backward(c1, dh)
-    return dx, {
-        prefix + "w1": dw1,
-        prefix + "b1": db1,
-        prefix + "w2": dw2,
-        prefix + "b2": db2,
+    x, a, w1, w2, prefix = cache
+    dh = dout @ w2.T
+    dh *= a > 0
+    return dh @ w1.T, {
+        prefix + "w1": x.T @ dh,
+        prefix + "b1": dh.sum(axis=0),
+        prefix + "w2": a.T @ dout,
+        prefix + "b2": dout.sum(axis=0),
     }
 
 
@@ -194,6 +183,61 @@ def padded_to_rows(padded: Array, key_mask: Array) -> Array:
     return padded[key_mask]
 
 
+def _length_bands(key_mask: Array) -> list[tuple]:
+    """Attention groups of a batch as (example index, width) pairs.
+
+    Examples are grouped by ceil(log2(real tokens)), and each group's width
+    runs to the last real position of its widest example. A batch that
+    falls in one band is one group of every example at the full width.
+    """
+    bands = np.ceil(np.log2(key_mask.sum(axis=1)))
+    if (bands == bands[0]).all():
+        return [(slice(None), key_mask.shape[1])]
+    ends = key_mask.shape[1] - key_mask[:, ::-1].argmax(axis=1)
+    groups = []
+    for band in np.unique(bands):
+        idx = np.flatnonzero(bands == band)
+        groups.append((idx, int(ends[idx].max())))
+    return groups
+
+
+def _scatter_bands(parts: list, groups: list, like: Array) -> Array:
+    """The groups' (b_g, width, d) arrays placed back into one like ``like``."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.zeros_like(like)
+    for (idx, width), part in zip(groups, parts):
+        out[idx, :width] = part
+    return out
+
+
+def _banded_attention_forward(x: Array, p: dict, prefix: str, key_mask: Array, heads: int):
+    """Attention on packed rows x (N, d), one ``attention_forward`` call per band."""
+    groups = _length_bands(key_mask)
+    padded = rows_to_padded(x, key_mask)
+    results = [
+        attention_forward(padded[idx, :width], p, prefix, key_mask[idx, :width], heads)
+        for idx, width in groups
+    ]
+    out = _scatter_bands([r[0] for r in results], groups, padded)
+    return padded_to_rows(out, key_mask), (groups, [r[1] for r in results], key_mask)
+
+
+def _banded_attention_backward(cache, dout: Array):
+    """Row gradient (N, d) and the parameter gradients summed over the bands."""
+    groups, caches, key_mask = cache
+    dpadded = rows_to_padded(dout, key_mask)
+    results = [
+        attention_backward(c, dpadded[idx, :width]) for (idx, width), c in zip(groups, caches)
+    ]
+    grads = results[0][1]
+    for _, g in results[1:]:
+        for key in grads:
+            grads[key] = grads[key] + g[key]
+    dx = _scatter_bands([r[0] for r in results], groups, dpadded)
+    return padded_to_rows(dx, key_mask), grads
+
+
 def layer_forward(x: Array, p: dict, prefix: str, key_mask: Array, heads: int):
     """One pre-norm layer on packed rows x (N, d); only attention sees (B, T, d).
 
@@ -201,17 +245,15 @@ def layer_forward(x: Array, p: dict, prefix: str, key_mask: Array, heads: int):
     their queries feed nothing, and dropping their outputs is exact.
     """
     h1, c_ln1 = layernorm_forward(x, p[prefix + "ln1.gamma"], p[prefix + "ln1.beta"])
-    a, c_att = attention_forward(
-        rows_to_padded(h1, key_mask), p, prefix + "attn.", key_mask, heads
-    )
-    x1 = x + padded_to_rows(a, key_mask)
+    a, c_att = _banded_attention_forward(h1, p, prefix + "attn.", key_mask, heads)
+    x1 = x + a
     h2, c_ln2 = layernorm_forward(x1, p[prefix + "ln2.gamma"], p[prefix + "ln2.beta"])
     f, c_ffn = ffn_forward(h2, p, prefix + "ffn.")
-    return x1 + f, (c_ln1, c_att, c_ln2, c_ffn, key_mask, prefix)
+    return x1 + f, (c_ln1, c_att, c_ln2, c_ffn, prefix)
 
 
 def layer_backward(cache, dout: Array):
-    c_ln1, c_att, c_ln2, c_ffn, key_mask, prefix = cache
+    c_ln1, c_att, c_ln2, c_ffn, prefix = cache
     grads = {}
     dh2, g_ffn = ffn_backward(c_ffn, dout)
     grads.update(g_ffn)
@@ -220,9 +262,9 @@ def layer_backward(cache, dout: Array):
     grads[prefix + "ln2.beta"] = db2
     dx1 = dout + dx1_ln
     # pads get a zero upstream gradient; their input gradient is exactly zero
-    dh1, g_att = attention_backward(c_att, rows_to_padded(dx1, key_mask))
+    dh1, g_att = _banded_attention_backward(c_att, dx1)
     grads.update(g_att)
-    dx_ln, dg1, db1 = layernorm_backward(c_ln1, padded_to_rows(dh1, key_mask))
+    dx_ln, dg1, db1 = layernorm_backward(c_ln1, dh1)
     grads[prefix + "ln1.gamma"] = dg1
     grads[prefix + "ln1.beta"] = db1
     dx = dx1 + dx_ln

@@ -372,3 +372,116 @@ def test_finetune_val_log_is_reproducible(tmp_path):
     lines = first.decode().splitlines()
     assert lines[0] == "epoch,val_auroc"
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+
+
+def _undeduplicated_batch_grads(model, records, cache, lam):
+    """Loss, probabilities and gradients with every pair's compound encoded on its own."""
+    p, d = model.params, model.config.embed_dim
+    y = np.array([r.label for r in records], dtype=np.float64)
+    z_comp, comp_cache = cpi._compound_forward(model, [r.compound.tokens for r in records])
+    cat = np.concatenate([z_comp, np.stack([cache[r.protein.raw] for r in records])], axis=1)
+    pre = cat @ p["fusion.w1"] + p["fusion.b1"]
+    hid = np.maximum(pre, 0.0)
+    joint = hid @ p["fusion.w2"] + p["fusion.b2"]
+    logits = joint @ p["dec.w"] + p["dec.b"]
+    loss = float((np.logaddexp(0.0, logits) - y * logits).sum())
+    loss += 0.5 * lam * sum(float((w * w).sum()) for w in p.values())
+    dlogit = 1.0 / (1.0 + np.exp(-logits)) - y
+    djoint = dlogit[:, None] * p["dec.w"]
+    dpre = (djoint @ p["fusion.w2"].T) * (pre > 0)
+    grads = cpi._compound_backward(model, comp_cache, (dpre @ p["fusion.w1"].T)[:, :d])
+    grads["dec.w"] = joint.T @ dlogit
+    grads["dec.b"] = dlogit.sum()
+    grads["fusion.w2"] = hid.T @ djoint
+    grads["fusion.b2"] = djoint.sum(axis=0)
+    grads["fusion.w1"] = cat.T @ dpre
+    grads["fusion.b1"] = dpre.sum(axis=0)
+    grads = {k: g + lam * p[k] for k, g in grads.items()}
+    return loss, 1.0 / (1.0 + np.exp(-logits)), grads
+
+
+def _pairs_with_compounds(smiles):
+    return [
+        InteractionRecord(
+            compound=encode_smiles(s), protein=_protein(12, offset=i % 5), label=i % 2
+        )
+        for i, s in enumerate(smiles)
+    ]
+
+
+DEDUP_BATCHES = {
+    "one-compound": ["CC(=O)O"] * 7,
+    "half-repeat": ["CCO", "CCN", "CCO", "c1ccccc1", "CCN", "CC(=O)O", "CCO", "C#N"],
+    "no-repeat": ["CCO", "CCN", "c1ccccc1", "CC(=O)O", "CCCC", "C#N"],
+}
+
+
+@pytest.mark.parametrize("batch", sorted(DEDUP_BATCHES))
+def test_batch_grads_and_predictions_match_undeduplicated_reference(batch, monkeypatch):
+    model = _model(seed=3)
+    smiles = DEDUP_BATCHES[batch]
+    records = _pairs_with_compounds(smiles)
+    cache = build_protein_cache(model, records)
+    encoded = []
+    compound_forward = cpi._compound_forward
+
+    def spy(model, token_rows):
+        encoded.append(len(token_rows))
+        return compound_forward(model, token_rows)
+
+    monkeypatch.setattr(cpi, "_compound_forward", spy)
+    loss, probs, grads = cpi._batch_grads(model, records, cache, lam=0.01)
+    scores = predict_pairs(model, records, cache)
+    assert encoded == [len(set(smiles))] * 2  # once per distinct compound, per call
+    monkeypatch.undo()
+    ref_loss, ref_probs, ref_grads = _undeduplicated_batch_grads(model, records, cache, 0.01)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert _rel_err(probs, ref_probs) <= 1e-12
+    assert _rel_err(scores, ref_probs) <= 1e-12
+    assert sorted(grads) == sorted(ref_grads) == sorted(model.params)
+    for key in grads:
+        assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
+
+
+def test_compounds_with_identical_tokens_are_encoded_once(monkeypatch):
+    model = _model(seed=4)
+    # different SMILES strings, one token list: truncation, and two unknown characters
+    a, b = encode_smiles("CCOC", max_atoms=3), encode_smiles("CCON", max_atoms=3)
+    c, d = encode_smiles("Cé"), encode_smiles("Cü")
+    assert a.smiles != b.smiles and a.tokens == b.tokens
+    assert c.smiles != d.smiles and c.tokens == d.tokens
+    records = [
+        InteractionRecord(compound=comp, protein=_protein(12, offset=i), label=i % 2)
+        for i, comp in enumerate((a, c, b, d))
+    ]
+    cache = build_protein_cache(model, records)
+    encoded = []
+    compound_forward = cpi._compound_forward
+
+    def spy(model, token_rows):
+        encoded.append([list(row) for row in token_rows])
+        return compound_forward(model, token_rows)
+
+    monkeypatch.setattr(cpi, "_compound_forward", spy)
+    cpi._batch_grads(model, records, cache, lam=0.0)
+    assert encoded == [[a.tokens, c.tokens]]  # in order of first appearance
+
+
+@pytest.mark.parametrize("label,bias", [(1, 40.0), (0, -40.0)])
+def test_fine_tune_gradient_is_exact_at_saturated_logits(label, bias):
+    # every logit is `bias`, on the side its label agrees with; the loss
+    # gradient per pair is then -sigmoid(-40) or sigmoid(-40), about 4.2e-18
+    model = _model(seed=5)
+    model.params["dec.w"][...] = 0.0
+    model.params["dec.b"][...] = bias
+    records = [
+        InteractionRecord(compound=r.compound, protein=r.protein, label=label)
+        for r in _pairs(5)
+    ]
+    cache = build_protein_cache(model, records)
+    _, probs, grads = cpi._batch_grads(model, records, cache, lam=0.0)
+    tail = math.exp(-40.0) / (1.0 + math.exp(-40.0))
+    want = len(records) * (-tail if label else tail)
+    assert abs(float(grads["dec.b"]) - want) <= 1e-12 * abs(want)
+    # reported probabilities keep their clip
+    assert np.all((probs > 0.0) & (probs < 1.0))

@@ -1,8 +1,10 @@
 """Shared layers against independent references.
 
-The packed-rows transformer stack against the dense padded stack, the
-in-place attention against the out-of-place formula it replaced, and the
-in-place Adam step against the expressions it evaluates.
+The packed-rows transformer stack against the dense padded stack and,
+where every example falls in one length band, against the single
+attention call it then makes; the in-place attention and FFN against the
+out-of-place formulas they replaced; and the in-place Adam step against
+the expressions it evaluates.
 """
 
 import math
@@ -54,6 +56,8 @@ def _run_both(lengths, t, seed=0):
         ((1, 1), 1),  # one-token examples only
         ((6,), 6),  # a batch of one
         ((3,), 6),  # a batch of one with trailing pads
+        ((1, 9, 3, 17, 2), 17),  # five length bands of one example each
+        ((12, 1, 5, 30, 4, 6, 2, 16), 30),  # six bands, some of several examples
     ],
 )
 def test_packed_stack_matches_padded_stack(lengths, t):
@@ -77,6 +81,122 @@ def test_all_real_stack_is_bit_identical_to_padded(lengths, t):
     np.testing.assert_array_equal(dx, ref_dx)
     for key in grads:
         np.testing.assert_array_equal(grads[key], ref_grads[key])
+
+
+def _unbanded_stack(x, p, key_mask, dout):
+    """The packed stack with one attention call over the whole (B, T) batch.
+
+    Output rows, row gradient and parameter gradients, as the stack gave
+    them before attention was split into length bands.
+    """
+    caches = []
+    for layer in range(LAYERS):
+        pre = f"s.layers.{layer}."
+        h1, c_ln1 = nn.layernorm_forward(x, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
+        a, c_att = nn.attention_forward(
+            nn.rows_to_padded(h1, key_mask), p, pre + "attn.", key_mask, HEADS
+        )
+        x1 = x + nn.padded_to_rows(a, key_mask)
+        h2, c_ln2 = nn.layernorm_forward(x1, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
+        f, c_ffn = nn.ffn_forward(h2, p, pre + "ffn.")
+        x = x1 + f
+        caches.append((pre, c_ln1, c_att, c_ln2, c_ffn))
+    out, c_f = nn.layernorm_forward(x, p["s.ln_f.gamma"], p["s.ln_f.beta"])
+    grads = {}
+    dx, grads["s.ln_f.gamma"], grads["s.ln_f.beta"] = nn.layernorm_backward(c_f, dout)
+    for pre, c_ln1, c_att, c_ln2, c_ffn in reversed(caches):
+        dh2, g_ffn = nn.ffn_backward(c_ffn, dx)
+        grads.update(g_ffn)
+        dx1_ln, grads[pre + "ln2.gamma"], grads[pre + "ln2.beta"] = nn.layernorm_backward(
+            c_ln2, dh2
+        )
+        dx1 = dx + dx1_ln
+        dh1, g_att = nn.attention_backward(c_att, nn.rows_to_padded(dx1, key_mask))
+        grads.update(g_att)
+        dx_ln, grads[pre + "ln1.gamma"], grads[pre + "ln1.beta"] = nn.layernorm_backward(
+            c_ln1, nn.padded_to_rows(dh1, key_mask)
+        )
+        dx = dx1 + dx_ln
+    return out, dx, grads
+
+
+@pytest.mark.parametrize(
+    "lengths,t",
+    [
+        ((5, 7, 8, 6, 5), 8),  # ragged, all in the band of 5-8 tokens
+        ((3, 4), 6),  # one band, with trailing pads
+    ],
+)
+def test_one_band_ragged_stack_is_bit_identical_to_one_attention_call(lengths, t, monkeypatch):
+    rng = np.random.default_rng(7)
+    p = _params(7)
+    key_mask = np.arange(t) < np.asarray(lengths)[:, None]
+    x = rng.normal(size=(int(key_mask.sum()), D))
+    dout = rng.normal(size=x.shape)
+    widths = []
+    attention_forward = nn.attention_forward
+
+    def spy(x, p, prefix, key_mask, heads):
+        widths.append(key_mask.shape)
+        return attention_forward(x, p, prefix, key_mask, heads)
+
+    monkeypatch.setattr(nn, "attention_forward", spy)
+    out, cache = nn.stack_forward(x, p, "s.", LAYERS, key_mask, HEADS)
+    dx, grads = nn.stack_backward(cache, dout)
+    assert widths == [key_mask.shape] * LAYERS  # one call per layer, on the whole batch
+    ref_out, ref_dx, ref_grads = _unbanded_stack(x, p, key_mask, dout)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(dx, ref_dx)
+    assert sorted(grads) == sorted(ref_grads)
+    for key in grads:
+        np.testing.assert_array_equal(grads[key], ref_grads[key])
+
+
+def test_attention_runs_once_per_length_band(monkeypatch):
+    # ceil(log2(length)): 1 -> 0, 2 -> 1, 3 and 4 -> 2, 5..8 -> 3, 17 -> 5
+    lengths = (3, 1, 17, 4, 6, 2, 8)
+    key_mask = np.arange(17) < np.asarray(lengths)[:, None]
+    calls = []
+    attention_forward = nn.attention_forward
+
+    def spy(x, p, prefix, key_mask, heads):
+        calls.append((x.shape[:2], key_mask.sum(axis=1).tolist()))
+        return attention_forward(x, p, prefix, key_mask, heads)
+
+    monkeypatch.setattr(nn, "attention_forward", spy)
+    x = np.random.default_rng(0).normal(size=(int(key_mask.sum()), D))
+    nn.layer_forward(x, _params(0), "s.layers.0.", key_mask, HEADS)
+    assert calls == [
+        ((1, 1), [1]),
+        ((1, 2), [2]),
+        ((2, 4), [3, 4]),
+        ((2, 8), [6, 8]),
+        ((1, 17), [17]),
+    ]
+
+
+def test_ffn_in_place_is_bit_identical_to_linear_relu_formula():
+    for n, d, f, seed in ((470, 8, 64, 0), (37, 16, 16, 1), (1, 4, 8, 2)):
+        rng = np.random.default_rng(seed)
+        p = {
+            "f.w1": rng.normal(size=(d, f)),
+            "f.b1": rng.normal(size=f),
+            "f.w2": rng.normal(size=(f, d)),
+            "f.b2": rng.normal(size=d),
+        }
+        x = rng.normal(size=(n, d))
+        dout = rng.normal(size=(n, d))
+        x_before = x.copy()
+        out, cache = nn.ffn_forward(x, p, "f.")
+        dx, grads = nn.ffn_backward(cache, dout)
+        ref_out, ref_cache = padded_stack.ffn_forward(x, p, "f.")
+        ref_dx, ref_grads = padded_stack.ffn_backward(ref_cache, dout)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(dx, ref_dx)
+        assert sorted(grads) == sorted(ref_grads) == sorted(p)
+        for key in grads:
+            np.testing.assert_array_equal(grads[key], ref_grads[key])
+        np.testing.assert_array_equal(x, x_before)
 
 
 def test_all_real_layout_change_is_a_view():
