@@ -21,7 +21,6 @@ from .augment import (
 from .config import RunConfig
 from .corpus import (
     CompoundRecord,
-    DatasetSchema,
     InteractionRecord,
     PretrainDataset,
     ProteinRecord,
@@ -36,11 +35,8 @@ from .cpi import (
     CpiModel,
     FinetuneConfig,
     cpi_loss,
-    encode_compound,
     finetune_run,
-    fuse,
     init_cpi,
-    predict,
     predict_pairs,
 )
 from .encoder import EncoderConfig, EncoderState, predict_q, protein_embedding
@@ -86,7 +82,6 @@ __all__ = [
     "CompoundRecord",
     "CpiConfig",
     "CpiModel",
-    "DatasetSchema",
     "EncoderConfig",
     "EncoderState",
     "FinetuneConfig",
@@ -112,17 +107,14 @@ __all__ = [
     "auroc",
     "cpi_loss",
     "emit_report",
-    "encode_compound",
     "encode_protein",
     "encode_smiles",
     "finetune_run",
-    "fuse",
     "init_cpi",
     "make_pretrain_example",
     "parse_dataset",
     "permutation_accuracy",
     "pr_curve",
-    "predict",
     "predict_pairs",
     "predict_q",
     "pretrain_run",

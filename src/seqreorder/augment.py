@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import RESIDUE_VOCAB, ProteinRecord, ResidueVocabulary
+from .corpus import RESIDUE_VOCAB, ProteinRecord
 from .errors import AugmentationError, ValidationError
 
 NOISE_KINDS = ("identity", "mask")
@@ -24,28 +24,20 @@ NOISE_KINDS = ("identity", "mask")
 
 @dataclass(frozen=True)
 class RAcutConfig:
-    """Block count and length budget for random cuts.
-
-    ``f_max`` is always ceil(l_max / n); passing it explicitly is allowed
-    only if it equals that value.
-    """
+    """Block count and length budget for random cuts; ``f_max`` is ceil(l_max / n)."""
 
     n: int
     l_max: int
-    f_max: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.l_max < 1:
             raise ValidationError(f"l_max must be >= 1, got {self.l_max}")
-        derived = math.ceil(self.l_max / self.n)
-        if self.f_max == 0:
-            object.__setattr__(self, "f_max", derived)
-        elif self.f_max != derived:
-            raise ValidationError(
-                f"f_max must equal ceil(l_max/n) = {derived}, got {self.f_max}"
-            )
+
+    @property
+    def f_max(self) -> int:
+        return math.ceil(self.l_max / self.n)
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,6 @@ def racut(
     protein: ProteinRecord,
     config: RAcutConfig,
     rng: np.random.Generator,
-    pad_id: int = RESIDUE_VOCAB.pad_id,
 ) -> SubsequenceSet:
     """Cut a protein into n contiguous blocks of random lengths.
 
@@ -162,7 +153,7 @@ def racut(
         rem -= lengths[i - 1]
     lengths[n - 1] = rem
 
-    blocks = np.full((n, f_max), pad_id, dtype=np.int64)
+    blocks = np.full((n, f_max), RESIDUE_VOCAB.pad_id, dtype=np.int64)
     offset = 0
     for i in range(n):
         li = int(lengths[i])
@@ -191,11 +182,7 @@ def shuffle_apply(sset: SubsequenceSet, p: ShuffleMatrix) -> SubsequenceSet:
 
 
 def apply_noise(
-    sset: SubsequenceSet,
-    spec: NoiseSpec,
-    rng: np.random.Generator,
-    pad_id: int = RESIDUE_VOCAB.pad_id,
-    mask_id: int = RESIDUE_VOCAB.mask_id,
+    sset: SubsequenceSet, spec: NoiseSpec, rng: np.random.Generator
 ) -> SubsequenceSet:
     """Apply token noise. Pads are never touched; lengths never change."""
     out = sset.copy()
@@ -204,7 +191,7 @@ def apply_noise(
     draws = rng.random(out.blocks.shape)
     nonpad = np.arange(out.f_max)[None, :] < out.true_lengths[:, None]
     masked = (draws < spec.mask_prob) & nonpad
-    out.blocks[masked] = mask_id
+    out.blocks[masked] = RESIDUE_VOCAB.mask_id
     return out
 
 
@@ -213,8 +200,6 @@ def make_pretrain_example(
     config: RAcutConfig,
     spec: NoiseSpec,
     seed: int | Sequence[int],
-    pad_id: int = RESIDUE_VOCAB.pad_id,
-    mask_id: int = RESIDUE_VOCAB.mask_id,
 ) -> PretrainExample:
     """Cut, permute, then noise — in that order, from one seeded generator.
 
@@ -223,20 +208,8 @@ def make_pretrain_example(
     """
     seed_key = (seed,) if isinstance(seed, int) else tuple(int(s) for s in seed)
     rng = np.random.default_rng(seed_key)
-    sset = racut(protein, config, rng, pad_id=pad_id)
+    sset = racut(protein, config, rng)
     target = sample_shuffle(config.n, rng)
     shuffled = shuffle_apply(sset, target)
-    noisy = apply_noise(shuffled, spec, rng, pad_id=pad_id, mask_id=mask_id)
+    noisy = apply_noise(shuffled, spec, rng)
     return PretrainExample(shuffled=noisy, target=target, seed=seed_key)
-
-
-def render_example(
-    example: PretrainExample, vocab: ResidueVocabulary = RESIDUE_VOCAB
-) -> str:
-    """Render blocks as residue strings for debugging (pads as middle dots)."""
-    lines = []
-    for i in range(example.shuffled.n):
-        block = example.shuffled.blocks[i]
-        text = vocab.decode(block.tolist())
-        lines.append(f"slot {i} <- block {int(example.target.perm[i])}: {text}")
-    return "\n".join(lines)

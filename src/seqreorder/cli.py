@@ -17,21 +17,13 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import cpi as cpi_mod
 from . import encoder as enc
 from . import evaluation, pretrain, synthetic
 from .augment import RAcutConfig
 from .config import RunConfig
-from .corpus import (
-    DatasetSchema,
-    PretrainDataset,
-    encode_protein,
-    parse_dataset,
-    write_vocab_table,
-)
-from .errors import CheckpointError, ParseError, SeqReorderError, ValidationError
+from .corpus import PretrainDataset, encode_protein, parse_dataset, write_vocab_table
+from .errors import CheckpointError, SeqReorderError, ValidationError
 from .gradcheck import run_gradcheck
 
 logger = logging.getLogger(__name__)
@@ -79,8 +71,8 @@ def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict) -> None:
     )
 
 
-def _schema(args: argparse.Namespace) -> DatasetSchema:
-    return DatasetSchema(has_header=bool(getattr(args, "header", False)))
+def _read_pairs(path, args: argparse.Namespace, rc: RunConfig):
+    return parse_dataset(path, header=args.header, l_max=rc.l_max, max_atoms=rc.max_atoms)
 
 
 def _write_records_tsv(path: Path, records) -> None:
@@ -96,7 +88,7 @@ def _write_records_tsv(path: Path, records) -> None:
 def cmd_split(args: argparse.Namespace) -> int:
     rc = _run_config(args)
     out = _out_dir(args, "split")
-    records = parse_dataset(args.data, _schema(args), l_max=rc.l_max, max_atoms=rc.max_atoms)
+    records = _read_pairs(args.data, args, rc)
     split = evaluation.split_scenarios(records, rc.ratios(), seed=rc.seed)
     _write_records_tsv(out / "train.tsv", split.train)
     _write_records_tsv(out / "valid.tsv", split.valid)
@@ -143,7 +135,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     if bool(args.data) == bool(args.proteins):
         raise ValidationError("give exactly one of --data (pairs TSV) or --proteins")
     if args.data:
-        records = parse_dataset(args.data, _schema(args), l_max=rc.l_max, max_atoms=rc.max_atoms)
+        records = _read_pairs(args.data, args, rc)
         dataset = PretrainDataset.from_interactions(records)
         source = str(args.data)
     else:
@@ -190,12 +182,8 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     else:
         frozen = enc.init(rc.encoder(), seed=rc.seed)
 
-    train = parse_dataset(args.train, _schema(args), l_max=rc.l_max, max_atoms=rc.max_atoms)
-    valid = (
-        parse_dataset(args.valid, _schema(args), l_max=rc.l_max, max_atoms=rc.max_atoms)
-        if args.valid
-        else []
-    )
+    train = _read_pairs(args.train, args, rc)
+    valid = _read_pairs(args.valid, args, rc) if args.valid else []
     cpi_cfg = rc.with_overrides({"embed_dim": frozen.config.embed_dim}).cpi()
     result = cpi_mod.finetune_run(train, valid, frozen, cpi_cfg, rc.finetune(), out_dir=out)
     ckpt_out = cpi_mod.checkpoint_from_cpi(
@@ -208,7 +196,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         if "=" not in spec:
             raise ValidationError(f"--test expects NAME=PATH, got {spec!r}")
         name, path = spec.split("=", 1)
-        records = parse_dataset(path, _schema(args), l_max=rc.l_max, max_atoms=rc.max_atoms)
+        records = _read_pairs(path, args, rc)
         cpi_mod.build_protein_cache(result.model, records, rc.batch_size, cache)
         scores = cpi_mod.predict_pairs(result.model, records, cache)
         cpi_mod.write_predictions(
@@ -239,30 +227,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "pair_id,score,label":
-        raise ParseError(f"{path}: expected header 'pair_id,score,label'")
-    scores, labels = [], []
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"{path} line {lineno}: expected 3 fields, got {len(fields)}")
-        try:
-            s = float(fields[1])
-        except ValueError:
-            raise ParseError(f"{path} line {lineno}: bad score {fields[1]!r}") from None
-        if not np.isfinite(s):
-            raise ParseError(f"{path} line {lineno}: non-finite score")
-        if fields[2] not in ("0", "1"):
-            raise ParseError(f"{path} line {lineno}: label must be 0 or 1, got {fields[2]!r}")
-        scores.append(s)
-        labels.append(int(fields[2]))
-    return np.array(scores), np.array(labels)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rc = _run_config(args)
     out = _out_dir(args, "evaluate")
@@ -275,7 +239,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         seed_results = {}
         for f in files:
             name = f.stem[len("predictions_") :]
-            seed_results[name] = _read_predictions(f)
+            seed_results[name] = cpi_mod.read_predictions(f)
         per_seed.append(seed_results)
     report = evaluation.emit_report(args.dataset_name, per_seed, out)
     _write_meta(out, "evaluate", rc, {"runs": [str(r) for r in args.run]})

@@ -1,8 +1,12 @@
 """One flat configuration document shared by every command.
 
-Defaults are the full-scale training settings; desk-scale runs override
-the handful of fields they need via flags or a JSON config file. Flags
-always win over the file, which wins over defaults.
+Each default is read from the module config or constant that owns it
+(``EncoderConfig``, ``CpiConfig``, ``PretrainConfig``, ``FinetuneConfig``,
+``NoiseSpec``, ``corpus.DEFAULT_MAX_RESIDUES``,
+``evaluation.DEFAULT_RATIOS``), so the defaults are the full-scale
+training settings and are stated once. Desk-scale runs override the
+handful of fields they need via flags or a JSON config file. Flags always
+win over the file, which wins over defaults.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 from .augment import NoiseSpec, RAcutConfig
+from .corpus import DEFAULT_MAX_RESIDUES
 from .cpi import CpiConfig, FinetuneConfig
 from .encoder import EncoderConfig
 from .errors import ValidationError
+from .evaluation import DEFAULT_RATIOS
 from .perm import SinkhornConfig
 from .pretrain import PretrainConfig
 
@@ -23,45 +29,72 @@ from .pretrain import PretrainConfig
 class RunConfig:
     seed: int = 0
     # data geometry
-    n: int = 24
-    l_max: int = 1200
-    max_atoms: int = 290
-    mask_prob: float = 0.15
-    noise_kind: str = "mask"
+    n: int = EncoderConfig.n
+    l_max: int = DEFAULT_MAX_RESIDUES
+    max_atoms: int = CpiConfig.max_atoms
+    mask_prob: float = NoiseSpec.mask_prob
+    noise_kind: str = NoiseSpec.kind
     # encoder
-    embed_dim: int = 256
-    layers: int = 8
-    heads: int = 8
-    ffn_dim: int = 1024
+    embed_dim: int = EncoderConfig.embed_dim
+    layers: int = EncoderConfig.layers
+    heads: int = EncoderConfig.heads
+    ffn_dim: int = EncoderConfig.ffn_dim
     # optimization (both phases unless overridden per command)
-    epochs: int = 200
-    lr: float = 5e-5
-    batch_size: int = 64
-    weight_decay: float = 1e-4
-    sinkhorn_m: int = 10
-    eval_m: int = 50
+    epochs: int = PretrainConfig.epochs
+    lr: float = PretrainConfig.lr
+    batch_size: int = PretrainConfig.batch_size
+    weight_decay: float = PretrainConfig.weight_decay
+    sinkhorn_m: int = PretrainConfig.sinkhorn.m
+    eval_m: int = PretrainConfig.eval_m
     # downstream head
-    fusion_dim: int = 512
-    comp_layers: int = 2
-    comp_heads: int = 8
-    comp_ffn_dim: int = 1024
-    lam: float = 1e-4
+    fusion_dim: int = CpiConfig.fusion_dim
+    comp_layers: int = CpiConfig.comp_layers
+    comp_heads: int = CpiConfig.comp_heads
+    comp_ffn_dim: int = CpiConfig.comp_ffn_dim
+    lam: float = FinetuneConfig.lam
     # split
-    train_ratio: float = 0.7
-    valid_ratio: float = 0.1
-    test_ratio: float = 0.2
+    train_ratio: float = DEFAULT_RATIOS[0]
+    valid_ratio: float = DEFAULT_RATIOS[1]
+    test_ratio: float = DEFAULT_RATIOS[2]
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls().with_overrides(data)
+        """Defaults overridden by a JSON object of field values.
+
+        Malformed JSON, a document that is not an object, an unknown key
+        and a value of the wrong type raise ValidationError naming the file.
+        """
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValidationError(f"{path}: expected a JSON object of config keys")
+        try:
+            return cls().with_overrides(data)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
-        known = {f.name for f in fields(self)}
-        unknown = set(overrides) - known
+        """A copy with some fields replaced; each value must have its field's type.
+
+        An int given for a float field is stored as a float; a bool is
+        never taken for an int.
+        """
+        types = {f.name: type(f.default) for f in fields(self)}
+        unknown = set(overrides) - set(types)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        return replace(self, **overrides)
+        values = {}
+        for name, value in overrides.items():
+            if types[name] is float and type(value) is int:
+                value = float(value)
+            if type(value) is not types[name]:
+                raise ValidationError(
+                    f"config key {name!r} must be {types[name].__name__}, got {value!r}"
+                )
+            values[name] = value
+        return replace(self, **values)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -7,7 +7,8 @@ with dedicated pad and mask ids above them. SMILES strings are tokenized
 character-wise over a fixed printable character set.
 
 Interaction files are tab-separated ``smiles<TAB>sequence<TAB>label`` with
-one record per line and an optional header row.
+one record per line and an optional header row; the columns and the
+delimiter are fixed. Every protein is tokenized over ``RESIDUE_VOCAB``.
 """
 
 from __future__ import annotations
@@ -127,22 +128,7 @@ class InteractionRecord:
     label: int
 
 
-@dataclass(frozen=True)
-class DatasetSchema:
-    """Column layout of an interaction TSV."""
-
-    smiles_col: int = 0
-    sequence_col: int = 1
-    label_col: int = 2
-    has_header: bool = False
-    delimiter: str = "\t"
-
-
-def encode_protein(
-    raw: str,
-    vocab: ResidueVocabulary = RESIDUE_VOCAB,
-    l_max: int = DEFAULT_MAX_RESIDUES,
-) -> ProteinRecord:
+def encode_protein(raw: str, l_max: int = DEFAULT_MAX_RESIDUES) -> ProteinRecord:
     """Tokenize a residue string.
 
     Case is normalized to uppercase before lookup; letters outside the
@@ -155,7 +141,7 @@ def encode_protein(
     if l_max < 1:
         raise ValidationError(f"l_max must be >= 1, got {l_max}")
     upper = raw.upper()
-    tokens = [vocab.token_id(ch) for ch in upper[:l_max]]
+    tokens = [RESIDUE_VOCAB.token_id(ch) for ch in upper[:l_max]]
     return ProteinRecord(raw=upper, tokens=tokens)
 
 
@@ -171,34 +157,33 @@ def encode_smiles(raw: str, max_atoms: int = DEFAULT_MAX_ATOMS) -> CompoundRecor
 
 def parse_dataset(
     path: str | Path,
-    schema: DatasetSchema = DatasetSchema(),
-    vocab: ResidueVocabulary = RESIDUE_VOCAB,
+    header: bool = False,
     l_max: int = DEFAULT_MAX_RESIDUES,
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> list[InteractionRecord]:
     """Parse an interaction TSV into records, preserving file order.
 
-    Raises ParseError for a structurally bad row and ValidationError for a
-    row whose fields fail encoding (empty sequence, label outside {0,1});
-    both name the offending 1-based line number.
+    With ``header`` the first line is skipped; columns past the third are
+    ignored. Raises ParseError for a structurally bad row and
+    ValidationError for a row whose fields fail encoding (empty sequence,
+    label outside {0,1}); both name the offending 1-based line number.
     """
     path = Path(path)
-    needed = max(schema.smiles_col, schema.sequence_col, schema.label_col) + 1
     records: list[InteractionRecord] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if schema.has_header and lineno == 1:
+            if header and lineno == 1:
                 continue
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
-            fields = line.split(schema.delimiter)
-            if len(fields) < needed:
+            fields = line.split("\t")
+            if len(fields) < 3:
                 raise ParseError(
-                    f"{path.name} line {lineno}: expected at least {needed} "
+                    f"{path.name} line {lineno}: expected at least 3 "
                     f"columns, got {len(fields)}"
                 )
-            label_text = fields[schema.label_col].strip()
+            label_text = fields[2].strip()
             try:
                 label_value = float(label_text)
             except ValueError:
@@ -210,10 +195,8 @@ def parse_dataset(
                     f"{path.name} line {lineno}: label must be 0 or 1, got {label_text!r}"
                 )
             try:
-                compound = encode_smiles(fields[schema.smiles_col].strip(), max_atoms)
-                protein = encode_protein(
-                    fields[schema.sequence_col].strip(), vocab, l_max
-                )
+                compound = encode_smiles(fields[0].strip(), max_atoms)
+                protein = encode_protein(fields[1].strip(), l_max)
             except ValidationError as exc:
                 raise ValidationError(f"{path.name} line {lineno}: {exc}") from None
             records.append(
@@ -246,14 +229,14 @@ class PretrainDataset:
         return len(self.proteins)
 
 
-def write_vocab_table(path: str | Path, vocab: ResidueVocabulary = RESIDUE_VOCAB) -> None:
-    """Emit the id<TAB>char table for auditing."""
+def write_vocab_table(path: str | Path) -> None:
+    """Emit the id<TAB>char table of ``RESIDUE_VOCAB`` for auditing."""
     rows = sorted(
-        [(i, ch) for ch, i in vocab.residue_to_id.items()]
+        [(i, ch) for ch, i in RESIDUE_VOCAB.residue_to_id.items()]
         + [
-            (vocab.unknown_id, UNKNOWN_RESIDUE_CHAR),
-            (vocab.pad_id, PAD_CHAR),
-            (vocab.mask_id, MASK_CHAR),
+            (RESIDUE_VOCAB.unknown_id, UNKNOWN_RESIDUE_CHAR),
+            (RESIDUE_VOCAB.pad_id, PAD_CHAR),
+            (RESIDUE_VOCAB.mask_id, MASK_CHAR),
         ]
     )
     text = "".join(f"{i}\t{ch}\n" for i, ch in rows)

@@ -27,16 +27,16 @@ import numpy as np
 from . import nn
 from .augment import RAcutConfig
 from .corpus import (
+    DEFAULT_MAX_ATOMS,
     SMILES_VOCAB_SIZE,
-    CompoundRecord,
     InteractionRecord,
     ProteinRecord,
 )
 from .encoder import EncoderConfig, EncoderState, protein_embeddings
 from .encoder import protein_embedding  # noqa: F401  (perfbench traces this name)
-from .errors import CheckpointError, NumericError, ValidationError
+from .errors import CheckpointError, NumericError, ParseError, ValidationError
 from .evaluation import auroc
-from .pretrain import Checkpoint, StepRecord, TrainLog, write_val_log
+from .pretrain import Checkpoint, PretrainConfig, StepRecord, TrainLog, write_val_log
 
 logger = logging.getLogger(__name__)
 
@@ -45,12 +45,12 @@ PROB_CLAMP = 1e-9
 
 @dataclass(frozen=True)
 class CpiConfig:
-    embed_dim: int = 256
+    embed_dim: int = EncoderConfig.embed_dim
     comp_layers: int = 2
     comp_heads: int = 8
     comp_ffn_dim: int = 1024
     fusion_dim: int = 512
-    max_atoms: int = 290
+    max_atoms: int = DEFAULT_MAX_ATOMS
     smiles_vocab_size: int = SMILES_VOCAB_SIZE
 
     def __post_init__(self) -> None:
@@ -74,13 +74,10 @@ class CpiConfig:
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    epochs: int = 200
-    lr: float = 5e-5
-    batch_size: int = 64
+    epochs: int = PretrainConfig.epochs
+    lr: float = PretrainConfig.lr
+    batch_size: int = PretrainConfig.batch_size
     lam: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -177,14 +174,6 @@ def _compound_backward(model: CpiModel, cache, d_pooled: np.ndarray) -> dict[str
     return grads
 
 
-def encode_compound(model: CpiModel, compound: CompoundRecord) -> np.ndarray:
-    """Pooled compound vector, shape (embed_dim,)."""
-    pooled, _ = _compound_forward(model, [compound.tokens])
-    if not np.isfinite(pooled).all():
-        raise NumericError("compound encoder produced non-finite values")
-    return pooled[0]
-
-
 def _fuse_batch(model: CpiModel, z_comp: np.ndarray, z_prot: np.ndarray):
     p = model.params
     cat = np.concatenate([z_comp, z_prot], axis=1)
@@ -192,19 +181,6 @@ def _fuse_batch(model: CpiModel, z_comp: np.ndarray, z_prot: np.ndarray):
     hid = np.maximum(pre, 0.0)
     joint = hid @ p["fusion.w2"] + p["fusion.b2"]
     return joint, (cat, pre, hid)
-
-
-def fuse(model: CpiModel, z_comp: np.ndarray, z_prot: np.ndarray) -> np.ndarray:
-    """Concatenate and mix through the two-layer MLP; shape (fusion_dim,)."""
-    d = model.config.embed_dim
-    z_comp = np.asarray(z_comp, dtype=np.float64)
-    z_prot = np.asarray(z_prot, dtype=np.float64)
-    if z_comp.shape != (d,) or z_prot.shape != (d,):
-        raise ValidationError(
-            f"fuse expects two ({d},) vectors, got {z_comp.shape} and {z_prot.shape}"
-        )
-    joint, _ = _fuse_batch(model, z_comp[None], z_prot[None])
-    return joint[0]
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -220,16 +196,6 @@ def _expit(x: np.ndarray) -> np.ndarray:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function clipped to [1e-15, 1 - 1e-15], for reported probabilities."""
     return np.clip(_expit(x), 1e-15, 1.0 - 1e-15)
-
-
-def predict(model: CpiModel, z_joint: np.ndarray) -> float:
-    """Interaction probability, strictly inside (0, 1)."""
-    z_joint = np.asarray(z_joint, dtype=np.float64)
-    f = model.config.fusion_dim
-    if z_joint.shape != (f,):
-        raise ValidationError(f"predict expects a ({f},) vector, got {z_joint.shape}")
-    logit = float(z_joint @ model.params["dec.w"] + model.params["dec.b"])
-    return float(_sigmoid(np.array([logit]))[0])
 
 
 def cpi_loss(
@@ -419,10 +385,7 @@ def finetune_run(
                 raise NumericError(
                     f"non-finite fine-tune loss at epoch {epoch} step {global_step}"
                 )
-            p = model.params
-            nn.adam_step(
-                p, grads, adam, lr=ft.lr, beta1=ft.beta1, beta2=ft.beta2, eps=ft.adam_eps
-            )
+            nn.adam_step(model.params, grads, adam, lr=ft.lr)
             global_step += 1
             acc = float(((probs > 0.5) == (y > 0.5)).mean())
             log.append(
@@ -508,3 +471,28 @@ def write_predictions(
     for pid, s, y in zip(pair_ids, scores, labels):
         lines.append(f"{pid},{s:.17g},{int(y)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels of a ``write_predictions`` file, in file order."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != "pair_id,score,label":
+        raise ParseError(f"{path}: expected header 'pair_id,score,label'")
+    scores, labels = [], []
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ParseError(f"{path} line {lineno}: expected 3 fields, got {len(fields)}")
+        try:
+            s = float(fields[1])
+        except ValueError:
+            raise ParseError(f"{path} line {lineno}: bad score {fields[1]!r}") from None
+        if not np.isfinite(s):
+            raise ParseError(f"{path} line {lineno}: non-finite score")
+        if fields[2] not in ("0", "1"):
+            raise ParseError(f"{path} line {lineno}: label must be 0 or 1, got {fields[2]!r}")
+        scores.append(s)
+        labels.append(int(fields[2]))
+    return np.array(scores), np.array(labels)

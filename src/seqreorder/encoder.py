@@ -120,19 +120,17 @@ def _backward_core(
     p = state.params
     ex, slot, pos, ids, share, stack_cache, pooled, logits, scores = cache
     n, d = cfg.n, cfg.embed_dim
-    grads = nn.zero_grads_like(p)
 
     inside = (logits > -LOGIT_CLAMP) & (logits < LOGIT_CLAMP)
     dlogits = d_scores * scores * inside
-    grads["head.w"] += pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
-    grads["head.b"] += dlogits.reshape(-1, n).sum(axis=0)
     dpooled = dlogits @ p["head.w"].T
 
     dh = dpooled[ex, slot] * share[:, None]
-    dx, stack_grads = nn.stack_backward(stack_cache, dh)
-    nn.accumulate(grads, stack_grads)
+    dx, grads = nn.stack_backward(stack_cache, dh)
+    grads["head.w"] = pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
+    grads["head.b"] = dlogits.reshape(-1, n).sum(axis=0)
     for key, index in (("tok_embed", ids), ("pos_embed", pos), ("slot_embed", slot)):
-        grads[key] += nn.embedding_backward(index, dx, len(p[key]))
+        grads[key] = nn.embedding_backward(index, dx, len(p[key]))
     return grads
 
 

@@ -29,6 +29,7 @@ UNSEEN_COMP = "unseen_comp"
 UNSEEN_PROT = "unseen_prot"
 UNSEEN_BOTH = "unseen_both"
 PARTITIONS = (SEEN_BOTH, UNSEEN_COMP, UNSEEN_PROT, UNSEEN_BOTH)
+DEFAULT_RATIOS = (0.7, 0.1, 0.2)  # train, valid, test
 
 
 @dataclass
@@ -47,7 +48,7 @@ class ScenarioSplit:
 
 def split_scenarios(
     records: Sequence[InteractionRecord],
-    ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
+    ratios: tuple[float, float, float] = DEFAULT_RATIOS,
     seed: int = 0,
 ) -> ScenarioSplit:
     """Seeded pair-level split, then four-way classification of the test set.

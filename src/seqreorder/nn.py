@@ -25,6 +25,9 @@ import numpy as np
 
 Array = np.ndarray
 LN_EPS = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
@@ -349,19 +352,19 @@ def adam_step(
     grads: dict,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
     """One Adam update in place; weight decay is applied decoupled.
 
-    Parameters and both moments are updated in their own arrays, through
-    two scratch arrays per key. Every rounding step is that of
+    beta1, beta2 and eps are ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``. Parameters and both moments are updated in their own
+    arrays, through two scratch arrays per key. Every rounding step is
+    that of
         m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
         p -= lr*(m/bc1) / (sqrt(v/bc2) + eps);  p -= (lr*weight_decay)*p
     so the result is bit-identical to evaluating those expressions.
     """
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -400,12 +403,3 @@ def embedding_backward(index: Array, drows: Array, vocab: int) -> Array:
     table sizes.
     """
     return np.eye(vocab)[index].T @ drows
-
-
-def zero_grads_like(params: dict) -> dict:
-    return {k: np.zeros_like(p) for k, p in params.items()}
-
-
-def accumulate(into: dict, grads: dict) -> None:
-    for k, g in grads.items():
-        into[k] += g

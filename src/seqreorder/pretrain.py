@@ -46,9 +46,6 @@ class PretrainConfig:
     lr: float = 5e-5
     batch_size: int = 64
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     sinkhorn: perm.SinkhornConfig = perm.SinkhornConfig(m=perm.TRAIN_SINKHORN_M)
     noise: NoiseSpec = NoiseSpec()
     global_seed: int = 0
@@ -289,16 +286,7 @@ def pretrain_step(
             f"data={losses.mean()!r} penalty={penalty!r}"
         )
     grads = enc._backward_core(state, cache, d_scores)
-    nn.adam_step(
-        state.params,
-        grads,
-        adam,
-        lr=config.lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_eps,
-        weight_decay=config.weight_decay,
-    )
+    nn.adam_step(state.params, grads, adam, lr=config.lr, weight_decay=config.weight_decay)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return state, StepRecord(epoch, step, loss, float(accs.mean()), wall_ms)
 

@@ -33,6 +33,8 @@ def test_config_derives_f_max():
     cfg = RAcutConfig(n=24, l_max=1200)
     assert cfg.f_max == 50
     assert RAcutConfig(n=24, l_max=1201).f_max == 51  # ceiling division
+    with pytest.raises(TypeError):
+        RAcutConfig(n=4, l_max=10, f_max=3)  # derived, never given
 
 
 def test_config_rejects_bad_geometry():

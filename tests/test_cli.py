@@ -268,3 +268,43 @@ def test_explicit_flag_beats_config_file(tmp_path):
     path.write_text(json.dumps({"epochs": 3, "lr": 0.5}), encoding="utf-8")
     rc = _parse_config(["--config", str(path), "--epochs", "9", "--seed", "4"])
     assert (rc.epochs, rc.lr, rc.seed) == (9, 0.5, 4)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"epochs": 3', "not valid JSON"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"epochs": "3"}', "'epochs' must be int"),
+        ('{"epochs": true}', "'epochs' must be int"),
+        ('{"lr": "fast"}', "'lr' must be float"),
+        ('{"noise_kind": 1}', "'noise_kind' must be str"),
+        ('{"epoch": 3}', "unknown config keys"),
+    ],
+    ids=["bad-json", "not-an-object", "str-for-int", "bool-for-int", "str-for-float",
+         "int-for-str", "unknown-key"],
+)
+def test_bad_config_file_is_an_error_line(corpus_dir, tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(
+        ["split", "--data", str(corpus_dir / "pairs.tsv"), "--config", str(path),
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and message in err
+
+
+def test_int_in_config_file_is_stored_like_the_float_flag(corpus_dir, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lr": 1, "weight_decay": 0}), encoding="utf-8")
+    split = ["split", "--data", str(corpus_dir / "pairs.tsv")]
+    assert main(split + ["--config", str(path), "--out", str(tmp_path / "file")]) == 0
+    flags = ["--lr", "1", "--weight-decay", "0", "--out", str(tmp_path / "flag")]
+    assert main(split + flags) == 0
+    from_file = (tmp_path / "file" / "run_meta.json").read_bytes()
+    assert from_file == (tmp_path / "flag" / "run_meta.json").read_bytes()
+    assert json.loads(from_file)["config"]["lr"] == 1.0
+    assert b'"lr": 1.0' in from_file
+

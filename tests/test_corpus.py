@@ -11,7 +11,6 @@ from seqreorder.corpus import (
     RESIDUE_VOCAB,
     SMILES_TO_ID,
     SMILES_UNKNOWN_ID,
-    DatasetSchema,
     PretrainDataset,
     encode_protein,
     encode_smiles,
@@ -82,7 +81,7 @@ def _write(tmp_path, text, name="data.tsv"):
 
 def test_parse_dataset_basic(tmp_path):
     path = _write(tmp_path, "CCO\tMKV\t1\nCCN\tacd\t0\n")
-    records = parse_dataset(path, DatasetSchema())
+    records = parse_dataset(path)
     assert len(records) == 2
     assert records[0].compound.smiles == "CCO"
     assert records[0].protein.raw == "MKV"
@@ -93,28 +92,28 @@ def test_parse_dataset_basic(tmp_path):
 
 def test_parse_dataset_skips_blank_lines_and_header(tmp_path):
     path = _write(tmp_path, "smiles\tseq\tlabel\nCCO\tMKV\t1\n\nCCN\tMKL\t0\n")
-    records = parse_dataset(path, DatasetSchema(has_header=True))
+    records = parse_dataset(path, header=True)
     assert len(records) == 2
 
 
 def test_parse_dataset_float_labels(tmp_path):
     path = _write(tmp_path, "CCO\tMKV\t1.0\nCCN\tMKL\t0.0\n")
-    records = parse_dataset(path, DatasetSchema())
+    records = parse_dataset(path)
     assert [r.label for r in records] == [1, 0]
 
 
 def test_parse_dataset_errors_name_the_line(tmp_path):
     path = _write(tmp_path, "CCO\tMKV\t1\nCCN\tMKL\n")
     with pytest.raises(ParseError, match="line 2"):
-        parse_dataset(path, DatasetSchema())
+        parse_dataset(path)
 
     path = _write(tmp_path, "CCO\tMKV\tyes\n", name="bad_label.tsv")
     with pytest.raises(ParseError, match="line 1"):
-        parse_dataset(path, DatasetSchema())
+        parse_dataset(path)
 
     path = _write(tmp_path, "CCO\tMKV\t1\nCCN\tMKL\t2\n", name="out_of_range.tsv")
     with pytest.raises(ValidationError, match="line 2"):
-        parse_dataset(path, DatasetSchema())
+        parse_dataset(path)
 
 
 def test_parse_dataset_entity_counts(tmp_path):
@@ -129,7 +128,7 @@ def test_parse_dataset_entity_counts(tmp_path):
         seq = "M" + "".join(letters[(j // 20**k) % 20] for k in range(3))
         lines.append(f"{smiles}\t{seq}\t{i % 2}")
     path = _write(tmp_path, "\n".join(lines) + "\n")
-    records = parse_dataset(path, DatasetSchema())
+    records = parse_dataset(path)
     assert len(records) == n_smiles
     assert len({r.compound.smiles for r in records}) == n_smiles
     assert len({r.protein.raw for r in records}) == n_proteins
@@ -137,15 +136,15 @@ def test_parse_dataset_entity_counts(tmp_path):
 
 def test_parse_is_pure(tmp_path):
     path = _write(tmp_path, "CCO\tMKV\t1\n")
-    a = parse_dataset(path, DatasetSchema())
-    b = parse_dataset(path, DatasetSchema())
+    a = parse_dataset(path)
+    b = parse_dataset(path)
     assert a[0].compound.smiles == b[0].compound.smiles
     assert np.array_equal(a[0].protein.tokens, b[0].protein.tokens)
 
 
 def test_pretrain_dataset_from_interactions(tmp_path):
     path = _write(tmp_path, "CCO\tMKV\t1\nCCN\tMKV\t0\nCCC\tMKL\t1\n")
-    records = parse_dataset(path, DatasetSchema())
+    records = parse_dataset(path)
     dataset = PretrainDataset.from_interactions(records)
     # duplicate proteins collapse
     assert len(dataset) == 2

@@ -26,12 +26,10 @@ from seqreorder.cpi import (
     checkpoint_from_cpi,
     cpi_loss,
     cpi_model_from_checkpoint,
-    encode_compound,
     finetune_run,
-    fuse,
     init_cpi,
-    predict,
     predict_pairs,
+    read_predictions,
     write_predictions,
 )
 from seqreorder.encoder import EncoderConfig
@@ -88,59 +86,67 @@ def test_segmentation_matches_encoder_geometry():
 
 def test_encode_compound_shape_and_determinism():
     model = _model()
-    a = encode_compound(model, encode_smiles("CC(=O)O"))
-    b = encode_compound(model, encode_smiles("CC(=O)O"))
-    assert a.shape == (8,)
+    a, _ = cpi._compound_forward(model, [encode_smiles("CC(=O)O").tokens])
+    b, _ = cpi._compound_forward(model, [encode_smiles("CC(=O)O").tokens])
+    assert a.shape == (1, 8)
     np.testing.assert_array_equal(a, b)
-    c = encode_compound(model, encode_smiles("CCCCCC"))
+    c, _ = cpi._compound_forward(model, [encode_smiles("CCCCCC").tokens])
     assert not np.array_equal(a, c)
 
 
 def test_encode_compound_rejects_too_long():
     model = _model()
+    too_long = encode_smiles("C" * 33)
     with pytest.raises(ValidationError):
-        encode_compound(model, encode_smiles("C" * 33))
+        cpi._compound_forward(model, [too_long.tokens])
+    record = InteractionRecord(compound=too_long, protein=_protein(12), label=1)
+    with pytest.raises(ValidationError):
+        predict_pairs(model, [record])
 
 
 def test_fuse_is_asymmetric():
     model = _model()
     rng = np.random.default_rng(0)
-    zc, zp = rng.normal(size=8), rng.normal(size=8)
-    assert fuse(model, zc, zp).shape == (6,)
-    assert not np.allclose(fuse(model, zc, zp), fuse(model, zp, zc))
+    zc, zp = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
+    joint, _ = cpi._fuse_batch(model, zc, zp)
+    assert joint.shape == (1, 6)
+    assert not np.allclose(joint, cpi._fuse_batch(model, zp, zc)[0])
 
 
 def test_fuse_zero_weights_gives_zero_vector():
     model = _model()
     for key in ("fusion.w1", "fusion.b1", "fusion.w2", "fusion.b2"):
         model.params[key][...] = 0.0
-    out = fuse(model, np.ones(8), np.ones(8))
-    np.testing.assert_array_equal(out, np.zeros(6))
+    joint, _ = cpi._fuse_batch(model, np.ones((1, 8)), np.ones((1, 8)))
+    np.testing.assert_array_equal(joint, np.zeros((1, 6)))
+
+
+def _predict_at_bias(model, records, bias):
+    model.params["dec.b"][...] = bias
+    return predict_pairs(model, records)
 
 
 def test_predict_is_half_at_zero_logit():
     model = _model()
     model.params["dec.w"][...] = 0.0
-    model.params["dec.b"][...] = 0.0
-    assert predict(model, np.zeros(6)) == 0.5
+    assert _predict_at_bias(model, _pairs(3), 0.0).tolist() == [0.5, 0.5, 0.5]
 
 
 def test_predict_hand_value():
     # logit ln(7/3) puts the sigmoid exactly at 0.7
     model = _model()
     model.params["dec.w"][...] = 0.0
-    model.params["dec.b"][...] = math.log(7 / 3)
-    assert predict(model, np.zeros(6)) == pytest.approx(0.7, rel=1e-12)
+    probs = _predict_at_bias(model, _pairs(3), math.log(7 / 3))
+    np.testing.assert_allclose(probs, 0.7, rtol=1e-12, atol=0)
 
 
 def test_predict_monotone_in_bias():
     model = _model()
-    z = np.random.default_rng(1).normal(size=6)
-    model.params["dec.b"][...] = -1.0
-    low = predict(model, z)
-    model.params["dec.b"][...] = 2.0
-    high = predict(model, z)
-    assert high > low
+    model.params["dec.w"][...] = 0.0
+    records = _pairs(3)
+    low = _predict_at_bias(model, records, -1.0)
+    high = _predict_at_bias(model, records, 2.0)
+    assert (high > low).all()
 
 
 def test_cpi_loss_hand_values():
@@ -274,6 +280,18 @@ def test_write_predictions_format(tmp_path):
     assert lines[0] == "pair_id,score,label"
     assert lines[1] == "a-0,0.25,0"
     assert len(lines) == 3
+
+
+def test_read_predictions_round_trips_write_predictions(tmp_path):
+    rng = np.random.default_rng(0)
+    scores = np.concatenate([rng.random(40), [1e-15, 1.0 - 1e-15, 0.5, np.nextafter(0.5, 1.0)]])
+    labels = rng.integers(0, 2, scores.size)
+    path = tmp_path / "predictions_x.csv"
+    write_predictions(path, [f"x-{i:06d}" for i in range(scores.size)], scores, labels)
+    got_scores, got_labels = read_predictions(path)
+    assert got_scores.dtype == np.float64
+    assert got_scores.tobytes() == scores.tobytes()
+    assert got_labels.tolist() == labels.tolist()
 
 
 def _padded_compound_forward(model, token_rows):

@@ -5,7 +5,6 @@ import padded_stack
 import pytest
 
 from seqreorder import encoder as enc
-from seqreorder import nn
 from seqreorder.augment import (
     NoiseSpec,
     RAcutConfig,
@@ -238,14 +237,15 @@ def _padded_reference(state, blocks, lengths, d_scores):
     logits = pooled @ p["head.w"] + p["head.b"]
     scores = np.exp(np.clip(logits, -enc.LOGIT_CLAMP, enc.LOGIT_CLAMP))
 
-    grads = nn.zero_grads_like(p)
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
     dlogits = d_scores * scores * (np.abs(logits) < enc.LOGIT_CLAMP)
     grads["head.w"] += pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
     grads["head.b"] += dlogits.reshape(-1, n).sum(axis=0)
     dpooled = dlogits @ p["head.w"].T
     dh = (dpooled / denom)[:, :, None, :] * real[..., None]
     dx, stack_grads = padded_stack.stack_backward(stack_cache, dh.reshape(b, n * f, d))
-    nn.accumulate(grads, stack_grads)
+    for k, g in stack_grads.items():
+        grads[k] += g
     np.add.at(grads["tok_embed"], tokens.ravel(), dx.reshape(-1, d))
     grads["pos_embed"] += dx.reshape(b, n, f, d).sum(axis=(0, 1))
     grads["slot_embed"] += dx.reshape(b, n, f, d).sum(axis=(0, 2))

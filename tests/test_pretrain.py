@@ -119,8 +119,7 @@ def test_step_matches_a_per_example_projection():
     want_loss = float(np.mean(losses) + nn.l2_penalty(ref.params, config.weight_decay))
     grads = enc._backward_core(ref, cache, d_scores)
     nn.adam_step(
-        ref.params, grads, ref_adam, lr=config.lr, beta1=config.beta1,
-        beta2=config.beta2, eps=config.adam_eps, weight_decay=config.weight_decay,
+        ref.params, grads, ref_adam, lr=config.lr, weight_decay=config.weight_decay
     )
 
     state = enc.init(TINY, seed=0)

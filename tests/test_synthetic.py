@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from seqreorder.corpus import DatasetSchema, parse_dataset
+from seqreorder.corpus import parse_dataset
 from seqreorder.synthetic import (
     corpus_records,
     interaction_corpus,
@@ -58,7 +58,7 @@ def test_corpus_files_parse_back(tmp_path):
     corpus = interaction_corpus(num_proteins=15, num_compounds=15, num_pairs=40, seed=2)
     path = tmp_path / "pairs.tsv"
     write_interaction_tsv(path, corpus)
-    records = parse_dataset(path, DatasetSchema())
+    records = parse_dataset(path)
     assert len(records) == 40
     assert [r.label for r in records] == [row[2] for row in corpus.rows]
     in_memory = corpus_records(corpus)
