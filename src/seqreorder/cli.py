@@ -20,9 +20,14 @@ from pathlib import Path
 from . import cpi as cpi_mod
 from . import encoder as enc
 from . import evaluation, pretrain, synthetic
-from .augment import RAcutConfig
 from .config import RunConfig
-from .corpus import PretrainDataset, encode_protein, parse_dataset, write_vocab_table
+from .corpus import (
+    PretrainDataset,
+    encode_protein,
+    parse_dataset,
+    read_protein_list,
+    write_vocab_table,
+)
 from .errors import CheckpointError, SeqReorderError, ValidationError
 from .gradcheck import run_gradcheck
 
@@ -116,12 +121,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def _load_proteins_file(path: str | Path, l_max: int) -> PretrainDataset:
     proteins = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split("\t")
-        seq = fields[1] if len(fields) > 1 else fields[0]
+    for lineno, _, seq in read_protein_list(path):
         try:
             proteins.append(encode_protein(seq, l_max=l_max))
         except ValidationError as exc:
@@ -270,16 +270,9 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
     out = _out_dir(args, "export-embeddings")
     ckpt = pretrain.load_checkpoint(args.checkpoint)
     state = pretrain.encoder_state_from_checkpoint(ckpt)
-    seg = RAcutConfig(n=state.config.n, l_max=state.config.n * state.config.f_max)
+    seg = state.config.segmentation
     pids, proteins, skipped = [], [], []
-    for lineno, line in enumerate(
-        Path(args.proteins).read_text(encoding="utf-8").splitlines(), 1
-    ):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split("\t")
-        pid, seq = (fields[0], fields[1]) if len(fields) > 1 else (f"row{lineno}", fields[0])
+    for _, pid, seq in read_protein_list(args.proteins):
         try:
             protein = encode_protein(seq, l_max=seg.l_max)
             enc.segment_protein(state.config, protein)  # too short to segment raises
@@ -376,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-embeddings", help="write protein embeddings for a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--proteins", required=True, help="id<TAB>sequence file")
+    p.add_argument("--proteins", required=True, help="id<TAB>sequence or plain-sequence file")
     _add_common(p)
     p.set_defaults(func=cmd_export_embeddings)
 

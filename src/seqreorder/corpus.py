@@ -8,7 +8,8 @@ character-wise over a fixed printable character set.
 
 Interaction files are tab-separated ``smiles<TAB>sequence<TAB>label`` with
 one record per line and an optional header row; the columns and the
-delimiter are fixed. Every protein is tokenized over ``RESIDUE_VOCAB``.
+delimiter are fixed. Protein-list files hold one ``id<TAB>sequence`` or
+bare sequence per line. Every protein is tokenized over ``RESIDUE_VOCAB``.
 """
 
 from __future__ import annotations
@@ -203,6 +204,25 @@ def parse_dataset(
                 InteractionRecord(compound=compound, protein=protein, label=int(label_value))
             )
     return records
+
+
+def read_protein_list(path: str | Path) -> list[tuple[int, str, str]]:
+    """Rows of a protein-list file as (1-based line number, id, sequence).
+
+    Each line is stripped of surrounding whitespace; blank lines are
+    skipped. A line holding a tab is ``id<TAB>sequence`` (columns past the
+    second are ignored); any other line is a bare sequence, whose id is
+    ``row<line number>``. Sequences are not encoded here, so each caller
+    applies its own policy to a row that fails encoding.
+    """
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        fields = line.strip().split("\t")
+        if len(fields) > 1:
+            rows.append((lineno, fields[0], fields[1]))
+        elif fields[0]:
+            rows.append((lineno, f"row{lineno}", fields[0]))
+    return rows
 
 
 @dataclass

@@ -99,8 +99,7 @@ class CpiModel:
 
     @property
     def segmentation(self) -> RAcutConfig:
-        cfg = self.encoder_state.config
-        return RAcutConfig(n=cfg.n, l_max=cfg.n * cfg.f_max)
+        return self.encoder_state.config.segmentation
 
 
 def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> CpiModel:

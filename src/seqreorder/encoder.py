@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nn, perm
 from .augment import RAcutConfig, SubsequenceSet
-from .corpus import RESIDUE_VOCAB, ProteinRecord
+from .corpus import DEFAULT_MAX_RESIDUES, RESIDUE_VOCAB, ProteinRecord
 from .errors import NumericError, ValidationError
 
 LOGIT_CLAMP = 30.0
@@ -38,7 +38,8 @@ class EncoderConfig:
     heads: int = 8
     ffn_dim: int = 1024
     n: int = 24
-    f_max: int = 50
+    # the default residue budget cut into the default block count
+    f_max: int = RAcutConfig(n=n, l_max=DEFAULT_MAX_RESIDUES).f_max
     vocab_size: int = RESIDUE_VOCAB.size
 
     def __post_init__(self) -> None:
@@ -49,6 +50,11 @@ class EncoderConfig:
             raise ValidationError(
                 f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
             )
+
+    @property
+    def segmentation(self) -> RAcutConfig:
+        """The cut geometry of this encoder's input: n blocks of at most f_max."""
+        return RAcutConfig(n=self.n, l_max=self.n * self.f_max)
 
 
 @dataclass

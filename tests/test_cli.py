@@ -111,6 +111,14 @@ def test_pretrain_rejects_zero_epochs(corpus_dir, tmp_path, capsys):
     assert "epochs" in capsys.readouterr().err
 
 
+def test_pretrain_protein_list_names_the_bad_line(tmp_path, capsys):
+    proteins = tmp_path / "proteins.tsv"
+    proteins.write_text("p1\tMKVLAAGHKL\n\nMKVLAAGHKL\np4\t\tjunk\n")
+    code = main(["pretrain", "--proteins", str(proteins), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{proteins} line 4: protein sequence is empty" in capsys.readouterr().err
+
+
 def test_pretrain_requires_exactly_one_source(corpus_dir, tmp_path, capsys):
     code = main(["pretrain", "--out", str(tmp_path)])
     assert code == 1
@@ -217,10 +225,12 @@ def test_gradcheck_detects_planted_error():
 
 
 def test_export_embeddings(pretrain_dir, corpus_dir, tmp_path):
-    # one protein is too short to segment and must be skipped, not fail
+    # one protein is too short to segment and one is empty: both are
+    # skipped, not fatal; a bare sequence is named by its line number
     seqs = (corpus_dir / "seqs.tsv").read_text()
     mixed = tmp_path / "mixed.tsv"
-    mixed.write_text(seqs + "tiny\tMK\n")
+    first_seq = seqs.splitlines()[0].split("\t")[1]
+    mixed.write_text(seqs + "tiny\tMK\n\nempty\t\tjunk\n" + first_seq + "\n")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
         code = main(
@@ -229,10 +239,16 @@ def test_export_embeddings(pretrain_dir, corpus_dir, tmp_path):
         )
         assert code == 0
     emb = (out_a / "embeddings.tsv").read_text().splitlines()
-    assert len(emb) == 30
+    assert len(emb) == 31
+    assert emb[-1].split("\t")[0] == "row34"
+    np.testing.assert_allclose(
+        np.array(emb[-1].split("\t")[1:], dtype=float),
+        np.array(emb[0].split("\t")[1:], dtype=float),
+        rtol=1e-12,
+    )
     assert (out_a / "embeddings.tsv").read_bytes() == (out_b / "embeddings.tsv").read_bytes()
-    skipped = (out_a / "skipped.log").read_text()
-    assert "tiny" in skipped
+    skipped = (out_a / "skipped.log").read_text().splitlines()
+    assert [line.split("\t")[0] for line in skipped] == ["tiny", "empty"]
 
 
 def test_synth_commands(tmp_path):

@@ -15,6 +15,7 @@ from seqreorder.corpus import (
     encode_protein,
     encode_smiles,
     parse_dataset,
+    read_protein_list,
     standard_vocabulary,
     write_vocab_table,
 )
@@ -140,6 +141,21 @@ def test_parse_is_pure(tmp_path):
     b = parse_dataset(path)
     assert a[0].compound.smiles == b[0].compound.smiles
     assert np.array_equal(a[0].protein.tokens, b[0].protein.tokens)
+
+
+def test_read_protein_list_takes_both_line_forms_and_skips_blank_lines(tmp_path):
+    path = _write(
+        tmp_path,
+        "p1\tMKV\n\n   \n  mkl  \np3\tACD\textra\r\nbad\t\tWY\n",
+        name="proteins.tsv",
+    )
+    assert read_protein_list(path) == [
+        (1, "p1", "MKV"),
+        (4, "row4", "mkl"),  # a bare sequence is named by its line; case is kept
+        (5, "p3", "ACD"),
+        (6, "bad", ""),  # an empty sequence is left for the caller to reject
+    ]
+    assert read_protein_list(_write(tmp_path, "\n\n", name="blank.tsv")) == []
 
 
 def test_pretrain_dataset_from_interactions(tmp_path):

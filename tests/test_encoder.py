@@ -13,7 +13,7 @@ from seqreorder.augment import (
     sample_shuffle,
     shuffle_apply,
 )
-from seqreorder.corpus import CANONICAL_RESIDUES, RESIDUE_VOCAB, encode_protein
+from seqreorder.corpus import CANONICAL_RESIDUES, DEFAULT_MAX_RESIDUES, RESIDUE_VOCAB, encode_protein
 from seqreorder.encoder import EncoderConfig
 from seqreorder.errors import ValidationError
 from seqreorder.perm import SinkhornConfig
@@ -45,6 +45,13 @@ def _grads(state, sset, d_scores):
 def test_config_validates_head_divisibility():
     with pytest.raises(ValidationError):
         EncoderConfig(embed_dim=10, layers=1, heads=3, ffn_dim=16, n=3, f_max=4)
+
+
+def test_segmentation_is_the_encoder_geometry(tiny_config):
+    # the default f_max is the cut of the default residue budget
+    assert EncoderConfig().segmentation == RAcutConfig(n=EncoderConfig.n, l_max=DEFAULT_MAX_RESIDUES)
+    seg = tiny_config.segmentation
+    assert (seg.n, seg.f_max) == (tiny_config.n, tiny_config.f_max)
 
 
 def test_init_is_deterministic(tiny_config):

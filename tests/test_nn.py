@@ -4,16 +4,26 @@ The packed-rows transformer stack against the dense padded stack and,
 where every example falls in one length band, against the single
 attention call it then makes; the in-place attention and FFN against the
 out-of-place formulas they replaced; and the in-place Adam step against
-the expressions it evaluates.
+the expressions it evaluates. Also that a training step, once warm,
+reuses the memory the previous step freed.
 """
 
+import ctypes
 import math
+import platform
+import sys
+import types
 
 import numpy as np
 import padded_stack
 import pytest
 
+from seqreorder import encoder as enc
 from seqreorder import nn
+from seqreorder.augment import NoiseSpec, RAcutConfig, make_pretrain_example
+from seqreorder.corpus import CANONICAL_RESIDUES, encode_protein
+from seqreorder.perm import SinkhornConfig
+from seqreorder.pretrain import PretrainConfig, pretrain_step
 
 D, HEADS, FFN, LAYERS = 8, 2, 16, 2
 
@@ -374,3 +384,68 @@ def test_adam_step_in_place_is_bit_identical_to_reference(weight_decay):
     for key, (p, m, v) in arrays.items():
         assert params[key] is p and state.m[key] is m and state.v[key] is v
         assert p.shape == m.shape == v.shape == shapes[key]
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="malloc thresholds are set through glibc's mallopt",
+)
+def test_warm_pretrain_step_does_not_fault_its_working_set_back_in():
+    # pretrain-desk geometry: each step allocates and frees ~15 MB of
+    # temporaries; with glibc's default thresholds they are unmapped or
+    # trimmed on free, and three steps fault ~14,000 pages back in
+    resource = pytest.importorskip("resource")
+    cut = RAcutConfig(n=4, l_max=48)
+    config = PretrainConfig(
+        epochs=1, lr=1e-3, batch_size=32, sinkhorn=SinkhornConfig(m=10),
+        noise=NoiseSpec(kind="mask", mask_prob=0.15),
+    )
+    rng = np.random.default_rng(0)
+    batch = [
+        make_pretrain_example(
+            encode_protein("".join(rng.choice(list(CANONICAL_RESIDUES[:20]), 48))),
+            cut, config.noise, seed=(0, 1, i),
+        )
+        for i in range(32)
+    ]
+    state = enc.init(
+        enc.EncoderConfig(embed_dim=32, layers=2, heads=4, ffn_dim=64, n=4, f_max=cut.f_max)
+    )
+    adam = nn.adam_init(state.params)
+    for _ in range(2):
+        state, _ = pretrain_step(state, batch, config, adam)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        state, _ = pretrain_step(state, batch, config, adam)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100
+
+
+def _fake_libc(result, calls):
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+def test_malloc_setup_does_nothing_without_glibc_mallopt(monkeypatch):
+    def no_library(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert nn._keep_freed_memory() is None
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # no mallopt symbol
+    assert nn._keep_freed_memory() is None
+
+    # a threshold mallopt rejects leaves trimming on
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _fake_libc(0, calls))
+    nn._keep_freed_memory()
+    assert calls == [(nn._M_MMAP_THRESHOLD, nn._MMAP_THRESHOLD_MAX)]
+
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _fake_libc(1, calls))
+    nn._keep_freed_memory()
+    assert calls == [(nn._M_MMAP_THRESHOLD, nn._MMAP_THRESHOLD_MAX), (nn._M_TRIM_THRESHOLD, -1)]
