@@ -184,6 +184,13 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
     train = _read_pairs(args.train, args, rc)
     valid = _read_pairs(args.valid, args, rc) if args.valid else []
+    # test sets are read before training, so a bad one fails at once
+    tests = []
+    for spec in args.test or []:
+        if "=" not in spec:
+            raise ValidationError(f"--test expects NAME=PATH, got {spec!r}")
+        name, path = spec.split("=", 1)
+        tests.append((name, _read_pairs(path, args, rc)))
     cpi_cfg = rc.with_overrides({"embed_dim": frozen.config.embed_dim}).cpi()
     result = cpi_mod.finetune_run(train, valid, frozen, cpi_cfg, rc.finetune(), out_dir=out)
     ckpt_out = cpi_mod.checkpoint_from_cpi(
@@ -192,11 +199,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     pretrain.save_checkpoint(ckpt_out, out / "cpi.ckpt")
 
     cache = cpi_mod.build_protein_cache(result.model, train + list(valid), rc.batch_size)
-    for spec in args.test or []:
-        if "=" not in spec:
-            raise ValidationError(f"--test expects NAME=PATH, got {spec!r}")
-        name, path = spec.split("=", 1)
-        records = _read_pairs(path, args, rc)
+    for name, records in tests:
         cpi_mod.build_protein_cache(result.model, records, rc.batch_size, cache)
         scores = cpi_mod.predict_pairs(result.model, records, cache)
         cpi_mod.write_predictions(

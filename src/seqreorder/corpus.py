@@ -209,18 +209,22 @@ def parse_dataset(
 def read_protein_list(path: str | Path) -> list[tuple[int, str, str]]:
     """Rows of a protein-list file as (1-based line number, id, sequence).
 
-    Each line is stripped of surrounding whitespace; blank lines are
-    skipped. A line holding a tab is ``id<TAB>sequence`` (columns past the
-    second are ignored); any other line is a bare sequence, whose id is
-    ``row<line number>``. Sequences are not encoded here, so each caller
-    applies its own policy to a row that fails encoding.
+    A line holding a tab is ``id<TAB>sequence`` (columns past the second
+    are ignored); any other line is a bare sequence. A row with no id is
+    named ``row<line number>``. Lines are split on tab before each field
+    is stripped of surrounding whitespace, so ``id<TAB>`` is a row with an
+    empty sequence; a line whose fields are all blank is skipped.
+    Sequences are not encoded here, so each caller applies its own policy
+    to a row that fails encoding.
     """
     rows = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        fields = line.strip().split("\t")
+        fields = [f.strip() for f in line.split("\t")]
+        if not any(fields):
+            continue
         if len(fields) > 1:
-            rows.append((lineno, fields[0], fields[1]))
-        elif fields[0]:
+            rows.append((lineno, fields[0] or f"row{lineno}", fields[1]))
+        else:
             rows.append((lineno, f"row{lineno}", fields[0]))
     return rows
 

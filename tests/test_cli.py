@@ -119,6 +119,14 @@ def test_pretrain_protein_list_names_the_bad_line(tmp_path, capsys):
     assert f"{proteins} line 4: protein sequence is empty" in capsys.readouterr().err
 
 
+def test_pretrain_protein_list_rejects_an_id_with_no_sequence(tmp_path, capsys):
+    proteins = tmp_path / "proteins.tsv"
+    proteins.write_text("p1\tMKVLAAGHKL\np5\t\n")
+    code = main(["pretrain", "--proteins", str(proteins), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{proteins} line 2: protein sequence is empty" in capsys.readouterr().err
+
+
 def test_pretrain_requires_exactly_one_source(corpus_dir, tmp_path, capsys):
     code = main(["pretrain", "--out", str(tmp_path)])
     assert code == 1
@@ -177,6 +185,18 @@ def test_finetune_requires_encoder_choice(split_dir, tmp_path):
     assert _finetune(split_dir, tmp_path, []) == 1
 
 
+@pytest.mark.parametrize("spec", ["seen_both", "missing=/nonexistent/test.tsv"])
+def test_finetune_rejects_a_bad_test_set_before_training(split_dir, tmp_path, capsys, spec, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("fine-tuning started before the test sets were read")
+
+    monkeypatch.setattr("seqreorder.cpi.finetune_run", no_training)
+    code = _finetune(split_dir, tmp_path, ["--random-init", "--test", spec] + TINY_ENCODER)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "cpi.ckpt").exists()
+
+
 def test_evaluate_aggregates_runs(split_dir, pretrain_dir, tmp_path):
     run_a, run_b = tmp_path / "a", tmp_path / "b"
     assert _finetune(split_dir, run_a, ["--random-init"] + TINY_ENCODER) == 0
@@ -225,12 +245,13 @@ def test_gradcheck_detects_planted_error():
 
 
 def test_export_embeddings(pretrain_dir, corpus_dir, tmp_path):
-    # one protein is too short to segment and one is empty: both are
-    # skipped, not fatal; a bare sequence is named by its line number
+    # one protein is too short to segment and two are empty (one of them an
+    # id with a trailing tab): all are skipped, not fatal; a bare sequence
+    # is named by its line number
     seqs = (corpus_dir / "seqs.tsv").read_text()
     mixed = tmp_path / "mixed.tsv"
     first_seq = seqs.splitlines()[0].split("\t")[1]
-    mixed.write_text(seqs + "tiny\tMK\n\nempty\t\tjunk\n" + first_seq + "\n")
+    mixed.write_text(seqs + "tiny\tMK\n\nempty\t\tjunk\n" + first_seq + "\nnoseq\t\n")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
         code = main(
@@ -248,7 +269,7 @@ def test_export_embeddings(pretrain_dir, corpus_dir, tmp_path):
     )
     assert (out_a / "embeddings.tsv").read_bytes() == (out_b / "embeddings.tsv").read_bytes()
     skipped = (out_a / "skipped.log").read_text().splitlines()
-    assert [line.split("\t")[0] for line in skipped] == ["tiny", "empty"]
+    assert [line.split("\t")[0] for line in skipped] == ["tiny", "empty", "noseq"]
 
 
 def test_synth_commands(tmp_path):

@@ -146,7 +146,7 @@ def test_parse_is_pure(tmp_path):
 def test_read_protein_list_takes_both_line_forms_and_skips_blank_lines(tmp_path):
     path = _write(
         tmp_path,
-        "p1\tMKV\n\n   \n  mkl  \np3\tACD\textra\r\nbad\t\tWY\n",
+        "p1\tMKV\n\n   \n  mkl  \np3\tACD\textra\r\nbad\t\tWY\np5\t\n p6 \t WY \n\tMK\n",
         name="proteins.tsv",
     )
     assert read_protein_list(path) == [
@@ -154,8 +154,12 @@ def test_read_protein_list_takes_both_line_forms_and_skips_blank_lines(tmp_path)
         (4, "row4", "mkl"),  # a bare sequence is named by its line; case is kept
         (5, "p3", "ACD"),
         (6, "bad", ""),  # an empty sequence is left for the caller to reject
+        (7, "p5", ""),  # a trailing tab keeps its row's id, not a sequence "p5"
+        (8, "p6", "WY"),  # each field is stripped after the split
+        (9, "row9", "MK"),  # a row with no id is named by its line
     ]
-    assert read_protein_list(_write(tmp_path, "\n\n", name="blank.tsv")) == []
+    # a line of blank fields is a blank line too, not a row with no sequence
+    assert read_protein_list(_write(tmp_path, "\n \t \n\t\n", name="blank.tsv")) == []
 
 
 def test_pretrain_dataset_from_interactions(tmp_path):

@@ -3,15 +3,18 @@
 The packed-rows transformer stack against the dense padded stack and,
 where every example falls in one length band, against the single
 attention call it then makes; the in-place attention and FFN against the
-out-of-place formulas they replaced; and the in-place Adam step against
-the expressions it evaluates. Also that a training step, once warm,
-reuses the memory the previous step freed.
+out-of-place formulas they replaced; attention that rebuilds its softmax
+weights in the backward against a copy of the attention that kept them;
+and the in-place Adam step against the expressions it evaluates. Also
+that a training step, once warm, reuses the memory the previous step
+freed, and that its traced peak stays below its layers' attention weights.
 """
 
 import ctypes
 import math
 import platform
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -325,9 +328,6 @@ def test_attention_matches_out_of_place_reference(mask, dh):
                 assert max(np.abs(grads[key]).max(), np.abs(ref_grads[key]).max()) <= 1e-14
             else:
                 assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
-        attn = cache[4]
-        assert attn.shape == (len(lengths), heads, t, t)
-        assert np.all(attn[np.broadcast_to(~key_mask[:, None, None, :], attn.shape)] == 0.0)
         if t == 1:
             # one key: the softmax is constant, so queries and keys get no gradient
             for name in ("wq", "wk", "bq"):
@@ -335,6 +335,164 @@ def test_attention_matches_out_of_place_reference(mask, dh):
         np.testing.assert_array_equal(x, x_before)
         for key in p:
             np.testing.assert_array_equal(p[key], p_before[key])
+
+
+# ---------------------------------------------------------------------------
+# attention that rebuilds its weights against attention that keeps them
+# ---------------------------------------------------------------------------
+
+
+def _kept_weights_attention_forward(x, p, prefix, key_mask, heads):
+    """``nn.attention_forward`` as it was when every call kept its weights.
+
+    One (B, h, T, T) score buffer, masked and softmaxed in place, and
+    cached whole for ``_kept_weights_attention_backward``.
+    """
+    wq, wk, wv, wo = (p[prefix + n] for n in ("wq", "wk", "wv", "wo"))
+    bq, bk, bv, bo = (p[prefix + n] for n in ("bq", "bk", "bv", "bo"))
+    q = nn._split_heads(x @ wq + bq, heads)
+    k = nn._split_heads(x @ wk + bk, heads)
+    v = nn._split_heads(x @ wv + bv, heads)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    q = q * scale
+    attn = q @ k.transpose(0, 1, 3, 2)
+    if not key_mask.all():
+        np.copyto(attn, -np.inf, where=~key_mask[:, None, None, :])
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    merged = nn._merge_heads(attn @ v)
+    out = merged @ wo + bo
+    return out, (x, q, k, v, attn, merged, scale, prefix, heads, wq, wk, wv, wo)
+
+
+def _kept_weights_attention_backward(cache, dout):
+    x, q, k, v, attn, merged, scale, prefix, heads, wq, wk, wv, wo = cache
+    d = x.shape[-1]
+    dout2 = dout.reshape(-1, d)
+    grads = {prefix + "wo": merged.reshape(-1, d).T @ dout2, prefix + "bo": dout2.sum(axis=0)}
+    dctx = nn._split_heads(dout @ wo.T, heads)
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    ds = dctx @ v.transpose(0, 1, 3, 2)
+    ds -= np.einsum("...ij,...ij->...i", ds, attn)[..., None]
+    ds *= attn
+    dq = (ds @ k) * scale
+    dk = ds.transpose(0, 1, 3, 2) @ q
+    dq2, dk2, dv2 = (nn._merge_heads(a).reshape(-1, d) for a in (dq, dk, dv))
+    x2 = x.reshape(-1, d)
+    for name, g in (("q", dq2), ("k", dk2), ("v", dv2)):
+        grads[prefix + "w" + name] = x2.T @ g
+        grads[prefix + "b" + name] = g.sum(axis=0)
+    dx = (dq2 @ wq.T + dk2 @ wk.T + dv2 @ wv.T).reshape(x.shape)
+    return dx, grads
+
+
+# one head; one example's two heads; two examples (the last block may hold one)
+@pytest.mark.parametrize("slices_per_block", [1, 2, 4])
+@pytest.mark.parametrize("dh", [2, 8])
+@pytest.mark.parametrize("mask", ["ragged", "one-key", "batch-of-one"])
+def test_rebuilt_weights_attention_is_bit_identical_to_kept_weights(
+    mask, dh, slices_per_block, monkeypatch
+):
+    lengths, t = ATTENTION_MASKS[mask]
+    heads = 2
+    d = heads * dh
+    b = len(lengths)
+    monkeypatch.setattr(nn, "_KEEP_WEIGHTS_BYTES", 0)
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", slices_per_block * t * t * 8)
+    rebuilt = []
+    softmax_weights = nn._softmax_weights
+
+    def spy(q, k, key_mask, block, rowmax, rowsum, rebuild):
+        w = softmax_weights(q, k, key_mask, block, rowmax, rowsum, rebuild=rebuild)
+        if rebuild:
+            rebuilt.append((block, w.copy()))
+        return w
+
+    monkeypatch.setattr(nn, "_softmax_weights", spy)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        p = {}
+        nn.init_stack_params(rng, p, "s.", 1, d, 2 * d)
+        p = {k[len("s.layers.0."):]: v for k, v in p.items() if ".attn." in k}
+        key_mask = np.arange(t) < np.asarray(lengths)[:, None]
+        x = rng.normal(size=key_mask.shape + (d,))
+        dout = rng.normal(size=x.shape)
+        rebuilt.clear()
+
+        out, cache = nn.attention_forward(x, p, "attn.", key_mask, heads)
+        if t > 1:  # at T = 1 the row statistics are as large as the weights
+            # only per-row statistics are kept, never a (B, h, T, T) array
+            assert all(a.size != b * heads * t * t for a in cache if isinstance(a, np.ndarray))
+        dx, grads = nn.attention_backward(cache, dout)
+        ref_out, ref_cache = _kept_weights_attention_forward(x, p, "attn.", key_mask, heads)
+        ref_dx, ref_grads = _kept_weights_attention_backward(ref_cache, dout)
+
+        assert len(rebuilt) == math.ceil(b * heads / slices_per_block)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(dx, ref_dx)
+        assert sorted(grads) == sorted(ref_grads)
+        for key in grads:  # attn.bk included: the same rounding noise, bit for bit
+            np.testing.assert_array_equal(grads[key], ref_grads[key])
+        # each rebuilt block is the kept weights' block, and masked keys weigh 0
+        ref_attn = ref_cache[4]
+        for block, w in rebuilt:
+            np.testing.assert_array_equal(w, ref_attn[block])
+            assert np.all(w[np.broadcast_to(~key_mask[block[0]][:, None, None, :], w.shape)] == 0.0)
+        if t == 1:
+            for name in ("wq", "wk", "bq"):
+                np.testing.assert_array_equal(grads["attn." + name], 0.0)
+
+
+def test_small_attention_call_keeps_its_weights_and_rebuilds_none(monkeypatch):
+    calls = []
+    softmax_weights = nn._softmax_weights
+
+    def spy(*args, rebuild):
+        calls.append(rebuild)
+        return softmax_weights(*args, rebuild=rebuild)
+
+    monkeypatch.setattr(nn, "_softmax_weights", spy)
+    rng = np.random.default_rng(0)
+    p = {}
+    nn.init_stack_params(rng, p, "s.", 1, D, FFN)
+    key_mask = np.arange(7) < np.array([5, 2, 7, 1])[:, None]
+    x = rng.normal(size=key_mask.shape + (D,))
+    out, cache = nn.attention_forward(x, p, "s.layers.0.attn.", key_mask, HEADS)
+    nn.attention_backward(cache, np.ones_like(out))
+    assert calls == [False]  # one forward block; the backward uses the kept weights
+    assert any(isinstance(a, np.ndarray) and a.shape == (4, HEADS, 7, 7) for a in cache)
+
+
+def test_pretrain_step_peaks_below_every_layers_attention_weights():
+    # 300-residue proteins at the paper's cut (n=24, l_max=1200): T = 300,
+    # and each layer's weights are B*h*T*T*8 = 11.5 MB. Keeping them for
+    # the backward peaked at 40.4 MB traced; rebuilding them, at 7.5 MB.
+    b, layers, heads, t = 4, 2, 4, 300
+    cut = RAcutConfig(n=24, l_max=1200)
+    config = PretrainConfig(
+        epochs=1, lr=1e-3, batch_size=b, sinkhorn=SinkhornConfig(m=10),
+        noise=NoiseSpec(kind="mask", mask_prob=0.15),
+    )
+    rng = np.random.default_rng(0)
+    batch = [
+        make_pretrain_example(
+            encode_protein("".join(rng.choice(list(CANONICAL_RESIDUES[:20]), t))),
+            cut, config.noise, seed=(0, 1, i),
+        )
+        for i in range(b)
+    ]
+    state = enc.init(
+        enc.EncoderConfig(embed_dim=16, layers=layers, heads=heads, ffn_dim=32, n=24, f_max=cut.f_max)
+    )
+    adam = nn.adam_init(state.params)
+    tracemalloc.start()
+    try:
+        pretrain_step(state, batch, config, adam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < layers * b * heads * t * t * 8
 
 
 # ---------------------------------------------------------------------------
