@@ -13,12 +13,11 @@ leak into any other position. Attention runs once per length band: the
 examples of a batch are grouped by ceil(log2(real tokens)), and each group
 is cut to its own widest example, so short examples do not pay for the
 longest one's T^2. A batch that falls in one band makes a single call.
-An attention call keeps its (B, h, T, T) softmax weights for the backward
-only when they fit 4 MiB. A larger call runs over blocks of (example,
-head) slices holding at most 1 MiB of weights each, and keeps q, k, v and
-each softmax row's max and sum instead: the backward rebuilds each block's
-weights with the forward's own operations, bit for bit. The FFN builds
-and rectifies its hidden activation in place.
+Attention never keeps its (B, h, T, T) softmax weights. It runs over
+blocks of consecutive (example, head) slices holding at most 1 MiB of
+weights each, and keeps q, k, v and each softmax row's max and sum: the
+backward rebuilds each block's weights with the forward's own operations,
+bit for bit. The FFN builds and rectifies its hidden activation in place.
 
 Importing this module fixes glibc's malloc thresholds for the whole
 process (see ``_keep_freed_memory``), so each training step reuses the
@@ -38,10 +37,7 @@ LN_EPS = 1e-5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# attention's softmax weights: the most a call keeps for its backward, and
-# the most one block holds when a larger call rebuilds them (see
-# attention_forward)
-_KEEP_WEIGHTS_BYTES = 4 * 1024 * 1024
+# the most softmax weights one attention block holds (see attention_forward)
 _BLOCK_BYTES = 1024 * 1024
 
 # mallopt(3) parameters, and the largest mmap threshold 64-bit glibc accepts
@@ -124,32 +120,23 @@ def _merge_heads(x: Array) -> Array:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _weight_blocks(b: int, h: int, t: int) -> list[tuple]:
-    """Index tuples that cut the (example, head) grid into weight blocks.
-
-    A block is a run of whole examples or, when one example's heads do not
-    fit ``_BLOCK_BYTES`` together, a run of one example's heads. Every
-    block holds at least one (t, t) slice.
-    """
-    per_block = max(1, _BLOCK_BYTES // (t * t * 8))
-    if per_block >= h:
-        step = per_block // h
-        return [(slice(i, i + step),) for i in range(0, b, step)]
-    return [
-        (slice(i, i + 1), slice(j, j + per_block)) for i in range(b) for j in range(0, h, per_block)
-    ]
+def _weight_blocks(slices: int, t: int) -> list[slice]:
+    """Runs of (t, t) weight slices holding at most ``_BLOCK_BYTES``, never less than one."""
+    step = max(1, _BLOCK_BYTES // (t * t * 8))
+    return [slice(i, i + step) for i in range(0, slices, step)]
 
 
-def _softmax_weights(q, k, key_mask, block, rowmax, rowsum, rebuild: bool) -> Array:
+def _softmax_weights(q, k, masked, block, rowmax, rowsum, rebuild: bool) -> Array:
     """One block's softmax weights, made in place on its scores q·kᵀ.
 
-    The forward stores each row's max and sum in the block's rows of
-    ``rowmax`` and ``rowsum``; a rebuild reads them back. Both run the same
-    operations on the same values, so rebuilt weights are bit-identical.
+    ``masked`` is None or, per slice, True at masked keys. The forward
+    stores each row's max and sum in the block's rows of ``rowmax`` and
+    ``rowsum``; a rebuild reads them back. Both run the same operations on
+    the same values, so rebuilt weights are bit-identical.
     """
-    w = q[block] @ k[block].transpose(0, 1, 3, 2)
-    if not key_mask.all():
-        np.copyto(w, -np.inf, where=~key_mask[block[0]][:, None, None, :])
+    w = q[block] @ k[block].transpose(0, 2, 1)
+    if masked is not None:
+        np.copyto(w, -np.inf, where=masked[block])
     if not rebuild:
         np.max(w, axis=-1, keepdims=True, out=rowmax[block])
     w -= rowmax[block]
@@ -164,14 +151,13 @@ def attention_forward(x: Array, p: dict, prefix: str, key_mask: Array, heads: in
     """Scaled dot-product attention; masked keys are unreachable (-inf).
 
     The scale is folded into q (the cached q is the scaled one), and
-    masking and the softmax run in place on the scores. A call whose
-    (B, h, T, T) weights fit ``_KEEP_WEIGHTS_BYTES`` (4 MiB) runs as one
-    block and keeps them for the backward. A larger call runs over blocks
-    of (example, head) slices holding at most ``_BLOCK_BYTES`` (1 MiB) of
-    weights each (one slice when a slice is larger), and keeps only q, k,
-    v and each row's max and sum (B, h, T, 1): the backward rebuilds each
-    block's weights from them. No log-sum-exp is kept, because
-    exp(s - lse) is not bitwise exp(s - max) / sum.
+    masking and the softmax run in place on the scores. The (example,
+    head) grid is one axis of B·h (T, T) slices, run in blocks of
+    consecutive slices holding at most ``_BLOCK_BYTES`` (1 MiB) of weights
+    (one slice when a slice is larger). The cache keeps q, k, v and each
+    row's max and sum (B·h, T, 1), never the weights: the backward
+    rebuilds each block's weights from them. No log-sum-exp is kept,
+    because exp(s - lse) is not bitwise exp(s - max) / sum.
     """
     wq, wk, wv, wo = (p[prefix + n] for n in ("wq", "wk", "wv", "wo"))
     bq, bk, bv, bo = (p[prefix + n] for n in ("bq", "bk", "bv", "bo"))
@@ -180,50 +166,41 @@ def attention_forward(x: Array, p: dict, prefix: str, key_mask: Array, heads: in
     v = _split_heads(x @ wv + bv, heads)
     scale = 1.0 / math.sqrt(q.shape[-1])
     q = q * scale
-    b, h, t, _ = q.shape
-    keep = b * h * t * t * 8 <= _KEEP_WEIGHTS_BYTES
-    blocks = [(slice(None),)] if keep else _weight_blocks(b, h, t)
-    rowmax, rowsum, ctx = np.empty((b, h, t, 1)), np.empty((b, h, t, 1)), np.empty(q.shape)
-    for block in blocks:
-        w = _softmax_weights(q, k, key_mask, block, rowmax, rowsum, rebuild=False)
+    b, h, t, dh = q.shape
+    q, k, v = (a.reshape(b * h, t, dh) for a in (q, k, v))
+    masked = None if key_mask.all() else np.repeat(~key_mask, h, axis=0)[:, None, :]
+    rowmax, rowsum, ctx = np.empty((b * h, t, 1)), np.empty((b * h, t, 1)), np.empty(q.shape)
+    for block in _weight_blocks(b * h, t):
+        w = _softmax_weights(q, k, masked, block, rowmax, rowsum, rebuild=False)
         np.matmul(w, v[block], out=ctx[block])
-    merged = _merge_heads(ctx)
+    merged = _merge_heads(ctx.reshape(b, h, t, dh))
     out = merged @ wo + bo
-    weights = w if keep else None
-    cache = (
-        x, q, k, v, key_mask, blocks, weights, rowmax, rowsum, merged, scale, prefix, heads,
-        wq, wk, wv, wo,
-    )
+    cache = (x, q, k, v, masked, rowmax, rowsum, merged, scale, prefix, heads, wq, wk, wv, wo)
     return out, cache
 
 
 def attention_backward(cache, dout: Array):
-    (x, q, k, v, key_mask, blocks, weights, rowmax, rowsum, merged, scale, prefix, heads,
-     wq, wk, wv, wo) = cache
+    x, q, k, v, masked, rowmax, rowsum, merged, scale, prefix, heads, wq, wk, wv, wo = cache
     b, t, d = x.shape
     grads = {}
     dout2 = dout.reshape(-1, d)
     grads[prefix + "wo"] = merged.reshape(-1, d).T @ dout2
     grads[prefix + "bo"] = dout2.sum(axis=0)
-    dctx = _split_heads(dout @ wo.T, heads)
+    dctx = _split_heads(dout @ wo.T, heads).reshape(q.shape)
     dq, dk, dv = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape)
-    for block in blocks:
-        w = weights
-        if w is None:
-            w = _softmax_weights(q, k, key_mask, block, rowmax, rowsum, rebuild=True)
-        np.matmul(w.transpose(0, 1, 3, 2), dctx[block], out=dv[block])
+    for block in _weight_blocks(q.shape[0], t):
+        w = _softmax_weights(q, k, masked, block, rowmax, rowsum, rebuild=True)
+        np.matmul(w.transpose(0, 2, 1), dctx[block], out=dv[block])
         # softmax backward in place on d(weights); masked entries have weight
         # 0, so their grad is 0. ds is the gradient of the scores q·k with q
         # already scaled, so dk pairs it with that q and only dq takes the scale.
-        ds = dctx[block] @ v[block].transpose(0, 1, 3, 2)
+        ds = dctx[block] @ v[block].transpose(0, 2, 1)
         ds -= np.einsum("...ij,...ij->...i", ds, w)[..., None]
         ds *= w
         np.matmul(ds, k[block], out=dq[block])
         dq[block] *= scale
-        np.matmul(ds.transpose(0, 1, 3, 2), q[block], out=dk[block])
-    dq2 = _merge_heads(dq).reshape(-1, d)
-    dk2 = _merge_heads(dk).reshape(-1, d)
-    dv2 = _merge_heads(dv).reshape(-1, d)
+        np.matmul(ds.transpose(0, 2, 1), q[block], out=dk[block])
+    dq2, dk2, dv2 = (_merge_heads(a.reshape(b, heads, t, -1)).reshape(-1, d) for a in (dq, dk, dv))
     x2 = x.reshape(-1, d)
     grads[prefix + "wq"] = x2.T @ dq2
     grads[prefix + "bq"] = dq2.sum(axis=0)
