@@ -164,6 +164,25 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _test_specs(specs: list[str]) -> list[tuple[str, str]]:
+    """(name, path) of each ``--test NAME=PATH``.
+
+    A name becomes the file predictions_NAME.csv and the prefix of its
+    pair ids, so it must be non-empty, unique, and free of '/', '\\' and ','.
+    """
+    pairs: dict[str, str] = {}
+    for spec in specs:
+        name, sep, path = spec.partition("=")
+        if not sep:
+            raise ValidationError(f"--test expects NAME=PATH, got {spec!r}")
+        if not name or name in pairs or any(c in name for c in "/\\,"):
+            raise ValidationError(
+                f"--test name {name!r} must be non-empty, unique, and free of '/', '\\' and ','"
+            )
+        pairs[name] = path
+    return list(pairs.items())
+
+
 def cmd_finetune(args: argparse.Namespace) -> int:
     rc = _run_config(args)
     out = _out_dir(args, "finetune")
@@ -185,12 +204,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     train = _read_pairs(args.train, args, rc)
     valid = _read_pairs(args.valid, args, rc) if args.valid else []
     # test sets are read before training, so a bad one fails at once
-    tests = []
-    for spec in args.test or []:
-        if "=" not in spec:
-            raise ValidationError(f"--test expects NAME=PATH, got {spec!r}")
-        name, path = spec.split("=", 1)
-        tests.append((name, _read_pairs(path, args, rc)))
+    tests = [(name, _read_pairs(path, args, rc)) for name, path in _test_specs(args.test or [])]
     cpi_cfg = rc.with_overrides({"embed_dim": frozen.config.embed_dim}).cpi()
     result = cpi_mod.finetune_run(train, valid, frozen, cpi_cfg, rc.finetune(), out_dir=out)
     ckpt_out = cpi_mod.checkpoint_from_cpi(

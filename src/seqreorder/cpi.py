@@ -1,8 +1,8 @@
 """Compound-protein interaction head on top of a frozen protein encoder.
 
 Compounds run through their own small attention stack over SMILES
-characters, as packed rows of their real tokens only (attention alone sees
-the padded (B, T) layout, one call per length band), and are mean-pooled.
+characters, as packed rows of their real tokens only, each compound
+attending over its own rows, then a final layernorm, and are mean-pooled.
 Each distinct token list in a batch is encoded once, and the pairs gather
 their compound vectors from those encodings. The protein side is the
 frozen encoder's whole-protein embedding, computed once per distinct
@@ -33,10 +33,11 @@ from .corpus import (
     ProteinRecord,
 )
 from .encoder import EncoderConfig, EncoderState, protein_embeddings
+from .encoder import init as init_encoder
 from .encoder import protein_embedding  # noqa: F401  (perfbench traces this name)
 from .errors import CheckpointError, NumericError, ParseError, ValidationError
 from .evaluation import auroc
-from .pretrain import Checkpoint, PretrainConfig, StepRecord, TrainLog, write_val_log
+from .pretrain import Checkpoint, PretrainConfig, StepRecord, TrainLog, check_params, write_val_log
 
 logger = logging.getLogger(__name__)
 
@@ -114,6 +115,8 @@ def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> C
     params["comp.tok_embed"] = nn.uniform_init(rng, (config.smiles_vocab_size, d), d)
     params["comp.pos_embed"] = nn.uniform_init(rng, (config.max_atoms, d), d)
     nn.init_stack_params(rng, params, "comp.", config.comp_layers, d, config.comp_ffn_dim)
+    params["comp.ln_f.gamma"] = np.ones(d)
+    params["comp.ln_f.beta"] = np.zeros(d)
     params["fusion.w1"] = nn.uniform_init(rng, (2 * d, config.fusion_dim), 2 * d)
     params["fusion.b1"] = nn.uniform_init(rng, (config.fusion_dim,), 2 * d)
     params["fusion.w2"] = nn.uniform_init(
@@ -133,7 +136,7 @@ def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> C
 def _compound_batch(
     model: CpiModel, token_rows: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The real SMILES token ids (N,), compound by compound, and the (B, T) key mask."""
+    """The real SMILES token ids (N,), compound by compound, and their lengths (B,)."""
     cfg = model.config
     if not token_rows:
         raise ValidationError("no compounds in batch")
@@ -145,29 +148,30 @@ def _compound_batch(
     if lengths.min() == 0:
         raise ValidationError("compound token list is empty")
     ids = np.concatenate([np.asarray(r, dtype=np.int64) for r in token_rows])
-    return ids, np.arange(lengths.max()) < lengths[:, None]
+    return ids, lengths
 
 
 def _compound_forward(model: CpiModel, token_rows: Sequence[Sequence[int]]):
     """Pooled compound vectors (B, embed_dim); the stack runs on real tokens only."""
     cfg = model.config
     p = model.params
-    ids, key_mask = _compound_batch(model, token_rows)
-    comp, pos = np.nonzero(key_mask)
+    ids, lengths = _compound_batch(model, token_rows)
+    pos = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     x = p["comp.tok_embed"][ids] + p["comp.pos_embed"][pos]
-    h, stack_cache = nn.stack_forward(x, p, "comp.", cfg.comp_layers, key_mask, cfg.comp_heads)
-    lengths = key_mask.sum(axis=1)
-    # each compound's rows are contiguous and non-empty
-    pooled = np.add.reduceat(h, np.cumsum(lengths) - lengths) / lengths[:, None]
-    cache = (ids, comp, pos, lengths, stack_cache)
+    h, stack_cache = nn.stack_forward(x, p, "comp.", cfg.comp_layers, lengths, cfg.comp_heads)
+    h, ln_cache = nn.layernorm_forward(h, p["comp.ln_f.gamma"], p["comp.ln_f.beta"])
+    pooled = nn.mean_pool(h, lengths)
+    cache = (ids, pos, lengths, stack_cache, ln_cache)
     return pooled, cache
 
 
 def _compound_backward(model: CpiModel, cache, d_pooled: np.ndarray) -> dict[str, np.ndarray]:
     p = model.params
-    ids, comp, pos, lengths, stack_cache = cache
-    dh = (d_pooled / lengths[:, None])[comp]
+    ids, pos, lengths, stack_cache, ln_cache = cache
+    dh = nn.mean_pool_backward(d_pooled, lengths)
+    dh, dgamma, dbeta = nn.layernorm_backward(ln_cache, dh)
     dx, grads = nn.stack_backward(stack_cache, dh)
+    grads["comp.ln_f.gamma"], grads["comp.ln_f.beta"] = dgamma, dbeta
     for key, index in (("comp.tok_embed", ids), ("comp.pos_embed", pos)):
         grads[key] = nn.embedding_backward(index, dx, len(p[key]))
     return grads
@@ -454,7 +458,9 @@ def cpi_model_from_checkpoint(ckpt: Checkpoint) -> CpiModel:
     cpi_params = {
         k[len("cpi.") :]: v for k, v in ckpt.params.items() if k.startswith("cpi.")
     }
+    check_params(enc_params, init_encoder(enc_config).params, "enc.")
     encoder_state = EncoderState(config=enc_config, params=enc_params)
+    check_params(cpi_params, init_cpi(config, encoder_state).params, "cpi.")
     return CpiModel(config=config, params=cpi_params, encoder_state=encoder_state)
 
 

@@ -3,13 +3,15 @@
 A batch arrives as blocks padded to f_max, shape (B, n, f_max), and is
 packed before the transformer sees it: only real tokens are embedded, one
 row each, in slot order per example, as token + within-block position +
-slot embeddings. The rows run through a pre-norm transformer stack whose
-attention, its only (B, T) op, masks the batch-tail positions of shorter
-examples (T is the longest example in the batch, not n * f_max). Tokens
-are mean-pooled per block by a segment matrix, and a linear head scores
-every block against every original position. Scores are exponentiated
-clamped logits, so they are strictly positive — row i scores the block
-sitting in shuffled slot i against each original position j.
+slot embeddings. The rows run through a pre-norm transformer stack, each
+example attending over its own rows only, and a final layernorm with no
+bias. Each block's tokens are a run of consecutive rows, mean-pooled, and
+a linear head with no bias scores every block against every original
+position. Scores are exponentiated clamped logits, so they are strictly
+positive — row i scores the block sitting in shuffled slot i against each
+original position j. The two biases are left out because Sinkhorn's limit
+does not change when a column of scores is rescaled, so the loss would
+give them only the truncation error of its unrolled steps as gradient.
 
 Every entry point is batched and returns plain arrays: pooled block
 vectors (B, n, embed_dim) and a (B, n, n) stack of score matrices, which
@@ -72,8 +74,8 @@ def init(config: EncoderConfig, seed: int = 0) -> EncoderState:
     params["pos_embed"] = nn.uniform_init(rng, (config.f_max, d), d)
     params["slot_embed"] = nn.uniform_init(rng, (config.n, d), d)
     nn.init_stack_params(rng, params, "", config.layers, d, config.ffn_dim)
+    params["ln_f.gamma"] = np.ones(d)
     params["head.w"] = nn.uniform_init(rng, (d, config.n), d)
-    params["head.b"] = nn.uniform_init(rng, (config.n,), d)
     return EncoderState(config=config, params=params)
 
 
@@ -86,35 +88,26 @@ def _forward_core(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
 
     Only real tokens are embedded: one row per token, example by example
     and in slot order within an example, each carrying its slot id and
-    within-block position. The stack runs on these rows; its attention key
-    mask is (B, T), T being the largest real-token count in the batch, and
-    hides the batch-tail positions of shorter examples. Blocks are
-    mean-pooled by the (B, n, T) segment matrix ``seg`` from the output
-    rows laid out as (B, T, d), which is a view when no example is short.
+    within-block position. The stack runs on these rows, and each block
+    is the mean of its run of rows.
 
     Blocks of length 0 are legal here (inference-time equal splits can
-    leave trailing empties); their ``seg`` row is zero, so they pool to the
-    zero vector.
+    leave trailing empties); they pool to the zero vector.
     """
     cfg = state.config
     p = state.params
     b, n, f = blocks.shape
     # (example, slot, position) of every real token, slot-major per example
     ex, slot, pos = np.nonzero(np.arange(f) < lengths[:, :, None])
-    counts = lengths.sum(axis=1)
-    tok = np.arange(ex.size) - (np.cumsum(counts) - counts)[ex]
     ids = blocks[ex, slot, pos]
-    key_mask = np.arange(int(counts.max())) < counts[:, None]
     x = p["tok_embed"][ids] + p["pos_embed"][pos] + p["slot_embed"][slot]
-    h, stack_cache = nn.stack_forward(x, p, "", cfg.layers, key_mask, cfg.heads)
-    share = 1.0 / lengths[ex, slot]  # each token's weight in its block mean
-    seg = np.zeros((b, n, key_mask.shape[1]))
-    seg[ex, slot, tok] = share
-    pooled = seg @ nn.rows_to_padded(h, key_mask)
-    logits = pooled @ p["head.w"] + p["head.b"]
+    h, stack_cache = nn.stack_forward(x, p, "", cfg.layers, lengths.sum(axis=1), cfg.heads)
+    h, ln_cache = nn.layernorm_forward(h, p["ln_f.gamma"])
+    pooled = nn.mean_pool(h, lengths.ravel()).reshape(b, n, -1)
+    logits = pooled @ p["head.w"]
     clamped = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
     scores = np.exp(clamped)
-    cache = (ex, slot, pos, ids, share, stack_cache, pooled, logits, scores)
+    cache = (slot, pos, ids, lengths, stack_cache, ln_cache, pooled, logits, scores)
     return pooled, scores, cache
 
 
@@ -124,17 +117,18 @@ def _backward_core(
     """Exact parameter gradients for the batched forward, given d(loss)/d(scores)."""
     cfg = state.config
     p = state.params
-    ex, slot, pos, ids, share, stack_cache, pooled, logits, scores = cache
+    slot, pos, ids, lengths, stack_cache, ln_cache, pooled, logits, scores = cache
     n, d = cfg.n, cfg.embed_dim
 
     inside = (logits > -LOGIT_CLAMP) & (logits < LOGIT_CLAMP)
     dlogits = d_scores * scores * inside
     dpooled = dlogits @ p["head.w"].T
 
-    dh = dpooled[ex, slot] * share[:, None]
+    dh = nn.mean_pool_backward(dpooled.reshape(-1, d), lengths.ravel())
+    dh, dgamma, _ = nn.layernorm_backward(ln_cache, dh)
     dx, grads = nn.stack_backward(stack_cache, dh)
+    grads["ln_f.gamma"] = dgamma
     grads["head.w"] = pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
-    grads["head.b"] = dlogits.reshape(-1, n).sum(axis=0)
     for key, index in (("tok_embed", ids), ("pos_embed", pos), ("slot_embed", slot)):
         grads[key] = nn.embedding_backward(index, dx, len(p[key]))
     return grads

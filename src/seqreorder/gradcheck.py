@@ -4,10 +4,9 @@ Two component families are checked: the normalization backward on its own
 (several unroll depths) and the full model — the batch-mean reordering
 loss through the projection and every encoder layer down to the
 embeddings, on a batch of two short proteins whose ragged blocks and
-unequal lengths exercise the packed layout and its key mask. Errors are
-relative with a small floor so exactly-zero gradients (e.g. column-bias
-directions that column normalization annihilates) do not divide by zero.
-"""
+unequal lengths exercise the packed layout and its grouping by length.
+Errors are relative with a small floor so exactly-zero gradients do not
+divide by zero."""
 
 from __future__ import annotations
 
@@ -67,7 +66,7 @@ def _model_component(rng: np.random.Generator, perturb: float) -> ComponentRepor
     cfg = enc.EncoderConfig(embed_dim=8, layers=1, heads=2, ffn_dim=16, n=3, f_max=4)
     state = enc.init(cfg, seed=int(rng.integers(1 << 30)))
     # Proteins shorter than n * f_max give ragged blocks, and unequal lengths
-    # leave batch-tail padding under the attention key mask.
+    # put the two examples in different attention groups.
     examples = [
         make_pretrain_example(
             encode_protein(seq),

@@ -3,21 +3,17 @@
 Everything is float64 numpy. Each ``*_forward`` returns (output, cache) and
 the matching ``*_backward`` consumes that cache plus the upstream gradient,
 returning input gradients and a dict of parameter gradients. The
-transformer stack carries its residual stream as packed rows (N, dim),
-one per real token: the boolean (batch, positions) key mask is True at
-real tokens, and the rows are its True entries in row-major order.
-Layernorm, the FFN and the residual adds run on the rows; attention is the
-only op that sees (batch, positions, dim), with pads scattered in as zero
-rows. Masked positions are never keys or values, so their content cannot
-leak into any other position. Attention runs once per length band: the
-examples of a batch are grouped by ceil(log2(real tokens)), and each group
-is cut to its own widest example, so short examples do not pay for the
-longest one's T^2. A batch that falls in one band makes a single call.
-Attention never keeps its (B, h, T, T) softmax weights. It runs over
-blocks of consecutive (example, head) slices holding at most 1 MiB of
-weights each, and keeps q, k, v and each softmax row's max and sum: the
-backward rebuilds each block's weights with the forward's own operations,
-bit for bit. The FFN builds and rectifies its hidden activation in place.
+transformer stack carries its residual stream as packed rows (N, dim), one
+per real token, example after example; per-example ``lengths`` (B,) say
+where each example's rows end. Layernorm, the FFN and the residual adds
+run on the rows. Attention gathers the examples of each length into one
+group of head slices and runs each example over its own rows only, so no
+position is padded or masked and no example pays for a longer one's T^2.
+Attention never keeps its softmax weights. It runs over blocks of
+consecutive (example, head) slices holding at most 1 MiB of weights each,
+and keeps q, k, v and each softmax row's max and sum: the backward
+rebuilds each block's weights with the forward's own operations, bit for
+bit. The FFN builds and rectifies its hidden activation in place.
 
 Importing this module fixes glibc's malloc thresholds for the whole
 process (see ``_keep_freed_memory``), so each training step reuses the
@@ -85,13 +81,17 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def layernorm_forward(x: Array, gamma: Array, beta: Array):
+def layernorm_forward(x: Array, gamma: Array, beta: Array | None = None):
+    """gamma * xhat + beta over the last axis; no beta adds nothing."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
+    out = gamma * xhat
+    if beta is not None:
+        out += beta
+    return out, (xhat, inv, gamma)
 
 
 def layernorm_backward(cache, dy: Array):
@@ -106,18 +106,46 @@ def layernorm_backward(cache, dy: Array):
 
 
 # ---------------------------------------------------------------------------
-# multi-head attention with key masking
+# multi-head attention on packed rows
 # ---------------------------------------------------------------------------
 
 
-def _split_heads(x: Array, heads: int) -> Array:
-    b, t, d = x.shape
-    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+def _length_groups(lengths: Array) -> tuple:
+    """The row order that puts the examples of each length together, and the groups.
+
+    ``order`` lists the rows (N,) with the examples stably sorted by length,
+    or is None when they already are. Each group is (rows, examples,
+    length), ``rows`` being the slice of the sorted rows its examples fill.
+    """
+    lengths = np.asarray(lengths)
+    order = None
+    if (np.diff(lengths) < 0).any():
+        starts = np.cumsum(lengths) - lengths
+        by_length = np.argsort(lengths, kind="stable")
+        order = np.concatenate([np.arange(starts[i], starts[i] + lengths[i]) for i in by_length])
+    groups, start = [], 0
+    for t, b in zip(*(a.tolist() for a in np.unique(lengths, return_counts=True))):
+        groups.append((slice(start, start + b * t), b, t))
+        start += b * t
+    return order, groups
 
 
-def _merge_heads(x: Array) -> Array:
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+def _unsort(rows: Array, order: Array) -> Array:
+    """Rows in the order of ``_length_groups`` back in their own order."""
+    return rows[np.argsort(order)]
+
+
+def _split_heads(rows: Array, b: int, heads: int) -> Array:
+    """Rows (b·t, d) of b examples of length t as head slices (b·h, t, dh)."""
+    t = rows.shape[0] // b
+    return rows.reshape(b, t, heads, -1).transpose(0, 2, 1, 3).reshape(b * heads, t, -1)
+
+
+def _merge_heads(slices: Array, rows: Array) -> None:
+    """Write head slices (b·h, t, dh) into their rows (b·t, d), in place."""
+    bh, t, dh = slices.shape
+    b = rows.shape[0] // t
+    rows.reshape(b, t, bh // b, dh)[...] = slices.reshape(b, bh // b, t, dh).transpose(0, 2, 1, 3)
 
 
 def _weight_blocks(slices: int, t: int) -> list[slice]:
@@ -126,17 +154,15 @@ def _weight_blocks(slices: int, t: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, slices, step)]
 
 
-def _softmax_weights(q, k, masked, block, rowmax, rowsum, rebuild: bool) -> Array:
+def _softmax_weights(q, k, block, rowmax, rowsum, rebuild: bool) -> Array:
     """One block's softmax weights, made in place on its scores q·kᵀ.
 
-    ``masked`` is None or, per slice, True at masked keys. The forward
-    stores each row's max and sum in the block's rows of ``rowmax`` and
-    ``rowsum``; a rebuild reads them back. Both run the same operations on
-    the same values, so rebuilt weights are bit-identical.
+    The forward stores each row's max and sum in the block's rows of
+    ``rowmax`` and ``rowsum``; a rebuild reads them back. Both run the
+    same operations on the same values, so rebuilt weights are
+    bit-identical.
     """
     w = q[block] @ k[block].transpose(0, 2, 1)
-    if masked is not None:
-        np.copyto(w, -np.inf, where=masked[block])
     if not rebuild:
         np.max(w, axis=-1, keepdims=True, out=rowmax[block])
     w -= rowmax[block]
@@ -147,68 +173,79 @@ def _softmax_weights(q, k, masked, block, rowmax, rowsum, rebuild: bool) -> Arra
     return w
 
 
-def attention_forward(x: Array, p: dict, prefix: str, key_mask: Array, heads: int):
-    """Scaled dot-product attention; masked keys are unreachable (-inf).
+def attention_forward(x: Array, p: dict, prefix: str, lengths: Array, heads: int):
+    """Scaled dot-product attention of each example over its own rows.
 
-    The scale is folded into q (the cached q is the scaled one), and
-    masking and the softmax run in place on the scores. The (example,
-    head) grid is one axis of B·h (T, T) slices, run in blocks of
-    consecutive slices holding at most ``_BLOCK_BYTES`` (1 MiB) of weights
-    (one slice when a slice is larger). The cache keeps q, k, v and each
-    row's max and sum (B·h, T, 1), never the weights: the backward
-    rebuilds each block's weights from them. No log-sum-exp is kept,
-    because exp(s - lse) is not bitwise exp(s - max) / sum.
+    x holds packed rows (N, d), example after example, ``lengths`` (B,)
+    of them each. q, k and v are projected on the rows, and the examples
+    of each length are gathered into one group of (b·h, t, dh) head
+    slices; a batch already in length order runs on its rows as they are.
+    Nothing is masked. There is no key bias: the softmax ignores it.
+
+    The scale is folded into q (the cached q is the scaled one), and the
+    softmax runs in place on the scores, in blocks of consecutive slices
+    holding at most ``_BLOCK_BYTES`` (1 MiB) of weights (one slice when a
+    slice is larger). The cache keeps q, k, v and each row's max and sum,
+    never the weights: the backward rebuilds each block's weights from
+    them. No log-sum-exp is kept, because exp(s - lse) is not bitwise
+    exp(s - max) / sum.
     """
     wq, wk, wv, wo = (p[prefix + n] for n in ("wq", "wk", "wv", "wo"))
-    bq, bk, bv, bo = (p[prefix + n] for n in ("bq", "bk", "bv", "bo"))
-    q = _split_heads(x @ wq + bq, heads)
-    k = _split_heads(x @ wk + bk, heads)
-    v = _split_heads(x @ wv + bv, heads)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    q = q * scale
-    b, h, t, dh = q.shape
-    q, k, v = (a.reshape(b * h, t, dh) for a in (q, k, v))
-    masked = None if key_mask.all() else np.repeat(~key_mask, h, axis=0)[:, None, :]
-    rowmax, rowsum, ctx = np.empty((b * h, t, 1)), np.empty((b * h, t, 1)), np.empty(q.shape)
-    for block in _weight_blocks(b * h, t):
-        w = _softmax_weights(q, k, masked, block, rowmax, rowsum, rebuild=False)
-        np.matmul(w, v[block], out=ctx[block])
-    merged = _merge_heads(ctx.reshape(b, h, t, dh))
+    bq, bv, bo = (p[prefix + n] for n in ("bq", "bv", "bo"))
+    order, groups = _length_groups(lengths)
+    xs = x if order is None else x[order]
+    scale = 1.0 / math.sqrt(x.shape[1] // heads)
+    q, k, v = (xs @ wq + bq) * scale, xs @ wk, xs @ wv + bv
+    merged = np.empty_like(xs)
+    kept = []
+    for rows, b, t in groups:
+        qg, kg, vg = (_split_heads(a[rows], b, heads) for a in (q, k, v))
+        rowmax, rowsum = np.empty((b * heads, t, 1)), np.empty((b * heads, t, 1))
+        ctx = np.empty(qg.shape)
+        for block in _weight_blocks(b * heads, t):
+            w = _softmax_weights(qg, kg, block, rowmax, rowsum, rebuild=False)
+            np.matmul(w, vg[block], out=ctx[block])
+        _merge_heads(ctx, merged[rows])
+        kept.append((qg, kg, vg, rowmax, rowsum))
     out = merged @ wo + bo
-    cache = (x, q, k, v, masked, rowmax, rowsum, merged, scale, prefix, heads, wq, wk, wv, wo)
+    if order is not None:
+        out = _unsort(out, order)
+    cache = (xs, order, groups, kept, merged, scale, prefix, heads, wq, wk, wv, wo)
     return out, cache
 
 
 def attention_backward(cache, dout: Array):
-    x, q, k, v, masked, rowmax, rowsum, merged, scale, prefix, heads, wq, wk, wv, wo = cache
-    b, t, d = x.shape
-    grads = {}
-    dout2 = dout.reshape(-1, d)
-    grads[prefix + "wo"] = merged.reshape(-1, d).T @ dout2
-    grads[prefix + "bo"] = dout2.sum(axis=0)
-    dctx = _split_heads(dout @ wo.T, heads).reshape(q.shape)
-    dq, dk, dv = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape)
-    for block in _weight_blocks(q.shape[0], t):
-        w = _softmax_weights(q, k, masked, block, rowmax, rowsum, rebuild=True)
-        np.matmul(w.transpose(0, 2, 1), dctx[block], out=dv[block])
-        # softmax backward in place on d(weights); masked entries have weight
-        # 0, so their grad is 0. ds is the gradient of the scores q·k with q
-        # already scaled, so dk pairs it with that q and only dq takes the scale.
-        ds = dctx[block] @ v[block].transpose(0, 2, 1)
-        ds -= np.einsum("...ij,...ij->...i", ds, w)[..., None]
-        ds *= w
-        np.matmul(ds, k[block], out=dq[block])
-        dq[block] *= scale
-        np.matmul(ds.transpose(0, 2, 1), q[block], out=dk[block])
-    dq2, dk2, dv2 = (_merge_heads(a.reshape(b, heads, t, -1)).reshape(-1, d) for a in (dq, dk, dv))
-    x2 = x.reshape(-1, d)
-    grads[prefix + "wq"] = x2.T @ dq2
-    grads[prefix + "bq"] = dq2.sum(axis=0)
-    grads[prefix + "wk"] = x2.T @ dk2
-    grads[prefix + "bk"] = dk2.sum(axis=0)
-    grads[prefix + "wv"] = x2.T @ dv2
-    grads[prefix + "bv"] = dv2.sum(axis=0)
-    dx = (dq2 @ wq.T + dk2 @ wk.T + dv2 @ wv.T).reshape(x.shape)
+    xs, order, groups, kept, merged, scale, prefix, heads, wq, wk, wv, wo = cache
+    if order is not None:
+        dout = dout[order]
+    grads = {prefix + "wo": merged.T @ dout, prefix + "bo": dout.sum(axis=0)}
+    dctx_rows = dout @ wo.T
+    dq, dk, dv = np.empty_like(xs), np.empty_like(xs), np.empty_like(xs)
+    for (rows, b, t), (q, k, v, rowmax, rowsum) in zip(groups, kept):
+        dctx = _split_heads(dctx_rows[rows], b, heads)
+        gq, gk, gv = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape)
+        for block in _weight_blocks(b * heads, t):
+            w = _softmax_weights(q, k, block, rowmax, rowsum, rebuild=True)
+            np.matmul(w.transpose(0, 2, 1), dctx[block], out=gv[block])
+            # softmax backward in place on d(weights). ds is the gradient of
+            # the scores q·k with q already scaled, so dk pairs it with that
+            # q and only dq takes the scale.
+            ds = dctx[block] @ v[block].transpose(0, 2, 1)
+            ds -= np.einsum("...ij,...ij->...i", ds, w)[..., None]
+            ds *= w
+            np.matmul(ds, k[block], out=gq[block])
+            gq[block] *= scale
+            np.matmul(ds.transpose(0, 2, 1), q[block], out=gk[block])
+        for g, d_rows in ((gq, dq), (gk, dk), (gv, dv)):
+            _merge_heads(g, d_rows[rows])
+    grads[prefix + "wq"] = xs.T @ dq
+    grads[prefix + "bq"] = dq.sum(axis=0)
+    grads[prefix + "wk"] = xs.T @ dk
+    grads[prefix + "wv"] = xs.T @ dv
+    grads[prefix + "bv"] = dv.sum(axis=0)
+    dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    if order is not None:
+        dx = _unsort(dx, order)
     return dx, grads
 
 
@@ -245,89 +282,10 @@ def ffn_backward(cache, dout: Array):
     }
 
 
-def rows_to_padded(rows: Array, key_mask: Array) -> Array:
-    """Scatter packed rows (N, d) into a zero-padded (B, T, d) array.
-
-    Row k is the k-th True entry of ``key_mask`` in row-major order. When
-    every position is real the result is a reshaped view, not a copy.
-    """
-    if key_mask.all():
-        return rows.reshape(key_mask.shape + rows.shape[1:])
-    out = np.zeros(key_mask.shape + rows.shape[1:])
-    out[key_mask] = rows
-    return out
-
-
-def padded_to_rows(padded: Array, key_mask: Array) -> Array:
-    """Gather the real positions of a (B, T, d) array into rows (N, d)."""
-    if key_mask.all():
-        return padded.reshape(-1, padded.shape[-1])
-    return padded[key_mask]
-
-
-def _length_bands(key_mask: Array) -> list[tuple]:
-    """Attention groups of a batch as (example index, width) pairs.
-
-    Examples are grouped by ceil(log2(real tokens)), and each group's width
-    runs to the last real position of its widest example. A batch that
-    falls in one band is one group of every example at the full width.
-    """
-    bands = np.ceil(np.log2(key_mask.sum(axis=1)))
-    if (bands == bands[0]).all():
-        return [(slice(None), key_mask.shape[1])]
-    ends = key_mask.shape[1] - key_mask[:, ::-1].argmax(axis=1)
-    groups = []
-    for band in np.unique(bands):
-        idx = np.flatnonzero(bands == band)
-        groups.append((idx, int(ends[idx].max())))
-    return groups
-
-
-def _scatter_bands(parts: list, groups: list, like: Array) -> Array:
-    """The groups' (b_g, width, d) arrays placed back into one like ``like``."""
-    if len(parts) == 1:
-        return parts[0]
-    out = np.zeros_like(like)
-    for (idx, width), part in zip(groups, parts):
-        out[idx, :width] = part
-    return out
-
-
-def _banded_attention_forward(x: Array, p: dict, prefix: str, key_mask: Array, heads: int):
-    """Attention on packed rows x (N, d), one ``attention_forward`` call per band."""
-    groups = _length_bands(key_mask)
-    padded = rows_to_padded(x, key_mask)
-    results = [
-        attention_forward(padded[idx, :width], p, prefix, key_mask[idx, :width], heads)
-        for idx, width in groups
-    ]
-    out = _scatter_bands([r[0] for r in results], groups, padded)
-    return padded_to_rows(out, key_mask), (groups, [r[1] for r in results], key_mask)
-
-
-def _banded_attention_backward(cache, dout: Array):
-    """Row gradient (N, d) and the parameter gradients summed over the bands."""
-    groups, caches, key_mask = cache
-    dpadded = rows_to_padded(dout, key_mask)
-    results = [
-        attention_backward(c, dpadded[idx, :width]) for (idx, width), c in zip(groups, caches)
-    ]
-    grads = results[0][1]
-    for _, g in results[1:]:
-        for key in grads:
-            grads[key] = grads[key] + g[key]
-    dx = _scatter_bands([r[0] for r in results], groups, dpadded)
-    return padded_to_rows(dx, key_mask), grads
-
-
-def layer_forward(x: Array, p: dict, prefix: str, key_mask: Array, heads: int):
-    """One pre-norm layer on packed rows x (N, d); only attention sees (B, T, d).
-
-    Pad positions enter attention as zero rows. They are never keys, so
-    their queries feed nothing, and dropping their outputs is exact.
-    """
+def layer_forward(x: Array, p: dict, prefix: str, lengths: Array, heads: int):
+    """One pre-norm layer on packed rows x (N, d) of examples of ``lengths`` (B,)."""
     h1, c_ln1 = layernorm_forward(x, p[prefix + "ln1.gamma"], p[prefix + "ln1.beta"])
-    a, c_att = _banded_attention_forward(h1, p, prefix + "attn.", key_mask, heads)
+    a, c_att = attention_forward(h1, p, prefix + "attn.", lengths, heads)
     x1 = x + a
     h2, c_ln2 = layernorm_forward(x1, p[prefix + "ln2.gamma"], p[prefix + "ln2.beta"])
     f, c_ffn = ffn_forward(h2, p, prefix + "ffn.")
@@ -343,8 +301,7 @@ def layer_backward(cache, dout: Array):
     grads[prefix + "ln2.gamma"] = dg2
     grads[prefix + "ln2.beta"] = db2
     dx1 = dout + dx1_ln
-    # pads get a zero upstream gradient; their input gradient is exactly zero
-    dh1, g_att = _banded_attention_backward(c_att, dx1)
+    dh1, g_att = attention_backward(c_att, dx1)
     grads.update(g_att)
     dx_ln, dg1, db1 = layernorm_backward(c_ln1, dh1)
     grads[prefix + "ln1.gamma"] = dg1
@@ -361,14 +318,17 @@ def init_stack_params(
     d: int,
     ffn_dim: int,
 ) -> None:
-    """Append transformer-stack parameters under ``prefix`` (in place)."""
+    """Append the layers' parameters under ``prefix`` (in place).
+
+    The final layernorm is the caller's: the encoder's has no beta.
+    """
     for layer in range(layers):
         base = f"{prefix}layers.{layer}."
         params[base + "ln1.gamma"] = np.ones(d)
         params[base + "ln1.beta"] = np.zeros(d)
         for name in ("wq", "wk", "wv", "wo"):
             params[base + f"attn.{name}"] = uniform_init(rng, (d, d), d)
-        for name in ("bq", "bk", "bv", "bo"):
+        for name in ("bq", "bv", "bo"):
             params[base + f"attn.{name}"] = uniform_init(rng, (d,), d)
         params[base + "ln2.gamma"] = np.ones(d)
         params[base + "ln2.beta"] = np.zeros(d)
@@ -376,34 +336,43 @@ def init_stack_params(
         params[base + "ffn.b1"] = uniform_init(rng, (ffn_dim,), d)
         params[base + "ffn.w2"] = uniform_init(rng, (ffn_dim, d), ffn_dim)
         params[base + "ffn.b2"] = uniform_init(rng, (d,), ffn_dim)
-    params[prefix + "ln_f.gamma"] = np.ones(d)
-    params[prefix + "ln_f.beta"] = np.zeros(d)
 
 
-def stack_forward(x: Array, p: dict, prefix: str, layers: int, key_mask: Array, heads: int):
-    """The layers plus the final layernorm on packed rows x (N, d).
+def stack_forward(x: Array, p: dict, prefix: str, layers: int, lengths: Array, heads: int):
+    """The layers on packed rows x (N, d); the output rows keep their order.
 
-    ``key_mask`` (B, T) is True at real tokens; x holds their rows in
-    row-major order, and the output rows keep that order.
+    x holds each example's rows in turn, ``lengths`` (B,) of them each.
     """
     caches = []
     for layer in range(layers):
-        x, c = layer_forward(x, p, f"{prefix}layers.{layer}.", key_mask, heads)
+        x, c = layer_forward(x, p, f"{prefix}layers.{layer}.", lengths, heads)
         caches.append(c)
-    out, c_f = layernorm_forward(x, p[prefix + "ln_f.gamma"], p[prefix + "ln_f.beta"])
-    return out, (caches, c_f, prefix)
+    return x, caches
 
 
-def stack_backward(cache, dout: Array):
-    caches, c_f, prefix = cache
+def stack_backward(caches, dx: Array):
     grads = {}
-    dx, dgf, dbf = layernorm_backward(c_f, dout)
-    grads[prefix + "ln_f.gamma"] = dgf
-    grads[prefix + "ln_f.beta"] = dbf
     for c in reversed(caches):
         dx, g = layer_backward(c, dx)
         grads.update(g)
     return dx, grads
+
+
+def mean_pool(rows: Array, counts: Array) -> Array:
+    """Mean of each run of consecutive rows; ``counts`` (R,) are the run lengths.
+
+    An empty run pools to the zero vector.
+    """
+    starts = np.cumsum(counts) - counts
+    full = counts > 0
+    out = np.zeros((counts.size, rows.shape[1]))
+    out[full] = np.add.reduceat(rows, starts[full]) / counts[full, None]
+    return out
+
+
+def mean_pool_backward(dmeans: Array, counts: Array) -> Array:
+    """Row gradient (N, d) of ``mean_pool``: a run's gradient over its length, per row."""
+    return np.repeat(dmeans / np.maximum(counts, 1)[:, None], counts, axis=0)
 
 
 # ---------------------------------------------------------------------------

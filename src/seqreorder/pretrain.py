@@ -241,7 +241,22 @@ def encoder_state_from_checkpoint(
             f"checkpoint encoder config {ckpt.config} does not match the "
             f"requested config {asdict(expected_config)}; parameter shapes differ"
         )
+    check_params(ckpt.params, enc.init(config).params)
     return enc.EncoderState(config=config, params=ckpt.params)
+
+
+def check_params(params: dict, built: dict, prefix: str = "") -> None:
+    """Fail unless a checkpoint's ``params`` have the names and shapes ``init`` builds.
+
+    The first name, in sorted order, that only one side has or whose shapes
+    differ is named, with its ``prefix`` in the file.
+    """
+    for key in sorted(set(params) | set(built)):
+        have, want = (p[key].shape if key in p else "no parameter" for p in (params, built))
+        if have != want:
+            raise CheckpointError(
+                f"checkpoint parameter {prefix + key!r}: {have} in the file, {want} in its config"
+            )
 
 
 def pretrain_step(

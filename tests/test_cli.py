@@ -1,7 +1,7 @@
 """End-to-end command-line behavior on tiny corpora."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from seqreorder.cli import _run_config, build_parser, main
 from seqreorder.config import RunConfig
 from seqreorder.gradcheck import run_gradcheck
+from seqreorder.pretrain import load_checkpoint, save_checkpoint
 from seqreorder.synthetic import interaction_corpus, motif_sequences, write_interaction_tsv, write_sequence_tsv
 
 TINY_ENCODER = [
@@ -181,16 +182,58 @@ def test_finetune_rejects_mismatched_geometry(split_dir, pretrain_dir, tmp_path,
     assert "shape" in capsys.readouterr().err.lower()
 
 
+def _edited_checkpoint(pretrain_dir, path, edit):
+    ckpt = load_checkpoint(pretrain_dir / "best.ckpt")
+    params = dict(ckpt.params)
+    edit(params)
+    save_checkpoint(replace(ckpt, params=params, adam_m=None, adam_v=None), path)
+    return path
+
+
+# an older version's checkpoint had a key bias and a final-layernorm bias;
+# a truncated export would miss a parameter
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        (lambda p: p.update({"head.b": np.zeros(4)}), "head.b"),
+        (lambda p: p.pop("ln_f.gamma"), "ln_f.gamma"),
+    ],
+    ids=["extra", "missing"],
+)
+def test_checkpoint_whose_parameters_do_not_match_its_config_is_an_error_line(
+    split_dir, pretrain_dir, corpus_dir, tmp_path, capsys, edit, key
+):
+    ckpt = _edited_checkpoint(pretrain_dir, tmp_path / "edited.ckpt", edit)
+    assert _finetune(split_dir, tmp_path / "ft", ["--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not (tmp_path / "ft" / "cpi.ckpt").exists()
+    code = main(
+        ["export-embeddings", "--checkpoint", str(ckpt),
+         "--proteins", str(corpus_dir / "seqs.tsv"), "--out", str(tmp_path / "emb")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
 def test_finetune_requires_encoder_choice(split_dir, tmp_path):
     assert _finetune(split_dir, tmp_path, []) == 1
 
 
-@pytest.mark.parametrize("spec", ["seen_both", "missing=/nonexistent/test.tsv"])
+# "seen_both={path}" repeats the name _finetune already gives; a name
+# becomes a file name and a prefix of CSV pair ids
+@pytest.mark.parametrize(
+    "spec",
+    ["seen_both", "missing=/nonexistent/test.tsv", "seen_both={path}", "={path}", "runs/a={path}",
+     "a,b={path}"],
+)
 def test_finetune_rejects_a_bad_test_set_before_training(split_dir, tmp_path, capsys, spec, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("fine-tuning started before the test sets were read")
 
     monkeypatch.setattr("seqreorder.cpi.finetune_run", no_training)
+    spec = spec.format(path=split_dir / "test_seen_both.tsv")
     code = _finetune(split_dir, tmp_path, ["--random-init", "--test", spec] + TINY_ENCODER)
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -237,6 +280,16 @@ def test_gradcheck_command_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+def test_gradcheck_passes_on_every_seed():
+    # the model parameters whose only gradient was rounding noise made
+    # gradcheck pass on 18 of these 30 seeds
+    failed = {
+        seed: [(r.name, r.max_rel_err) for r in run_gradcheck(seed=seed) if not r.passed]
+        for seed in range(30)
+    }
+    assert {seed: f for seed, f in failed.items() if f} == {}
 
 
 def test_gradcheck_detects_planted_error():

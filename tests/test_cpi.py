@@ -8,6 +8,7 @@ import pytest
 
 from seqreorder import cpi
 from seqreorder import encoder as enc
+from seqreorder import nn
 from seqreorder.augment import RAcutConfig
 from seqreorder.corpus import (
     CANONICAL_RESIDUES,
@@ -33,7 +34,7 @@ from seqreorder.cpi import (
     write_predictions,
 )
 from seqreorder.encoder import EncoderConfig
-from seqreorder.errors import ValidationError
+from seqreorder.errors import CheckpointError, ValidationError
 from seqreorder.pretrain import load_checkpoint, save_checkpoint
 
 TINY_ENC = EncoderConfig(embed_dim=8, layers=1, heads=2, ffn_dim=16, n=3, f_max=4)
@@ -264,6 +265,20 @@ def test_cpi_checkpoint_roundtrip(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "key,present",
+    [("enc.head.b", True), ("enc.layers.0.attn.bk", True), ("cpi.comp.ln_f.beta", False)],
+)
+def test_cpi_checkpoint_must_hold_the_parameters_its_config_builds(key, present):
+    ckpt = checkpoint_from_cpi(_model(seed=2), {})
+    if present:  # a parameter of an older version
+        ckpt.params[key] = np.zeros(TINY_ENC.embed_dim)
+    else:
+        del ckpt.params[key]
+    with pytest.raises(CheckpointError, match=repr(key)):
+        cpi_model_from_checkpoint(ckpt)
+
+
 def test_predict_pairs_uses_cache_consistently():
     model = _model()
     records = _pairs(8)
@@ -306,17 +321,20 @@ def _padded_compound_forward(model, token_rows):
     h, stack_cache = padded_stack.stack_forward(
         x, p, "comp.", cfg.comp_layers, mask, cfg.comp_heads
     )
+    h, ln_cache = nn.layernorm_forward(h, p["comp.ln_f.gamma"], p["comp.ln_f.beta"])
     lengths = mask.sum(axis=1)[:, None]
     pooled = (h * mask[..., None]).sum(axis=1) / lengths
-    return pooled, (tokens, mask, lengths, stack_cache)
+    return pooled, (tokens, mask, lengths, stack_cache, ln_cache)
 
 
 def _padded_compound_backward(model, cache, d_pooled):
-    tokens, mask, lengths, stack_cache = cache
+    tokens, mask, lengths, stack_cache, ln_cache = cache
     p, d = model.params, model.config.embed_dim
-    dx, grads = padded_stack.stack_backward(
-        stack_cache, (d_pooled / lengths)[:, None, :] * mask[..., None]
+    dh, dgamma, dbeta = nn.layernorm_backward(
+        ln_cache, (d_pooled / lengths)[:, None, :] * mask[..., None]
     )
+    dx, grads = padded_stack.stack_backward(stack_cache, dh)
+    grads["comp.ln_f.gamma"], grads["comp.ln_f.beta"] = dgamma, dbeta
     grads["comp.tok_embed"] = np.zeros_like(p["comp.tok_embed"])
     np.add.at(grads["comp.tok_embed"], tokens.ravel(), dx.reshape(-1, d))
     grads["comp.pos_embed"] = np.zeros_like(p["comp.pos_embed"])
@@ -358,7 +376,6 @@ def test_batch_grads_match_padded_compound_oracle(lengths, monkeypatch):
     assert _rel_err(probs, ref_probs) <= 1e-12
     assert sorted(grads) == sorted(ref_grads)
     for key in grads:
-        # lam * theta keeps attn.bk's gradient away from zero
         assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
 
 

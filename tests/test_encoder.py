@@ -5,6 +5,7 @@ import padded_stack
 import pytest
 
 from seqreorder import encoder as enc
+from seqreorder import nn
 from seqreorder.augment import (
     NoiseSpec,
     RAcutConfig,
@@ -69,7 +70,7 @@ def test_parameter_count_formula(tiny_config):
     d, f, n, v = 8, 16, 3, RESIDUE_VOCAB.size
     per_layer = (
         2 * d  # first layer norm
-        + 4 * (d * d + d)  # attention projections
+        + 4 * d * d + 3 * d  # attention projections; keys have no bias
         + 2 * d  # second layer norm
         + (d * f + f)  # ffn in
         + (f * d + d)  # ffn out
@@ -79,8 +80,8 @@ def test_parameter_count_formula(tiny_config):
         + tiny_config.f_max * d  # within-block positions
         + n * d  # slot embedding
         + per_layer * tiny_config.layers
-        + 2 * d  # final layer norm
-        + (d * n + n)  # scoring head
+        + d  # final layer norm, no bias
+        + d * n  # scoring head, no bias
     )
     assert enc.parameter_count(state) == expected
 
@@ -239,18 +240,19 @@ def _padded_reference(state, blocks, lengths, d_scores):
     h, stack_cache = padded_stack.stack_forward(
         x, p, "", cfg.layers, real.reshape(b, n * f), cfg.heads
     )
+    h, ln_cache = nn.layernorm_forward(h, p["ln_f.gamma"], np.zeros(d))
     denom = np.maximum(lengths, 1)[:, :, None]
     pooled = (h.reshape(b, n, f, d) * real[..., None]).sum(axis=2) / denom
-    logits = pooled @ p["head.w"] + p["head.b"]
+    logits = pooled @ p["head.w"]
     scores = np.exp(np.clip(logits, -enc.LOGIT_CLAMP, enc.LOGIT_CLAMP))
 
     grads = {k: np.zeros_like(v) for k, v in p.items()}
     dlogits = d_scores * scores * (np.abs(logits) < enc.LOGIT_CLAMP)
     grads["head.w"] += pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
-    grads["head.b"] += dlogits.reshape(-1, n).sum(axis=0)
     dpooled = dlogits @ p["head.w"].T
     dh = (dpooled / denom)[:, :, None, :] * real[..., None]
-    dx, stack_grads = padded_stack.stack_backward(stack_cache, dh.reshape(b, n * f, d))
+    dh, grads["ln_f.gamma"], _ = nn.layernorm_backward(ln_cache, dh.reshape(b, n * f, d))
+    dx, stack_grads = padded_stack.stack_backward(stack_cache, dh)
     for k, g in stack_grads.items():
         grads[k] += g
     np.add.at(grads["tok_embed"], tokens.ravel(), dx.reshape(-1, d))
@@ -291,12 +293,7 @@ def test_packed_core_matches_padded_reference(n, f_max, layers):
         assert _rel_err(scores, ref_scores) <= 1e-12
         assert sorted(grads) == sorted(ref_grads)
         for key in grads:
-            if key.endswith("attn.bk"):
-                # softmax is shift-invariant per query, so the exact key-bias
-                # gradient is zero and both sides hold rounding noise only
-                assert max(np.abs(grads[key]).max(), np.abs(ref_grads[key]).max()) <= 1e-14
-            else:
-                assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
+            assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
 
 
 def test_scores_do_not_depend_on_batch_neighbours(tiny_config):

@@ -1,13 +1,14 @@
 """Shared layers against independent references.
 
-The packed-rows transformer stack against the dense padded stack and,
-where every example falls in one length band, against the single
-attention call it then makes; the in-place attention and FFN against the
-out-of-place formulas they replaced; attention that rebuilds its softmax
-weights in the backward against a copy of the attention that kept them;
-and the in-place Adam step against the expressions it evaluates. Also
-that a training step, once warm, reuses the memory the previous step
-freed, and that its traced peak stays below its layers' attention weights.
+The packed-rows transformer stack against the dense padded stack with its
+masked attention; attention on packed rows against the out-of-place
+masked formula it replaced, and its grouping by exact length; the
+in-place FFN against the out-of-place formula it replaced; attention that
+rebuilds its softmax weights in the backward against a copy of the
+attention that kept them; and the in-place Adam step against the
+expressions it evaluates. Also that a training step, once warm, reuses
+the memory the previous step freed, and that its traced peak stays below
+its layers' attention weights.
 """
 
 import ctypes
@@ -45,11 +46,12 @@ def _run_both(lengths, t, seed=0):
     """Packed and padded stacks on one batch; pads get zero upstream gradient."""
     rng = np.random.default_rng(seed)
     p = _params(seed)
-    key_mask = np.arange(t) < np.asarray(lengths)[:, None]
+    lengths = np.asarray(lengths)
+    key_mask = np.arange(t) < lengths[:, None]
     x = rng.normal(size=key_mask.shape + (D,))
     dout = rng.normal(size=x.shape) * key_mask[..., None]
 
-    out, cache = nn.stack_forward(x[key_mask], p, "s.", LAYERS, key_mask, HEADS)
+    out, cache = nn.stack_forward(x[key_mask], p, "s.", LAYERS, lengths, HEADS)
     dx, grads = nn.stack_backward(cache, dout[key_mask])
     ref_out, ref_cache = padded_stack.stack_forward(x, p, "s.", LAYERS, key_mask, HEADS)
     ref_dx, ref_grads = padded_stack.stack_backward(ref_cache, dout)
@@ -69,8 +71,8 @@ def _run_both(lengths, t, seed=0):
         ((1, 1), 1),  # one-token examples only
         ((6,), 6),  # a batch of one
         ((3,), 6),  # a batch of one with trailing pads
-        ((1, 9, 3, 17, 2), 17),  # five length bands of one example each
-        ((12, 1, 5, 30, 4, 6, 2, 16), 30),  # six bands, some of several examples
+        ((1, 9, 3, 17, 2), 17),  # five lengths of one example each
+        ((12, 1, 5, 30, 4, 6, 2, 16), 30),  # eight lengths, in no order
     ],
 )
 def test_packed_stack_matches_padded_stack(lengths, t):
@@ -79,12 +81,7 @@ def test_packed_stack_matches_padded_stack(lengths, t):
         assert _rel_err(out, ref_out) <= 1e-12
         assert _rel_err(dx, ref_dx) <= 1e-12
         for key in grads:
-            if key.endswith("attn.bk"):
-                # softmax is shift-invariant per query, so the exact key-bias
-                # gradient is zero and both sides hold rounding noise only
-                assert max(np.abs(grads[key]).max(), np.abs(ref_grads[key]).max()) <= 1e-14
-            else:
-                assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
+            assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
 
 
 @pytest.mark.parametrize("lengths,t", [((5, 5, 5), 5), ((1,), 1), ((9, 9), 9)])
@@ -96,96 +93,65 @@ def test_all_real_stack_is_bit_identical_to_padded(lengths, t):
         np.testing.assert_array_equal(grads[key], ref_grads[key])
 
 
-def _unbanded_stack(x, p, key_mask, dout):
-    """The packed stack with one attention call over the whole (B, T) batch.
-
-    Output rows, row gradient and parameter gradients, as the stack gave
-    them before attention was split into length bands.
-    """
-    caches = []
-    for layer in range(LAYERS):
-        pre = f"s.layers.{layer}."
-        h1, c_ln1 = nn.layernorm_forward(x, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
-        a, c_att = nn.attention_forward(
-            nn.rows_to_padded(h1, key_mask), p, pre + "attn.", key_mask, HEADS
-        )
-        x1 = x + nn.padded_to_rows(a, key_mask)
-        h2, c_ln2 = nn.layernorm_forward(x1, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
-        f, c_ffn = nn.ffn_forward(h2, p, pre + "ffn.")
-        x = x1 + f
-        caches.append((pre, c_ln1, c_att, c_ln2, c_ffn))
-    out, c_f = nn.layernorm_forward(x, p["s.ln_f.gamma"], p["s.ln_f.beta"])
-    grads = {}
-    dx, grads["s.ln_f.gamma"], grads["s.ln_f.beta"] = nn.layernorm_backward(c_f, dout)
-    for pre, c_ln1, c_att, c_ln2, c_ffn in reversed(caches):
-        dh2, g_ffn = nn.ffn_backward(c_ffn, dx)
-        grads.update(g_ffn)
-        dx1_ln, grads[pre + "ln2.gamma"], grads[pre + "ln2.beta"] = nn.layernorm_backward(
-            c_ln2, dh2
-        )
-        dx1 = dx + dx1_ln
-        dh1, g_att = nn.attention_backward(c_att, nn.rows_to_padded(dx1, key_mask))
-        grads.update(g_att)
-        dx_ln, grads[pre + "ln1.gamma"], grads[pre + "ln1.beta"] = nn.layernorm_backward(
-            c_ln1, nn.padded_to_rows(dh1, key_mask)
-        )
-        dx = dx1 + dx_ln
-    return out, dx, grads
+def _attention_params(rng, d):
+    p = {}
+    nn.init_stack_params(rng, p, "s.", 1, d, 2 * d)
+    return {k[len("s.layers.0."):]: v for k, v in p.items() if ".attn." in k}
 
 
-@pytest.mark.parametrize(
-    "lengths,t",
-    [
-        ((5, 7, 8, 6, 5), 8),  # ragged, all in the band of 5-8 tokens
-        ((3, 4), 6),  # one band, with trailing pads
-    ],
-)
-def test_one_band_ragged_stack_is_bit_identical_to_one_attention_call(lengths, t, monkeypatch):
-    rng = np.random.default_rng(7)
-    p = _params(7)
-    key_mask = np.arange(t) < np.asarray(lengths)[:, None]
-    x = rng.normal(size=(int(key_mask.sum()), D))
+@pytest.mark.parametrize("lengths", [(5, 5, 5, 5), (3, 3), (2, 2, 5, 5, 7)])
+def test_batch_in_length_order_runs_on_its_own_rows(lengths):
+    # rows already in length order are neither gathered nor scattered:
+    # each group is a slice of them, and x itself is what the cache keeps
+    lengths = np.asarray(lengths)
+    rng = np.random.default_rng(2)
+    p = _attention_params(rng, D)
+    x = rng.normal(size=(int(lengths.sum()), D))
     dout = rng.normal(size=x.shape)
-    widths = []
-    attention_forward = nn.attention_forward
-
-    def spy(x, p, prefix, key_mask, heads):
-        widths.append(key_mask.shape)
-        return attention_forward(x, p, prefix, key_mask, heads)
-
-    monkeypatch.setattr(nn, "attention_forward", spy)
-    out, cache = nn.stack_forward(x, p, "s.", LAYERS, key_mask, HEADS)
-    dx, grads = nn.stack_backward(cache, dout)
-    assert widths == [key_mask.shape] * LAYERS  # one call per layer, on the whole batch
-    ref_out, ref_dx, ref_grads = _unbanded_stack(x, p, key_mask, dout)
-    np.testing.assert_array_equal(out, ref_out)
-    np.testing.assert_array_equal(dx, ref_dx)
-    assert sorted(grads) == sorted(ref_grads)
-    for key in grads:
-        np.testing.assert_array_equal(grads[key], ref_grads[key])
-
-
-def test_attention_runs_once_per_length_band(monkeypatch):
-    # ceil(log2(length)): 1 -> 0, 2 -> 1, 3 and 4 -> 2, 5..8 -> 3, 17 -> 5
-    lengths = (3, 1, 17, 4, 6, 2, 8)
-    key_mask = np.arange(17) < np.asarray(lengths)[:, None]
-    calls = []
-    attention_forward = nn.attention_forward
-
-    def spy(x, p, prefix, key_mask, heads):
-        calls.append((x.shape[:2], key_mask.sum(axis=1).tolist()))
-        return attention_forward(x, p, prefix, key_mask, heads)
-
-    monkeypatch.setattr(nn, "attention_forward", spy)
-    x = np.random.default_rng(0).normal(size=(int(key_mask.sum()), D))
-    nn.layer_forward(x, _params(0), "s.layers.0.", key_mask, HEADS)
-    assert calls == [
-        ((1, 1), [1]),
-        ((1, 2), [2]),
-        ((2, 4), [3, 4]),
-        ((2, 8), [6, 8]),
-        ((1, 17), [17]),
+    order, groups = nn._length_groups(lengths)
+    assert order is None
+    assert [(g.start, g.stop) for g, _, _ in groups] == [
+        (int(lengths[lengths < t].sum()), int(lengths[lengths <= t].sum()))
+        for t in np.unique(lengths)
     ]
+    out, cache = nn.attention_forward(x, p, "attn.", lengths, HEADS)
+    assert cache[0] is x
+    dx, grads = nn.attention_backward(cache, dout)
+    key_mask = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.zeros(key_mask.shape + (D,))
+    padded[key_mask] = x
+    ref_out, ref_cache = padded_stack.attention_forward(padded, p, "attn.", key_mask, HEADS)
+    dpadded = np.zeros_like(padded)
+    dpadded[key_mask] = dout
+    ref_dx, ref_grads = padded_stack.attention_backward(ref_cache, dpadded)
+    if len(groups) == 1:  # one length: the same operations as one padded call
+        np.testing.assert_array_equal(out, ref_out[key_mask])
+        np.testing.assert_array_equal(dx, ref_dx[key_mask])
+        for key in grads:
+            np.testing.assert_array_equal(grads[key], ref_grads[key])
+    assert _rel_err(out, ref_out[key_mask]) <= 1e-12
+    assert _rel_err(dx, ref_dx[key_mask]) <= 1e-12
+    for key in grads:
+        assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
+
+
+def test_attention_runs_one_group_per_distinct_length(monkeypatch):
+    lengths = (3, 1, 17, 4, 6, 2, 8, 3)
+    calls = []
+    weight_blocks = nn._weight_blocks
+
+    def spy(slices, t):
+        calls.append((slices, t))
+        return weight_blocks(slices, t)
+
+    monkeypatch.setattr(nn, "_weight_blocks", spy)
+    x = np.random.default_rng(0).normal(size=(sum(lengths), D))
+    out, cache = nn.layer_forward(x, _params(0), "s.layers.0.", np.asarray(lengths), HEADS)
+    groups = [(HEADS * b, t) for b, t in ((1, 1), (1, 2), (2, 3), (1, 4), (1, 6), (1, 8), (1, 17))]
+    assert calls == groups  # the two examples of length 3 share one group
+    calls.clear()
+    nn.layer_backward(cache, np.ones_like(out))
+    assert calls == groups
 
 
 def test_ffn_in_place_is_bit_identical_to_linear_relu_formula():
@@ -212,22 +178,6 @@ def test_ffn_in_place_is_bit_identical_to_linear_relu_formula():
         np.testing.assert_array_equal(x, x_before)
 
 
-def test_all_real_layout_change_is_a_view():
-    key_mask = np.ones((3, 4), dtype=bool)
-    rows = np.arange(24.0).reshape(12, 2)
-    padded = nn.rows_to_padded(rows, key_mask)
-    assert padded.shape == (3, 4, 2) and np.shares_memory(padded, rows)
-    assert np.shares_memory(nn.padded_to_rows(padded, key_mask), rows)
-
-
-def test_rows_follow_the_mask_in_row_major_order():
-    key_mask = np.array([[True, True, False], [True, False, False], [True, True, True]])
-    rows = np.arange(6.0)[:, None] * np.ones(2)
-    padded = nn.rows_to_padded(rows, key_mask)
-    np.testing.assert_array_equal(padded[..., 0], [[0, 1, 0], [2, 0, 0], [3, 4, 5]])
-    np.testing.assert_array_equal(nn.padded_to_rows(padded, key_mask), rows)
-
-
 def test_embedding_backward_matches_add_at():
     rng = np.random.default_rng(0)
     index = rng.integers(0, 5, size=30)
@@ -243,14 +193,15 @@ def test_embedding_backward_matches_add_at():
 
 
 def _reference_attention(x, p, prefix, key_mask, heads):
-    """Scaled dot-product attention, forward and a backward closure.
+    """Scaled dot-product attention on padded x (B, T, d), forward and a backward closure.
 
     The formula ``nn.attention_forward``/``attention_backward`` used before
-    they worked in place: scores are scaled after ``q @ k.T``, masked with
-    ``np.where``, and the softmax backward is ``attn * (dattn - rowsum)``.
+    they worked in place on packed rows: scores are scaled after
+    ``q @ k.T``, masked with ``np.where``, and the softmax backward is
+    ``attn * (dattn - rowsum)``.
     """
     wq, wk, wv, wo = (p[prefix + n] for n in ("wq", "wk", "wv", "wo"))
-    bq, bk, bv, bo = (p[prefix + n] for n in ("bq", "bk", "bv", "bo"))
+    bq, bv, bo = (p[prefix + n] for n in ("bq", "bv", "bo"))
     b, t, d = x.shape
 
     def split(a):
@@ -259,7 +210,7 @@ def _reference_attention(x, p, prefix, key_mask, heads):
     def merge(a):
         return a.transpose(0, 2, 1, 3).reshape(b * t, d)
 
-    q, k, v = split(x @ wq + bq), split(x @ wk + bk), split(x @ wv + bv)
+    q, k, v = split(x @ wq + bq), split(x @ wk), split(x @ wv + bv)
     scale = 1.0 / math.sqrt(d // heads)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
     scores = np.where(key_mask[:, None, None, :], scores, -np.inf)
@@ -280,7 +231,7 @@ def _reference_attention(x, p, prefix, key_mask, heads):
         grads = {
             "wo": merged.T @ dout2, "bo": dout2.sum(axis=0),
             "wq": x2.T @ dq, "bq": dq.sum(axis=0),
-            "wk": x2.T @ dk, "bk": dk.sum(axis=0),
+            "wk": x2.T @ dk,
             "wv": x2.T @ dv, "bv": dv.sum(axis=0),
         }
         dx = (dq @ wq.T + dk @ wk.T + dv @ wv.T).reshape(x.shape)
@@ -289,6 +240,7 @@ def _reference_attention(x, p, prefix, key_mask, heads):
     return out, backward
 
 
+# example lengths, and the padded width of the reference
 ATTENTION_MASKS = {
     "all-real": ((6, 6, 6), 6),
     "ragged": ((5, 2, 7, 1), 7),
@@ -301,33 +253,30 @@ ATTENTION_MASKS = {
 @pytest.mark.parametrize("mask", sorted(ATTENTION_MASKS))
 def test_attention_matches_out_of_place_reference(mask, dh):
     lengths, t = ATTENTION_MASKS[mask]
+    lengths = np.asarray(lengths)
     heads = 2
     d = heads * dh
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        p = {}
-        nn.init_stack_params(rng, p, "s.", 1, d, 2 * d)
-        p = {k[len("s.layers.0."):]: v for k, v in p.items() if ".attn." in k}
-        key_mask = np.arange(t) < np.asarray(lengths)[:, None]
-        x = rng.normal(size=key_mask.shape + (d,))
-        dout = rng.normal(size=x.shape)
+        p = _attention_params(rng, d)
+        key_mask = np.arange(t) < lengths[:, None]
+        # pad rows hold noise: as keys they are masked, as queries dropped
+        padded = rng.normal(size=key_mask.shape + (d,))
+        dpadded = rng.normal(size=padded.shape) * key_mask[..., None]
+        x, dout = padded[key_mask], dpadded[key_mask]
         x_before = x.copy()
         p_before = {k: v.copy() for k, v in p.items()}
 
-        out, cache = nn.attention_forward(x, p, "attn.", key_mask, heads)
+        out, cache = nn.attention_forward(x, p, "attn.", lengths, heads)
         dx, grads = nn.attention_backward(cache, dout)
-        ref_out, ref_backward = _reference_attention(x, p, "attn.", key_mask, heads)
-        ref_dx, ref_grads = ref_backward(dout)
+        ref_out, ref_backward = _reference_attention(padded, p, "attn.", key_mask, heads)
+        ref_dx, ref_grads = ref_backward(dpadded)
 
-        assert _rel_err(out, ref_out) <= 1e-12
-        assert _rel_err(dx, ref_dx) <= 1e-12
+        assert _rel_err(out, ref_out[key_mask]) <= 1e-12
+        assert _rel_err(dx, ref_dx[key_mask]) <= 1e-12
         assert sorted(grads) == sorted(ref_grads)
         for key in grads:
-            if key.endswith("attn.bk"):
-                # the exact key-bias gradient is zero (softmax is shift-invariant)
-                assert max(np.abs(grads[key]).max(), np.abs(ref_grads[key]).max()) <= 1e-14
-            else:
-                assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
+            assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
         if t == 1:
             # one key: the softmax is constant, so queries and keys get no gradient
             for name in ("wq", "wk", "bq"):
@@ -342,105 +291,113 @@ def test_attention_matches_out_of_place_reference(mask, dh):
 # ---------------------------------------------------------------------------
 
 
-def _kept_weights_attention_forward(x, p, prefix, key_mask, heads):
-    """``nn.attention_forward`` as it was when every call kept its weights.
+def _kept_weights_attention_forward(x, p, prefix, lengths, heads):
+    """``nn.attention_forward`` as it would be if every group kept its weights.
 
-    One (B, h, T, T) score buffer, masked and softmaxed in place, and
+    Per length group, one (b·h, t, t) score buffer softmaxed in place and
     cached whole for ``_kept_weights_attention_backward``.
     """
     wq, wk, wv, wo = (p[prefix + n] for n in ("wq", "wk", "wv", "wo"))
-    bq, bk, bv, bo = (p[prefix + n] for n in ("bq", "bk", "bv", "bo"))
-    q = nn._split_heads(x @ wq + bq, heads)
-    k = nn._split_heads(x @ wk + bk, heads)
-    v = nn._split_heads(x @ wv + bv, heads)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    q = q * scale
-    attn = q @ k.transpose(0, 1, 3, 2)
-    if not key_mask.all():
-        np.copyto(attn, -np.inf, where=~key_mask[:, None, None, :])
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    merged = nn._merge_heads(attn @ v)
+    bq, bv, bo = (p[prefix + n] for n in ("bq", "bv", "bo"))
+    order, groups = nn._length_groups(lengths)
+    xs = x if order is None else x[order]
+    scale = 1.0 / math.sqrt(x.shape[1] // heads)
+    q, k, v = (xs @ wq + bq) * scale, xs @ wk, xs @ wv + bv
+    merged = np.empty_like(xs)
+    kept = []
+    for rows, b, t in groups:
+        qg, kg, vg = (nn._split_heads(a[rows], b, heads) for a in (q, k, v))
+        attn = qg @ kg.transpose(0, 2, 1)
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        nn._merge_heads(attn @ vg, merged[rows])
+        kept.append((qg, kg, vg, attn))
     out = merged @ wo + bo
-    return out, (x, q, k, v, attn, merged, scale, prefix, heads, wq, wk, wv, wo)
+    if order is not None:
+        out = nn._unsort(out, order)
+    return out, (xs, order, groups, kept, merged, scale, prefix, heads, wq, wk, wv, wo)
 
 
 def _kept_weights_attention_backward(cache, dout):
-    x, q, k, v, attn, merged, scale, prefix, heads, wq, wk, wv, wo = cache
-    d = x.shape[-1]
-    dout2 = dout.reshape(-1, d)
-    grads = {prefix + "wo": merged.reshape(-1, d).T @ dout2, prefix + "bo": dout2.sum(axis=0)}
-    dctx = nn._split_heads(dout @ wo.T, heads)
-    dv = attn.transpose(0, 1, 3, 2) @ dctx
-    ds = dctx @ v.transpose(0, 1, 3, 2)
-    ds -= np.einsum("...ij,...ij->...i", ds, attn)[..., None]
-    ds *= attn
-    dq = (ds @ k) * scale
-    dk = ds.transpose(0, 1, 3, 2) @ q
-    dq2, dk2, dv2 = (nn._merge_heads(a).reshape(-1, d) for a in (dq, dk, dv))
-    x2 = x.reshape(-1, d)
-    for name, g in (("q", dq2), ("k", dk2), ("v", dv2)):
-        grads[prefix + "w" + name] = x2.T @ g
-        grads[prefix + "b" + name] = g.sum(axis=0)
-    dx = (dq2 @ wq.T + dk2 @ wk.T + dv2 @ wv.T).reshape(x.shape)
+    xs, order, groups, kept, merged, scale, prefix, heads, wq, wk, wv, wo = cache
+    if order is not None:
+        dout = dout[order]
+    grads = {prefix + "wo": merged.T @ dout, prefix + "bo": dout.sum(axis=0)}
+    dctx_rows = dout @ wo.T
+    dq, dk, dv = np.empty_like(xs), np.empty_like(xs), np.empty_like(xs)
+    for (rows, b, t), (q, k, v, attn) in zip(groups, kept):
+        dctx = nn._split_heads(dctx_rows[rows], b, heads)
+        ds = dctx @ v.transpose(0, 2, 1)
+        ds -= np.einsum("...ij,...ij->...i", ds, attn)[..., None]
+        ds *= attn
+        nn._merge_heads((ds @ k) * scale, dq[rows])
+        nn._merge_heads(ds.transpose(0, 2, 1) @ q, dk[rows])
+        nn._merge_heads(attn.transpose(0, 2, 1) @ dctx, dv[rows])
+    for name, g in (("q", dq), ("k", dk), ("v", dv)):
+        grads[prefix + "w" + name] = xs.T @ g
+        if name != "k":
+            grads[prefix + "b" + name] = g.sum(axis=0)
+    dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    if order is not None:
+        dx = nn._unsort(dx, order)
     return dx, grads
 
 
 # one head; one example's two heads; three slices across examples (the last
-# block may hold fewer)
+# block may hold fewer). The block size is set by the longest example, so
+# groups of shorter examples hold more slices per block.
 @pytest.mark.parametrize("slices_per_block", [1, 2, 3])
 @pytest.mark.parametrize("dh", [2, 8])
 @pytest.mark.parametrize("mask", ["ragged", "one-key", "batch-of-one"])
 def test_rebuilt_weights_attention_is_bit_identical_to_kept_weights(
     mask, dh, slices_per_block, monkeypatch
 ):
-    lengths, t = ATTENTION_MASKS[mask]
+    lengths = np.asarray(ATTENTION_MASKS[mask][0])
+    t_max = int(lengths.max())
     heads = 2
     d = heads * dh
-    b = len(lengths)
-    monkeypatch.setattr(nn, "_BLOCK_BYTES", slices_per_block * t * t * 8)
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", slices_per_block * t_max * t_max * 8)
     rebuilt = []
     softmax_weights = nn._softmax_weights
 
-    def spy(q, k, masked, block, rowmax, rowsum, rebuild):
-        w = softmax_weights(q, k, masked, block, rowmax, rowsum, rebuild=rebuild)
+    def spy(q, k, block, rowmax, rowsum, rebuild):
+        w = softmax_weights(q, k, block, rowmax, rowsum, rebuild=rebuild)
         if rebuild:
-            rebuilt.append((block, w.copy()))
+            rebuilt.append((q.shape[1], block, w.copy()))
         return w
 
     monkeypatch.setattr(nn, "_softmax_weights", spy)
+    _, groups = nn._length_groups(lengths)
+    expected_blocks = sum(
+        math.ceil(b * heads / max(1, nn._BLOCK_BYTES // (t * t * 8))) for _, b, t in groups
+    )
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        p = {}
-        nn.init_stack_params(rng, p, "s.", 1, d, 2 * d)
-        p = {k[len("s.layers.0."):]: v for k, v in p.items() if ".attn." in k}
-        key_mask = np.arange(t) < np.asarray(lengths)[:, None]
-        x = rng.normal(size=key_mask.shape + (d,))
+        p = _attention_params(rng, d)
+        x = rng.normal(size=(int(lengths.sum()), d))
         dout = rng.normal(size=x.shape)
         rebuilt.clear()
 
-        out, cache = nn.attention_forward(x, p, "attn.", key_mask, heads)
-        if t > 1:  # at T = 1 the row statistics are as large as the weights
-            # only per-row statistics are kept, never a (B, h, T, T) array
-            assert all(a.size != b * heads * t * t for a in cache if isinstance(a, np.ndarray))
+        out, cache = nn.attention_forward(x, p, "attn.", lengths, heads)
+        # only q, k, v and per-row statistics are kept, never the weights
+        for (_, b, t), kept in zip(groups, cache[3]):
+            assert [a.shape for a in kept] == [(b * heads, t, dh)] * 3 + [(b * heads, t, 1)] * 2
         dx, grads = nn.attention_backward(cache, dout)
-        ref_out, ref_cache = _kept_weights_attention_forward(x, p, "attn.", key_mask, heads)
+        ref_out, ref_cache = _kept_weights_attention_forward(x, p, "attn.", lengths, heads)
         ref_dx, ref_grads = _kept_weights_attention_backward(ref_cache, dout)
 
-        assert len(rebuilt) == math.ceil(b * heads / slices_per_block)
+        assert len(rebuilt) == expected_blocks
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(dx, ref_dx)
         assert sorted(grads) == sorted(ref_grads)
-        for key in grads:  # attn.bk included: the same rounding noise, bit for bit
+        for key in grads:
             np.testing.assert_array_equal(grads[key], ref_grads[key])
-        # each rebuilt block is the kept weights' block, and masked keys weigh 0
-        ref_attn = ref_cache[4].reshape(b * heads, t, t)
-        slice_keys = np.repeat(key_mask, heads, axis=0)
-        for block, w in rebuilt:
-            np.testing.assert_array_equal(w, ref_attn[block])
-            assert np.all(w[np.broadcast_to(~slice_keys[block][:, None, :], w.shape)] == 0.0)
-        if t == 1:
+        # each rebuilt block is its group's kept weights' block
+        ref_attn = {t: kept[3] for (_, _, t), kept in zip(groups, ref_cache[3])}
+        for t, block, w in rebuilt:
+            np.testing.assert_array_equal(w, ref_attn[t][block])
+        if t_max == 1:
             for name in ("wq", "wk", "bq"):
                 np.testing.assert_array_equal(grads["attn." + name], 0.0)
 
