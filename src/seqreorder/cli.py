@@ -61,6 +61,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _out_dir(args: argparse.Namespace, command: str) -> Path:
+    """The command's output directory, created; call it once the inputs are checked."""
     if args.out:
         out = Path(args.out)
     else:
@@ -92,8 +93,8 @@ def _write_records_tsv(path: Path, records) -> None:
 
 def cmd_split(args: argparse.Namespace) -> int:
     rc = _run_config(args)
-    out = _out_dir(args, "split")
     records = _read_pairs(args.data, args, rc)
+    out = _out_dir(args, "split")
     split = evaluation.split_scenarios(records, rc.ratios(), seed=rc.seed)
     _write_records_tsv(out / "train.tsv", split.train)
     _write_records_tsv(out / "valid.tsv", split.valid)
@@ -131,7 +132,6 @@ def _load_proteins_file(path: str | Path, l_max: int) -> PretrainDataset:
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
     rc = _run_config(args)
-    out = _out_dir(args, "pretrain")
     if bool(args.data) == bool(args.proteins):
         raise ValidationError("give exactly one of --data (pairs TSV) or --proteins")
     if args.data:
@@ -141,6 +141,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     else:
         dataset = _load_proteins_file(args.proteins, rc.l_max)
         source = str(args.proteins)
+    out = _out_dir(args, "pretrain")
     result = pretrain.pretrain_run(
         dataset,
         rc.encoder(),
@@ -185,7 +186,6 @@ def _test_specs(specs: list[str]) -> list[tuple[str, str]]:
 
 def cmd_finetune(args: argparse.Namespace) -> int:
     rc = _run_config(args)
-    out = _out_dir(args, "finetune")
     if bool(args.checkpoint) == bool(args.random_init):
         raise ValidationError("give exactly one of --checkpoint or --random-init")
     if args.checkpoint:
@@ -205,6 +205,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     valid = _read_pairs(args.valid, args, rc) if args.valid else []
     # test sets are read before training, so a bad one fails at once
     tests = [(name, _read_pairs(path, args, rc)) for name, path in _test_specs(args.test or [])]
+    out = _out_dir(args, "finetune")
     cpi_cfg = rc.with_overrides({"embed_dim": frozen.config.embed_dim}).cpi()
     result = cpi_mod.finetune_run(train, valid, frozen, cpi_cfg, rc.finetune(), out_dir=out)
     ckpt_out = cpi_mod.checkpoint_from_cpi(
@@ -246,7 +247,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rc = _run_config(args)
-    out = _out_dir(args, "evaluate")
     per_seed = []
     for run_dir in args.run:
         run_path = Path(run_dir)
@@ -258,6 +258,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             name = f.stem[len("predictions_") :]
             seed_results[name] = cpi_mod.read_predictions(f)
         per_seed.append(seed_results)
+    out = _out_dir(args, "evaluate")
     report = evaluation.emit_report(args.dataset_name, per_seed, out)
     _write_meta(out, "evaluate", rc, {"runs": [str(r) for r in args.run]})
     for name, stats in report["partitions"].items():
@@ -284,7 +285,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_export_embeddings(args: argparse.Namespace) -> int:
     rc = _run_config(args)
-    out = _out_dir(args, "export-embeddings")
     ckpt = pretrain.load_checkpoint(args.checkpoint)
     state = pretrain.encoder_state_from_checkpoint(ckpt)
     seg = state.config.segmentation
@@ -300,6 +300,7 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
         pids.append(pid)
         proteins.append(protein)
     vectors = enc.protein_embeddings(state, proteins, seg, rc.batch_size)
+    out = _out_dir(args, "export-embeddings")
     rows = [pid + "\t" + "\t".join(f"{v:.17g}" for v in vec) for pid, vec in zip(pids, vectors)]
     (out / "embeddings.tsv").write_text(
         "\n".join(rows) + ("\n" if rows else ""), encoding="utf-8"

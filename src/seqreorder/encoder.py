@@ -7,14 +7,15 @@ slot embeddings. The rows run through a pre-norm transformer stack, each
 example attending over its own rows only, and a final layernorm with no
 bias. Each block's tokens are a run of consecutive rows, mean-pooled, and
 a linear head with no bias scores every block against every original
-position. Scores are exponentiated clamped logits, so they are strictly
-positive — row i scores the block sitting in shuffled slot i against each
-original position j. The two biases are left out because Sinkhorn's limit
-does not change when a column of scores is rescaled, so the loss would
+position. Its logits are the log-scores that ``perm.sinkhorn`` takes as
+they are: row i scores the block sitting in shuffled slot i against each
+original position j, and the backward receives their gradient directly.
+The two biases are left out because Sinkhorn's limit does not change
+when a constant is added to a column of log-scores, so the loss would
 give them only the truncation error of its unrolled steps as gradient.
 
 Every entry point is batched and returns plain arrays: pooled block
-vectors (B, n, embed_dim) and a (B, n, n) stack of score matrices, which
+vectors (B, n, embed_dim) and a (B, n, n) stack of logit matrices, which
 ``perm.sinkhorn`` normalizes in one call.
 """
 
@@ -29,8 +30,6 @@ from . import nn, perm
 from .augment import RAcutConfig, SubsequenceSet
 from .corpus import DEFAULT_MAX_RESIDUES, RESIDUE_VOCAB, ProteinRecord
 from .errors import NumericError, ValidationError
-
-LOGIT_CLAMP = 30.0
 
 
 @dataclass(frozen=True)
@@ -105,23 +104,19 @@ def _forward_core(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
     h, ln_cache = nn.layernorm_forward(h, p["ln_f.gamma"])
     pooled = nn.mean_pool(h, lengths.ravel()).reshape(b, n, -1)
     logits = pooled @ p["head.w"]
-    clamped = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
-    scores = np.exp(clamped)
-    cache = (slot, pos, ids, lengths, stack_cache, ln_cache, pooled, logits, scores)
-    return pooled, scores, cache
+    cache = (slot, pos, ids, lengths, stack_cache, ln_cache, pooled)
+    return pooled, logits, cache
 
 
 def _backward_core(
-    state: EncoderState, cache, d_scores: np.ndarray
+    state: EncoderState, cache, dlogits: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Exact parameter gradients for the batched forward, given d(loss)/d(scores)."""
+    """Exact parameter gradients for the batched forward, given d(loss)/d(logits)."""
     cfg = state.config
     p = state.params
-    slot, pos, ids, lengths, stack_cache, ln_cache, pooled, logits, scores = cache
+    slot, pos, ids, lengths, stack_cache, ln_cache, pooled = cache
     n, d = cfg.n, cfg.embed_dim
 
-    inside = (logits > -LOGIT_CLAMP) & (logits < LOGIT_CLAMP)
-    dlogits = d_scores * scores * inside
     dpooled = dlogits @ p["head.w"].T
 
     dh = nn.mean_pool_backward(dpooled.reshape(-1, d), lengths.ravel())
@@ -150,19 +145,19 @@ def forward_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode SubsequenceSets in one packed forward.
 
-    Returns the pooled block vectors (B, n, embed_dim) and the score
+    Returns the pooled block vectors (B, n, embed_dim) and the logit
     matrices (B, n, n).
     """
     for sset in ssets:
         _validate_input(state, sset)
-    pooled, scores, _ = _forward_core(
+    pooled, logits, _ = _forward_core(
         state,
         np.stack([s.blocks for s in ssets]),
         np.stack([s.true_lengths for s in ssets]),
     )
-    if not (np.isfinite(pooled).all() and np.isfinite(scores).all()):
+    if not (np.isfinite(pooled).all() and np.isfinite(logits).all()):
         raise NumericError("encoder forward produced non-finite activations")
-    return pooled, scores
+    return pooled, logits
 
 
 def predict_q(
@@ -170,9 +165,9 @@ def predict_q(
     sset: SubsequenceSet,
     sk: perm.SinkhornConfig = perm.SinkhornConfig(m=perm.EVAL_SINKHORN_M),
 ) -> np.ndarray:
-    """Forward plus Sinkhorn projection of one example's (n, n) scores."""
-    _, scores = forward_batch(state, [sset])
-    return perm.sinkhorn(scores[0], sk)
+    """Forward plus Sinkhorn projection of one example's (n, n) logits: Q."""
+    _, logits = forward_batch(state, [sset])
+    return np.exp(perm.sinkhorn(logits[0], sk))
 
 
 def segment_protein(
@@ -191,7 +186,7 @@ def segment_protein(
         )
     blocks = np.full(n * f, RESIDUE_VOCAB.pad_id, dtype=np.int64)
     blocks[: len(tokens)] = tokens
-    lengths = np.clip(len(tokens) - f * np.arange(n), 0, f)
+    lengths = np.diff(np.minimum(f * np.arange(n + 1), len(tokens)))
     return blocks.reshape(n, f), lengths
 
 

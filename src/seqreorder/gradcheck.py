@@ -42,7 +42,7 @@ def _rel(a: float, b: float) -> float:
 
 
 def _sinkhorn_component(m: int, rng: np.random.Generator, perturb: float) -> ComponentReport:
-    q = rng.uniform(0.1, 10.0, (5, 5))
+    q = np.log(rng.uniform(0.1, 10.0, (5, 5)))
     upstream = rng.normal(size=(5, 5))
     cfg = perm.SinkhornConfig(m=m)
     analytic = perm.sinkhorn_backward(q, cfg, upstream)
@@ -81,16 +81,16 @@ def _model_component(rng: np.random.Generator, perturb: float) -> ComponentRepor
     sk = perm.SinkhornConfig(m=3)
 
     def loss_value() -> float:  # the batch mean, as in a pretraining step
-        _, scores, _ = enc._forward_core(state, blocks, lengths)
-        q = perm.sinkhorn(scores, sk)
-        losses = [perm.reorder_loss(ex.target, qi) for ex, qi in zip(examples, q)]
+        _, logits, _ = enc._forward_core(state, blocks, lengths)
+        log_q = perm.sinkhorn(logits, sk)
+        losses = [perm.reorder_loss(ex.target, lq) for ex, lq in zip(examples, log_q)]
         return sum(losses) / len(examples)
 
-    _, scores, cache = enc._forward_core(state, blocks, lengths)
-    q = perm.sinkhorn(scores, sk)
-    dq = np.stack([perm.reorder_loss_grad(ex.target, qi)[1] for ex, qi in zip(examples, q)])
-    d_scores = perm.sinkhorn_backward(scores, sk, dq) / len(examples)
-    grads = enc._backward_core(state, cache, d_scores)
+    _, logits, cache = enc._forward_core(state, blocks, lengths)
+    log_q = perm.sinkhorn(logits, sk)
+    dlog_q = np.stack([perm.reorder_loss_grad(ex.target, lq)[1] for ex, lq in zip(examples, log_q)])
+    dlogits = perm.sinkhorn_backward(logits, sk, dlog_q) / len(examples)
+    grads = enc._backward_core(state, cache, dlogits)
     if perturb:
         grads = {k: g.copy() for k, g in grads.items()}
         first = sorted(grads)[0]

@@ -1,18 +1,24 @@
 """Permutation recovery: Sinkhorn normalization, rounding, and the loss.
 
-Sinkhorn runs on one strictly positive n x n score matrix or on a stack of
-them, shape (..., n, n); every matrix in the stack is normalized on its
-own, by alternating row and column normalization (column last, so column
-sums are exact). The recovered permutation is the assignment that
-maximizes the matched score total; rounding and the loss take one matrix
-at a time. The backward pass differentiates through the unrolled
-normalization steps exactly — for one row step,
+Sinkhorn runs in the log domain (Mena et al. 2018) on one n x n matrix of
+finite log-scores or on a stack of them, shape (..., n, n); every matrix
+in the stack is normalized on its own, by alternating row and column
+steps (column last, so column sums are exact). A step subtracts the
+log-sum-exp along its axis,
 
-    d out[p,j] / d in[p,q]  =  [[j == q]] / Z_p  -  in[p,j] / Z_p**2,
+    out[p,j]  =  in[p,j] - log sum_q exp(in[p,q]),
 
-with Z_p the row sum, and the column step is its transpose. Chaining these
-through all m steps gives the exact gradient of any scalar loss on the
-normalized matrix with respect to the raw scores.
+so the result is log Q. The step subtracts the maximum first, so every
+exponential lies in [0, 1] and finite log-scores stay finite however
+wide their range. Its Jacobian is
+
+    d out[p,j] / d in[p,q]  =  [[j == q]]  -  exp(out[p,q]),
+
+so the row step's vector-Jacobian product is g - exp(out) * (row sum of
+g), and the column step is its transpose. Chaining these through all m
+steps gives the exact gradient of any scalar loss on log Q with respect
+to the log-scores. The recovered permutation is the assignment that maximizes
+the matched total of Q; rounding and the loss take one matrix at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from scipy.optimize import linear_sum_assignment
 from .augment import ShuffleMatrix
 from .errors import NumericError, ValidationError
 
-DEFAULT_LOG_EPS = 1e-9
 TRAIN_SINKHORN_M = 10
 EVAL_SINKHORN_M = 50
 
@@ -54,50 +59,46 @@ def _as_square(q, stack: bool = False) -> np.ndarray:
     return arr
 
 
-def _as_scores(q) -> np.ndarray:
-    x = _as_square(q, stack=True)
+def _as_scores(log_scores) -> np.ndarray:
+    x = _as_square(log_scores, stack=True)
     if not np.isfinite(x).all():
-        raise NumericError("score matrix contains non-finite entries")
-    if (x <= 0).any():
-        raise NumericError("score matrix entries must be strictly positive")
+        raise NumericError("log-score matrix contains non-finite entries")
     return x
 
 
 def _forward_steps(x: np.ndarray, m: int):
-    """Run m row+column steps, keeping the input and axis of every normalization."""
+    """Run m row+column steps, keeping the output and axis of every step."""
     steps = []
     for _ in range(m):
         for axis in (_ROW, _COL):
+            x = x - x.max(axis=axis, keepdims=True)
+            x -= np.log(np.exp(x).sum(axis=axis, keepdims=True))
             steps.append((x, axis))
-            x = x / x.sum(axis=axis, keepdims=True)
-    # Scores spanning more than the float64 range can underflow a whole
-    # column to zero or overflow a row sum; 0/0 then spreads NaN to the end.
-    if not np.isfinite(x).all():
-        raise NumericError("normalization lost a row or column to under- or overflow")
     return x, steps
 
 
-def sinkhorn(q, config: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
-    """Alternate row and column normalization m times (column last).
+def sinkhorn(log_scores, config: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
+    """Alternate row and column normalization m times (column last); log Q.
 
-    ``q`` is one matrix or a (..., n, n) stack; the result has its shape.
-    m = 0 returns a copy of the input. For m >= 1 every column sums to 1
-    exactly (up to rounding) and row sums converge to 1 as m grows.
+    ``log_scores`` is one matrix or a (..., n, n) stack; the result has its
+    shape. m = 0 returns a copy of the input. For m >= 1 every column of
+    exp(log Q) sums to 1 exactly (up to rounding) and row sums converge to
+    1 as m grows.
     """
-    x = _as_scores(q)
+    x = _as_scores(log_scores)
     if config.m == 0:
         return x.copy()
     return _forward_steps(x, config.m)[0]
 
 
-def sinkhorn_backward(q, config: SinkhornConfig, upstream) -> np.ndarray:
+def sinkhorn_backward(log_scores, config: SinkhornConfig, upstream) -> np.ndarray:
     """Exact gradient of a scalar loss through m normalization steps.
 
-    ``upstream`` is the loss gradient with respect to the normalized
-    output, shaped like ``q``; the return value is the loss gradient with
-    respect to the raw input. m = 0 passes the gradient through unchanged.
+    ``upstream`` is the loss gradient with respect to log Q, shaped like
+    ``log_scores``; the return value is the loss gradient with respect to
+    the log-scores. m = 0 passes the gradient through unchanged.
     """
-    x = _as_scores(q)
+    x = _as_scores(log_scores)
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != x.shape:
         raise ValidationError(
@@ -106,9 +107,8 @@ def sinkhorn_backward(q, config: SinkhornConfig, upstream) -> np.ndarray:
     if config.m == 0:
         return g.copy()
     _, steps = _forward_steps(x, config.m)
-    for x_in, axis in reversed(steps):
-        z = x_in.sum(axis=axis, keepdims=True)
-        g = g / z - (g * x_in).sum(axis=axis, keepdims=True) / (z * z)
+    for out, axis in reversed(steps):
+        g = g - np.exp(out) * g.sum(axis=axis, keepdims=True)
     return g
 
 
@@ -160,33 +160,30 @@ def round_to_permutation(q) -> ShuffleMatrix:
     return ShuffleMatrix(perm)
 
 
-def reorder_loss_grad(p: ShuffleMatrix, q) -> tuple[float, np.ndarray]:
+def reorder_loss_grad(p: ShuffleMatrix, log_q) -> tuple[float, np.ndarray]:
     """Mean negative log of the matched entries, -(1/n) sum_i log Q[i][p(i)],
-    plus its gradient with respect to the matrix entries.
+    plus its gradient with respect to log Q.
 
-    Entries are clamped to [DEFAULT_LOG_EPS, 1] before the log, so the loss
-    is finite and non-negative, and zero exactly when every matched entry
-    is 1; a clamped entry gets zero gradient.
+    The loss reads log Q directly, so it is finite for every finite log Q,
+    and zero exactly when every matched entry is 1. Every matched entry
+    gets gradient -1/n, however small its Q; the rest get 0.
     """
-    entries = _as_square(q)
+    entries = _as_square(log_q)
     if p.n != entries.shape[0]:
         raise ValidationError(
             f"permutation over {p.n} slots does not match matrix of size {entries.shape[0]}"
         )
     n = p.n
     idx = np.arange(n)
-    matched = entries[idx, p.perm]
-    clamped = np.clip(matched, DEFAULT_LOG_EPS, 1.0)
-    loss = float(-np.mean(np.log(clamped)))
+    loss = float(-np.mean(entries[idx, p.perm]))
     grad = np.zeros_like(entries)
-    active = (matched > DEFAULT_LOG_EPS) & (matched < 1.0)
-    grad[idx[active], p.perm[active]] = -1.0 / (n * matched[active])
+    grad[idx, p.perm] = -1.0 / n
     return loss, grad
 
 
-def reorder_loss(p: ShuffleMatrix, q) -> float:
+def reorder_loss(p: ShuffleMatrix, log_q) -> float:
     """The loss of ``reorder_loss_grad`` alone."""
-    return reorder_loss_grad(p, q)[0]
+    return reorder_loss_grad(p, log_q)[0]
 
 
 def permutation_accuracy(predicted: ShuffleMatrix, target: ShuffleMatrix) -> float:

@@ -270,7 +270,8 @@ def pretrain_step(
     """One batched forward/backward plus one Adam update (in place).
 
     The reported loss is the mean reordering loss over the batch plus the
-    (weight_decay / 2) * ||theta||^2 penalty, so it is always >= 0.
+    (weight_decay / 2) * ||theta||^2 penalty; it is >= 0 whenever Sinkhorn
+    runs at least one step, since every log Q entry is then <= 0.
     """
     if not batch:
         raise ValidationError("batch is empty")
@@ -278,21 +279,19 @@ def pretrain_step(
     cfg = state.config
     blocks = np.stack([ex.shuffled.blocks for ex in batch])
     lengths = np.stack([ex.shuffled.true_lengths for ex in batch])
-    pooled, scores, cache = enc._forward_core(state, blocks, lengths)
-    if not np.isfinite(scores).all():
-        raise NumericError(
-            f"non-finite scores at epoch {epoch} step {step}; "
-            f"logit range would exceed float64"
-        )
+    _, logits, cache = enc._forward_core(state, blocks, lengths)
+    if not np.isfinite(logits).all():
+        raise NumericError(f"non-finite logits at epoch {epoch} step {step}")
     b = len(batch)
-    q = perm.sinkhorn(scores, config.sinkhorn)
-    dq = np.empty_like(q)
+    log_q = perm.sinkhorn(logits, config.sinkhorn)
+    q = np.exp(log_q)
+    dlog_q = np.empty_like(log_q)
     losses = np.empty(b)
     accs = np.empty(b)
     for i, ex in enumerate(batch):
-        losses[i], dq[i] = perm.reorder_loss_grad(ex.target, q[i])
+        losses[i], dlog_q[i] = perm.reorder_loss_grad(ex.target, log_q[i])
         accs[i] = perm.permutation_accuracy(perm.round_to_permutation(q[i]), ex.target)
-    d_scores = perm.sinkhorn_backward(scores, config.sinkhorn, dq) / b
+    dlogits = perm.sinkhorn_backward(logits, config.sinkhorn, dlog_q) / b
     penalty = nn.l2_penalty(state.params, config.weight_decay)
     loss = float(losses.mean() + penalty)
     if not np.isfinite(loss):
@@ -300,7 +299,7 @@ def pretrain_step(
             f"non-finite loss at epoch {epoch} step {step}: "
             f"data={losses.mean()!r} penalty={penalty!r}"
         )
-    grads = enc._backward_core(state, cache, d_scores)
+    grads = enc._backward_core(state, cache, dlogits)
     nn.adam_step(state.params, grads, adam, lr=config.lr, weight_decay=config.weight_decay)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return state, StepRecord(epoch, step, loss, float(accs.mean()), wall_ms)
@@ -321,8 +320,8 @@ def heldout_accuracy(
     total = 0.0
     for start in range(0, len(examples), batch_size):
         chunk = examples[start : start + batch_size]
-        _, scores = enc.forward_batch(state, [ex.shuffled for ex in chunk])
-        for ex, q in zip(chunk, perm.sinkhorn(scores, sk)):
+        _, logits = enc.forward_batch(state, [ex.shuffled for ex in chunk])
+        for ex, q in zip(chunk, np.exp(perm.sinkhorn(logits, sk))):
             total += perm.permutation_accuracy(perm.round_to_permutation(q), ex.target)
     return total / len(examples)
 

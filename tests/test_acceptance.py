@@ -62,16 +62,16 @@ def test_criterion_1_sinkhorn_correctness():
     for i in range(100):
         n = (2, 4, 8, 24)[i % 4]
         x = rng.uniform(0.05, 10.0, (n, n))
-        q = sinkhorn(x, cfg)
+        q = np.exp(sinkhorn(np.log(x), cfg))
         worst_col = max(worst_col, float(np.abs(q.sum(axis=0) - 1.0).max()))
         worst_row = max(worst_row, float(np.abs(q.sum(axis=1) - 1.0).max()))
         # fixed point: a converged matrix is left (essentially) unchanged
-        again = sinkhorn(q, cfg)
+        again = np.exp(sinkhorn(np.log(q), cfg))
         worst_fix = max(worst_fix, float(np.abs(again - q).max()))
         # scale invariance: positive diagonal rescaling has no effect
         dr = rng.uniform(0.5, 2.0, (n, 1))
         dc = rng.uniform(0.5, 2.0, (1, n))
-        q2 = sinkhorn(x * dr * dc, cfg)
+        q2 = np.exp(sinkhorn(np.log(x * dr * dc), cfg))
         worst_scale = max(worst_scale, float(np.abs(q2 - q).max()))
     elapsed = time.perf_counter() - start
     ok = (

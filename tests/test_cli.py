@@ -275,6 +275,26 @@ def test_evaluate_rejects_empty_run_dir(tmp_path):
     assert main(["evaluate", "--run", str(run), "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["split", "--data", "{tmp}/nope.tsv"],
+        ["pretrain"],
+        ["pretrain", "--data", "{corpus}/pairs.tsv", "--proteins", "{corpus}/seqs.tsv"],
+        ["finetune", "--random-init", "--train", "{corpus}/pairs.tsv", "--test", "={corpus}/pairs.tsv"],
+        ["evaluate", "--run", "{tmp}"],
+        ["export-embeddings", "--checkpoint", "{tmp}/nope.ckpt", "--proteins", "{corpus}/seqs.tsv"],
+    ],
+    ids=["split", "pretrain-no-source", "pretrain-two-sources", "finetune", "evaluate", "export"],
+)
+def test_rejected_command_leaves_no_out_dir(argv, corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path, corpus=corpus_dir) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Encoder forward/backward, score positivity, and protein embeddings."""
+"""Encoder forward/backward, its logits, and protein embeddings."""
 
 import numpy as np
 import padded_stack
@@ -32,15 +32,15 @@ def _example(seed=0, length=12):
     )
 
 
-def _scores(state, sset):
-    """The (n, n) score matrix of one example."""
+def _logits(state, sset):
+    """The (n, n) logit matrix of one example."""
     return enc.forward_batch(state, [sset])[1][0]
 
 
-def _grads(state, sset, d_scores):
-    """Parameter gradients of one example given upstream score gradients."""
+def _grads(state, sset, dlogits):
+    """Parameter gradients of one example given upstream logit gradients."""
     _, _, cache = enc._forward_core(state, sset.blocks[None], sset.true_lengths[None])
-    return enc._backward_core(state, cache, np.asarray(d_scores)[None])
+    return enc._backward_core(state, cache, np.asarray(dlogits)[None])
 
 
 def test_config_validates_head_divisibility():
@@ -86,21 +86,20 @@ def test_parameter_count_formula(tiny_config):
     assert enc.parameter_count(state) == expected
 
 
-def test_forward_shapes_and_positivity(tiny_config):
+def test_forward_shapes_and_finiteness(tiny_config):
     state = enc.init(tiny_config, seed=0)
     example = _example(seed=1)
-    pooled, scores = enc.forward_batch(state, [example.shuffled])
+    pooled, logits = enc.forward_batch(state, [example.shuffled])
     assert pooled.shape == (1, 3, 8)
-    assert scores.shape == (1, 3, 3)
-    assert (scores > 0).all()
-    assert np.isfinite(scores).all()
+    assert logits.shape == (1, 3, 3)
+    assert np.isfinite(logits).all()
 
 
 def test_forward_deterministic(tiny_config):
     state = enc.init(tiny_config, seed=0)
     example = _example(seed=1)
-    a = _scores(state, example.shuffled)
-    b = _scores(state, example.shuffled)
+    a = _logits(state, example.shuffled)
+    b = _logits(state, example.shuffled)
     np.testing.assert_array_equal(a, b)
 
 
@@ -109,7 +108,7 @@ def test_pad_tokens_do_not_affect_scores(tiny_config):
     rng = np.random.default_rng(2)
     sset = racut(_protein(6), RAcutConfig(n=3, l_max=12), rng)
     assert (sset.true_lengths < sset.f_max).any()
-    before = _scores(state, sset)
+    before = _logits(state, sset)
     corrupted = sset.copy()
     for i in range(corrupted.n):
         li = int(corrupted.true_lengths[i])
@@ -117,7 +116,7 @@ def test_pad_tokens_do_not_affect_scores(tiny_config):
     corrupted.blocks[
         np.arange(corrupted.f_max)[None, :] >= corrupted.true_lengths[:, None]
     ] = RESIDUE_VOCAB.pad_id
-    after = _scores(state, corrupted)
+    after = _logits(state, corrupted)
     np.testing.assert_array_equal(before, after)
 
 
@@ -131,7 +130,7 @@ def test_predict_q_columns_sum_to_one(tiny_config):
 def test_predict_q_zero_iterations_returns_raw_scores(tiny_config):
     state = enc.init(tiny_config, seed=0)
     example = _example(seed=3)
-    scores = _scores(state, example.shuffled)
+    scores = np.exp(_logits(state, example.shuffled))
     q = enc.predict_q(state, example.shuffled, SinkhornConfig(m=0))
     np.testing.assert_array_equal(q, scores)
 
@@ -162,9 +161,9 @@ def test_backward_is_pure(tiny_config):
     state = enc.init(tiny_config, seed=0)
     example = _example(seed=6)
     before = {k: v.copy() for k, v in state.params.items()}
-    d_scores = np.random.default_rng(0).normal(size=(3, 3))
-    a = _grads(state, example.shuffled, d_scores)
-    b = _grads(state, example.shuffled, d_scores)
+    dlogits = np.random.default_rng(0).normal(size=(3, 3))
+    a = _grads(state, example.shuffled, dlogits)
+    b = _grads(state, example.shuffled, dlogits)
     for key in state.params:
         np.testing.assert_array_equal(state.params[key], before[key])
         np.testing.assert_array_equal(a[key], b[key])
@@ -223,12 +222,12 @@ def test_scores_respond_to_shuffle(tiny_config):
     p2 = sample_shuffle(3, np.random.default_rng(99))
     if np.array_equal(p1.perm, p2.perm):
         p2 = sample_shuffle(3, np.random.default_rng(100))
-    s1 = _scores(state, shuffle_apply(sset, p1))
-    s2 = _scores(state, shuffle_apply(sset, p2))
+    s1 = _logits(state, shuffle_apply(sset, p1))
+    s2 = _logits(state, shuffle_apply(sset, p2))
     assert not np.array_equal(s1, s2)
 
 
-def _padded_reference(state, blocks, lengths, d_scores):
+def _padded_reference(state, blocks, lengths, dlogits):
     """Dense padded layout: all n * f_max positions run, pads masked as keys."""
     cfg, p = state.config, state.params
     b, n, f = blocks.shape
@@ -244,10 +243,8 @@ def _padded_reference(state, blocks, lengths, d_scores):
     denom = np.maximum(lengths, 1)[:, :, None]
     pooled = (h.reshape(b, n, f, d) * real[..., None]).sum(axis=2) / denom
     logits = pooled @ p["head.w"]
-    scores = np.exp(np.clip(logits, -enc.LOGIT_CLAMP, enc.LOGIT_CLAMP))
 
     grads = {k: np.zeros_like(v) for k, v in p.items()}
-    dlogits = d_scores * scores * (np.abs(logits) < enc.LOGIT_CLAMP)
     grads["head.w"] += pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
     dpooled = dlogits @ p["head.w"].T
     dh = (dpooled / denom)[:, :, None, :] * real[..., None]
@@ -258,7 +255,7 @@ def _padded_reference(state, blocks, lengths, d_scores):
     np.add.at(grads["tok_embed"], tokens.ravel(), dx.reshape(-1, d))
     grads["pos_embed"] += dx.reshape(b, n, f, d).sum(axis=(0, 1))
     grads["slot_embed"] += dx.reshape(b, n, f, d).sum(axis=(0, 2))
-    return pooled, scores, grads
+    return pooled, logits, grads
 
 
 def _rel_err(actual, expected):
@@ -284,16 +281,33 @@ def test_packed_core_matches_padded_reference(n, f_max, layers):
     for _ in range(3):
         blocks, lengths = _ragged_batch(rng, 4, n, f_max)
         assert len(set(lengths.sum(axis=1))) > 1 and (lengths == 0).any()
-        d_scores = rng.normal(size=(4, n, n))
-        pooled, scores, cache = enc._forward_core(state, blocks, lengths)
-        grads = enc._backward_core(state, cache, d_scores)
-        ref_pooled, ref_scores, ref_grads = _padded_reference(state, blocks, lengths, d_scores)
+        dlogits = rng.normal(size=(4, n, n))
+        pooled, logits, cache = enc._forward_core(state, blocks, lengths)
+        grads = enc._backward_core(state, cache, dlogits)
+        ref_pooled, ref_logits, ref_grads = _padded_reference(state, blocks, lengths, dlogits)
         np.testing.assert_array_equal(pooled[lengths == 0], 0.0)
         assert _rel_err(pooled, ref_pooled) <= 1e-12
-        assert _rel_err(scores, ref_scores) <= 1e-12
+        assert _rel_err(logits, ref_logits) <= 1e-12
         assert sorted(grads) == sorted(ref_grads)
         for key in grads:
             assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
+
+
+def test_logit_beyond_thirty_gets_its_gradient(tiny_config):
+    state = enc.init(tiny_config, seed=0)
+    state.params["head.w"] *= 1e3
+    example = _example(seed=2)
+    pooled, logits, cache = enc._forward_core(
+        state, example.shuffled.blocks[None], example.shuffled.true_lengths[None]
+    )
+    i, j = np.unravel_index(np.argmax(logits[0]), logits[0].shape)
+    assert logits[0, i, j] > 30
+    dlogits = np.zeros_like(logits)
+    dlogits[0, i, j] = 1.0
+    grads = enc._backward_core(state, cache, dlogits)
+    # d logit[i, j] / d head.w[:, j] is block i's pooled vector
+    np.testing.assert_array_equal(grads["head.w"][:, j], pooled[0, i])
+    assert np.abs(grads["head.w"][:, j]).max() > 0
 
 
 def test_scores_do_not_depend_on_batch_neighbours(tiny_config):

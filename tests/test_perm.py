@@ -1,5 +1,7 @@
 """Sinkhorn normalization, its gradient, rounding, and the reordering loss.
 
+Sinkhorn takes log-scores and returns log Q; the probability-space cases
+pass ``np.log`` of their matrices and read ``np.exp`` of the result.
 Gradients are checked against central finite differences, rounding
 against exhaustive search over all permutations, and the stacked Sinkhorn
 forward and backward against a per-matrix reference, so every numeric
@@ -30,13 +32,13 @@ from seqreorder.perm import (
 def test_row_normalize_hand_value():
     # rows sum to 8 and 4; the row step gives [[1/4,3/4],[3/4,1/4]], whose
     # columns already sum to 1, so one iteration shows the row step alone
-    out = sinkhorn(np.array([[2.0, 6.0], [3.0, 1.0]]), SinkhornConfig(m=1))
+    out = np.exp(sinkhorn(np.log([[2.0, 6.0], [3.0, 1.0]]), SinkhornConfig(m=1)))
     np.testing.assert_allclose(out, [[0.25, 0.75], [0.75, 0.25]])
 
 
 def test_col_normalize_hand_value():
     # rows already sum to 1, so one iteration shows the column step alone
-    out = sinkhorn(np.array([[0.5, 0.5], [0.25, 0.75]]), SinkhornConfig(m=1))
+    out = np.exp(sinkhorn(np.log([[0.5, 0.5], [0.25, 0.75]]), SinkhornConfig(m=1)))
     np.testing.assert_allclose(out, [[2 / 3, 2 / 5], [1 / 3, 3 / 5]])
 
 
@@ -44,12 +46,12 @@ def test_single_iteration_hand_value():
     # Q = [[4,2],[3,3]]: row norm gives [[2/3,1/3],[1/2,1/2]], whose column
     # sums are 7/6 and 5/6, so one full iteration ends at [[4/7,2/5],[3/7,3/5]].
     q = np.array([[4.0, 2.0], [3.0, 3.0]])
-    out = sinkhorn(q, SinkhornConfig(m=1))
+    out = np.exp(sinkhorn(np.log(q), SinkhornConfig(m=1)))
     np.testing.assert_allclose(out, [[4 / 7, 2 / 5], [3 / 7, 3 / 5]], rtol=1e-15)
 
 
 def test_zero_iterations_returns_input():
-    q = np.array([[4.0, 2.0], [3.0, 3.0]])
+    q = np.log([[4.0, 2.0], [3.0, 3.0]])
     out = sinkhorn(q, SinkhornConfig(m=0))
     np.testing.assert_array_equal(out, q)
     assert out is not q
@@ -58,7 +60,7 @@ def test_zero_iterations_returns_input():
 def test_column_sums_exact_rows_converge():
     rng = np.random.default_rng(11)
     q = rng.uniform(0.1, 10.0, size=(24, 24))
-    out = sinkhorn(q, SinkhornConfig(m=50))
+    out = np.exp(sinkhorn(np.log(q), SinkhornConfig(m=50)))
     np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
@@ -66,48 +68,60 @@ def test_column_sums_exact_rows_converge():
 def test_doubly_stochastic_is_fixed_point():
     rng = np.random.default_rng(5)
     q = rng.uniform(0.1, 10.0, size=(8, 8))
-    ds = sinkhorn(q, SinkhornConfig(m=200))
+    ds = sinkhorn(np.log(q), SinkhornConfig(m=200))
     again = sinkhorn(ds, SinkhornConfig(m=3))
-    np.testing.assert_allclose(again, ds, atol=1e-12)
+    np.testing.assert_allclose(np.exp(again), np.exp(ds), atol=1e-12)
 
 
 def test_scale_invariance():
     rng = np.random.default_rng(6)
     q = rng.uniform(0.5, 2.0, size=(5, 5))
-    a = sinkhorn(q, SinkhornConfig(m=10))
-    b = sinkhorn(3.7 * q, SinkhornConfig(m=10))
+    a = np.exp(sinkhorn(np.log(q), SinkhornConfig(m=10)))
+    b = np.exp(sinkhorn(np.log(3.7 * q), SinkhornConfig(m=10)))
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def test_zero_row_raises():
+    # a zero score is a log-score of -inf
     q = np.array([[0.0, 0.0], [1.0, 1.0]])
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q)
     with pytest.raises(NumericError):
-        sinkhorn(q, SinkhornConfig(m=1))
+        sinkhorn(log_q, SinkhornConfig(m=1))
 
 
 def test_nonfinite_raises():
     q = np.array([[1.0, np.inf], [1.0, 1.0]])
     with pytest.raises(NumericError):
-        sinkhorn(q, SinkhornConfig(m=1))
+        sinkhorn(np.log(q), SinkhornConfig(m=1))
+
+
+_SPREAD = np.random.default_rng(8).uniform(-800.0, 800.0, size=(4, 4))
 
 
 @pytest.mark.parametrize(
-    "q",
+    "log_q",
     [
-        [[1e-320, 1e10], [1e-320, 1e10]],  # column 0 underflows to zero
-        [[1e308, 1e308], [1e308, 1e308]],  # row sums overflow
+        np.log([[1e-320, 1e10], [1e-320, 1e10]]),  # exp underflows column 0 to zero
+        np.log([[1e308, 1e308], [1e308, 1e308]]),  # exp overflows the row sums
+        _SPREAD,  # both, and beyond exp's float64 range either way
     ],
 )
-def test_out_of_range_scores_raise(q):
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericError):
-            sinkhorn(np.array(q), SinkhornConfig(m=2))
-        with pytest.raises(NumericError):
-            sinkhorn_backward(np.array(q), SinkhornConfig(m=2), np.ones((2, 2)))
+def test_scores_beyond_float64_range_stay_finite(log_q):
+    cfg = SinkhornConfig(m=3)
+    out = sinkhorn(log_q, cfg)
+    assert np.isfinite(out).all()
+    np.testing.assert_allclose(np.exp(out).sum(axis=0), 1.0, atol=1e-12)
+    n = len(log_q)
+    assert np.isfinite(reorder_loss(ShuffleMatrix(np.arange(n)[::-1].copy()), out))
+    weights = np.random.default_rng(n).normal(size=log_q.shape)
+    analytic = sinkhorn_backward(log_q, cfg, weights)
+    fd = _fd_grad(log_q, weights, cfg.m)
+    np.testing.assert_allclose(analytic, fd, rtol=0, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
 
 def _fd_grad(q, weights, m, step=1e-6):
-    """Central finite differences of L = sum(weights * sinkhorn(q))."""
+    """Central finite differences of L = sum(weights * sinkhorn(q)), on log-scores."""
     grad = np.zeros_like(q)
     for i in range(q.shape[0]):
         for j in range(q.shape[1]):
@@ -123,7 +137,7 @@ def _fd_grad(q, weights, m, step=1e-6):
 @pytest.mark.parametrize("m", [1, 3, 10])
 def test_backward_matches_finite_differences(m):
     rng = np.random.default_rng(100 + m)
-    q = rng.uniform(0.1, 10.0, size=(5, 5))
+    q = np.log(rng.uniform(0.1, 10.0, size=(5, 5)))
     weights = rng.normal(size=(5, 5))
     analytic = sinkhorn_backward(q, SinkhornConfig(m=m), weights)
     fd = _fd_grad(q, weights, m)
@@ -138,7 +152,7 @@ def test_backward_matches_finite_differences(m):
 def test_backward_finite_difference_property(m, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
-    q = rng.uniform(0.1, 10.0, size=(n, n))
+    q = np.log(rng.uniform(0.1, 10.0, size=(n, n)))
     weights = rng.normal(size=(n, n))
     analytic = sinkhorn_backward(q, SinkhornConfig(m=m), weights)
     fd = _fd_grad(q, weights, m)
@@ -147,28 +161,28 @@ def test_backward_finite_difference_property(m, seed):
 
 
 def test_backward_one_by_one_is_zero():
-    # a 1x1 positive matrix normalizes to [[1]] regardless of the entry
-    grad = sinkhorn_backward(np.array([[3.0]]), SinkhornConfig(m=5), np.array([[1.0]]))
+    # a 1x1 matrix normalizes to log [[1]] regardless of the entry
+    grad = sinkhorn_backward(np.log([[3.0]]), SinkhornConfig(m=5), np.array([[1.0]]))
     np.testing.assert_allclose(grad, [[0.0]], atol=1e-15)
 
 
-def _reference_steps(q, m):
-    """Per-matrix reference: m row then column normalizations of one 2-D
-    matrix, keeping the input and axis of every step."""
+def _reference_steps(log_q, m):
+    """Per-matrix reference: m row then column log-sum-exp steps on one 2-D
+    matrix, keeping the output and axis of every step."""
     steps = []
-    x = q
+    x = log_q
     for _ in range(m):
         for axis in (1, 0):
+            x = x - x.max(axis=axis, keepdims=True)
+            x = x - np.log(np.exp(x).sum(axis=axis, keepdims=True))
             steps.append((x, axis))
-            x = x / x.sum(axis=axis, keepdims=True)
     return x, steps
 
 
-def _reference_backward(q, m, g):
-    _, steps = _reference_steps(q, m)
-    for x, axis in reversed(steps):
-        z = x.sum(axis=axis, keepdims=True)
-        g = g / z - (g * x).sum(axis=axis, keepdims=True) / (z * z)
+def _reference_backward(log_q, m, g):
+    _, steps = _reference_steps(log_q, m)
+    for out, axis in reversed(steps):
+        g = g - np.exp(out) * g.sum(axis=axis, keepdims=True)
     return g
 
 
@@ -177,7 +191,7 @@ def _reference_backward(q, m, g):
 @pytest.mark.parametrize("b", [1, 5, 32])
 def test_stacked_sinkhorn_equals_per_matrix_reference(b, n, m):
     rng = np.random.default_rng(1000 * b + 10 * n + m)
-    q = np.exp(rng.uniform(-5.0, 5.0, size=(b, n, n)))
+    q = rng.uniform(-5.0, 5.0, size=(b, n, n))  # log of the scores exp(U(-5, 5))
     upstream = rng.normal(size=(b, n, n))
     cfg = SinkhornConfig(m=m)
     forward = sinkhorn(q, cfg)
@@ -190,7 +204,7 @@ def test_stacked_sinkhorn_equals_per_matrix_reference(b, n, m):
 
 def test_stack_keeps_its_leading_axes():
     rng = np.random.default_rng(3)
-    q = rng.uniform(0.1, 10.0, size=(2, 3, 4, 4))
+    q = np.log(rng.uniform(0.1, 10.0, size=(2, 3, 4, 4)))
     upstream = rng.normal(size=q.shape)
     cfg = SinkhornConfig(m=5)
     assert np.array_equal(
@@ -205,13 +219,26 @@ def test_stack_keeps_its_leading_axes():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("m", [0, 3])
 def test_bad_entry_in_one_matrix_of_a_stack_raises(bad, m):
+    # a bad score is a non-finite log-score: 0.0 logs to -inf, -1.0 to nan
     q = np.random.default_rng(4).uniform(0.1, 10.0, size=(5, 4, 4))
     q[3, 2, 1] = bad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.log(q)
     cfg = SinkhornConfig(m=m)
     with pytest.raises(NumericError):
-        sinkhorn(q, cfg)
+        sinkhorn(log_q, cfg)
     with pytest.raises(NumericError):
-        sinkhorn_backward(q, cfg, np.ones_like(q))
+        sinkhorn_backward(log_q, cfg, np.ones_like(q))
+
+
+@pytest.mark.parametrize("entry", [0.0, -1.0])
+@pytest.mark.parametrize("m", [0, 3])
+def test_zero_and_negative_log_scores_are_valid(entry, m):
+    log_q = np.log(np.random.default_rng(4).uniform(0.1, 10.0, size=(5, 4, 4)))
+    log_q[3, 2, 1] = entry
+    cfg = SinkhornConfig(m=m)
+    assert np.isfinite(sinkhorn(log_q, cfg)).all()
+    assert np.isfinite(sinkhorn_backward(log_q, cfg, np.ones_like(log_q))).all()
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
@@ -263,16 +290,18 @@ def test_reorder_loss_perfect_match_is_zero():
     target = ShuffleMatrix(np.array([2, 0, 1]))
     q = np.zeros((3, 3))
     q[np.arange(3), target.perm] = 1.0
-    assert reorder_loss(target, q) == 0.0
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q)
+    assert reorder_loss(target, log_q) == 0.0
 
 
 def test_reorder_loss_uniform_is_log_n():
     q = np.full((4, 4), 0.25)
-    assert reorder_loss(ShuffleMatrix(np.arange(4)), q) == pytest.approx(math.log(4), rel=1e-15)
+    assert reorder_loss(ShuffleMatrix(np.arange(4)), np.log(q)) == pytest.approx(math.log(4), rel=1e-15)
 
 
 def test_reorder_loss_hand_value():
-    q = np.array([[0.9, 0.1], [0.1, 0.9]])
+    q = np.log([[0.9, 0.1], [0.1, 0.9]])
     identity = ShuffleMatrix(np.arange(2))
     assert reorder_loss(identity, q) == pytest.approx(-math.log(0.9), rel=1e-12)
     assert reorder_loss(identity, q) == pytest.approx(0.10536051565782628)
@@ -280,7 +309,7 @@ def test_reorder_loss_hand_value():
 
 def test_reorder_loss_grad_matches_finite_differences():
     rng = np.random.default_rng(77)
-    q = rng.uniform(0.05, 0.95, size=(4, 4))
+    q = np.log(rng.uniform(0.05, 0.95, size=(4, 4)))
     target = ShuffleMatrix(np.array([2, 0, 3, 1]))
     loss, grad = reorder_loss_grad(target, q)
     assert loss == pytest.approx(reorder_loss(target, q))
@@ -295,12 +324,28 @@ def test_reorder_loss_grad_matches_finite_differences():
 
 
 def test_reorder_loss_grad_zero_off_target():
-    q = np.full((3, 3), 1 / 3)
+    q = np.log(np.full((3, 3), 1 / 3))
     _, grad = reorder_loss_grad(ShuffleMatrix(np.array([1, 2, 0])), q)
     for i in range(3):
         for j in range(3):
             if j != [1, 2, 0][i]:
                 assert grad[i, j] == 0.0
+
+
+def test_tiny_matched_entry_keeps_its_gradient():
+    # Q[0][1] ~ 1e-20 is the worst slot of the target; it still gets -1/n on
+    # its log-entry, and through Sinkhorn its logit gets a nonzero gradient
+    a = 23.0
+    logits = np.array([[a, -a], [-a, a]])
+    cfg = SinkhornConfig(m=10)
+    log_q = sinkhorn(logits, cfg)
+    swap = ShuffleMatrix(np.array([1, 0]))
+    assert 1e-21 < np.exp(log_q[0, 1]) < 1e-19
+    loss, grad = reorder_loss_grad(swap, log_q)
+    assert loss == pytest.approx(-log_q[0, 1], rel=1e-12)  # both slots are alike
+    np.testing.assert_array_equal(grad, [[0.0, -0.5], [-0.5, 0.0]])
+    dlogits = sinkhorn_backward(logits, cfg, grad)
+    assert dlogits[0, 1] < 0 and np.abs(dlogits).min() > 0.1
 
 
 def test_permutation_accuracy():

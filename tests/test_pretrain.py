@@ -107,17 +107,17 @@ def test_step_matches_a_per_example_projection():
     ref_adam = nn.adam_init(ref.params)
     blocks = np.stack([ex.shuffled.blocks for ex in batch])
     lengths = np.stack([ex.shuffled.true_lengths for ex in batch])
-    _, scores, cache = enc._forward_core(ref, blocks, lengths)
-    d_scores = np.empty_like(scores)
+    _, logits, cache = enc._forward_core(ref, blocks, lengths)
+    dlogits = np.empty_like(logits)
     losses, accs = [], []
     for i, ex in enumerate(batch):
-        q = perm.sinkhorn(scores[i], config.sinkhorn)
-        loss, dq = perm.reorder_loss_grad(ex.target, q)
-        d_scores[i] = perm.sinkhorn_backward(scores[i], config.sinkhorn, dq) / len(batch)
+        log_q = perm.sinkhorn(logits[i], config.sinkhorn)
+        loss, dlog_q = perm.reorder_loss_grad(ex.target, log_q)
+        dlogits[i] = perm.sinkhorn_backward(logits[i], config.sinkhorn, dlog_q) / len(batch)
         losses.append(loss)
-        accs.append(perm.permutation_accuracy(perm.round_to_permutation(q), ex.target))
+        accs.append(perm.permutation_accuracy(perm.round_to_permutation(np.exp(log_q)), ex.target))
     want_loss = float(np.mean(losses) + nn.l2_penalty(ref.params, config.weight_decay))
-    grads = enc._backward_core(ref, cache, d_scores)
+    grads = enc._backward_core(ref, cache, dlogits)
     nn.adam_step(
         ref.params, grads, ref_adam, lr=config.lr, weight_decay=config.weight_decay
     )
