@@ -19,21 +19,32 @@ g), and the column step is its transpose. Chaining these through all m
 steps gives the exact gradient of any scalar loss on log Q with respect
 to the log-scores. The recovered permutation is the assignment that maximizes
 the matched total of Q; rounding and the loss take one matrix at a time.
+
+Rounding solves the assignment with the Kuhn-Munkres solver below
+(shortest augmenting paths with row and column potentials, in plain Python
+floats), which also returns every edge's reduced cost. An edge is tight
+when its reduced cost is at most ``TIGHT_TOL * (1 + max|entry|)``; every
+optimum uses tight edges only. When the tight edges hold a second perfect
+matching, the optimum may tie, and the lexicographically smallest of the
+assignments with the largest ``fsum`` total is chosen among tight columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .augment import ShuffleMatrix
 from .errors import NumericError, ValidationError
 
 TRAIN_SINKHORN_M = 10
 EVAL_SINKHORN_M = 50
+# An edge is tight when its reduced cost is at most this times
+# 1 + max|entry|: far above the rounding of the potentials, and a false
+# tight edge costs only a refine, which still decides by fsum.
+TIGHT_TOL = 1e-9
 
 # Sums over the last axis normalize rows, over the second-to-last columns.
 _ROW, _COL = -1, -2
@@ -112,34 +123,118 @@ def sinkhorn_backward(log_scores, config: SinkhornConfig, upstream) -> np.ndarra
     return g
 
 
-def _lexicographic_refine(entries: np.ndarray) -> np.ndarray:
+def _max_assignment(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's column in an assignment of maximum total, and the reduced costs.
+
+    Kuhn-Munkres by shortest augmenting paths (Kuhn 1955; Jonker & Volgenant
+    1987) on the costs -entries, in O(n^3). Each row starts at its cheapest
+    column when no earlier row took it; every other row is added by growing
+    a Dijkstra tree from it over the reduced costs until it reaches a free
+    column, whose path is then flipped. The reduced costs
+    ``-entries - u[:, None] - v[None, :]`` of the final row and column
+    potentials are >= 0 up to rounding and 0 on every edge of every optimum.
+    """
+    n = entries.shape[0]
+    cost = (-entries).tolist()
+    u = [min(row) for row in cost]
+    v = [0.0] * (n + 1)  # column n is the virtual root of each search tree
+    owner = [-1] * (n + 1)  # the row matched to each column
+    searched = []
+    for i, row in enumerate(cost):
+        j = row.index(u[i])
+        if owner[j] == -1:
+            owner[j] = i
+        else:
+            searched.append(i)
+    parent = [n] * (n + 1)  # the previous column on each shortest path
+    for i in searched:
+        owner[n] = i
+        j0 = n
+        tree = [n]
+        todo = list(range(n))
+        dist = [inf] * n
+        while owner[j0] != -1:
+            i0 = owner[j0]
+            row, ui = cost[i0], u[i0]
+            delta, j1 = inf, -1
+            for j in todo:
+                d = row[j] - ui - v[j]
+                if d < dist[j]:
+                    dist[j] = d
+                    parent[j] = j0
+                if dist[j] < delta:
+                    delta, j1 = dist[j], j
+            for j in tree:
+                u[owner[j]] += delta
+                v[j] -= delta
+            for j in todo:
+                dist[j] -= delta
+            todo.remove(j1)
+            tree.append(j1)
+            j0 = j1
+        while j0 != n:
+            j1 = parent[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    cols = [0] * n
+    for j in range(n):
+        cols[owner[j]] = j
+    reduced = -entries - np.add.outer(u, v[:n])
+    return np.array(cols, dtype=np.int64), reduced
+
+
+def _has_other_tight_matching(tight: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the tight edges hold a perfect matching other than ``cols``.
+
+    They do exactly when the arrows from the column of row i to every other
+    tight column of row i close a cycle: swapping along it gives a second
+    matching. Columns with no arrow out lie on no cycle; peel them off
+    (Kahn 1962) until none is left or only cycles remain.
+    """
+    n = cols.size
+    out = [0] * n
+    into: list[list[int]] = [[] for _ in range(n)]
+    src, dst = np.nonzero(tight[np.argsort(cols)])
+    for a, b in zip(src.tolist(), dst.tolist()):
+        if a != b:
+            out[a] += 1
+            into[b].append(a)
+    sinks = [a for a in range(n) if out[a] == 0]
+    for b in sinks:  # visits the sinks appended below too
+        for a in into[b]:
+            out[a] -= 1
+            if out[a] == 0:
+                sinks.append(a)
+    return len(sinks) < n
+
+
+def _lexicographic_refine(entries: np.ndarray, tight: np.ndarray) -> np.ndarray:
     """Among maximum-total assignments, pick the lexicographically smallest.
 
     Greedy over slots: fix sigma(i) to the smallest column whose best
     completion ties the best achievable total. Totals are compared with
-    fsum, which is grouping-independent, so ties are decided exactly.
+    fsum, which is grouping-independent, so ties are decided exactly. Every
+    optimum uses tight edges only, so each slot tries its tight free
+    columns, and a slot with one of them takes it without a solve.
     """
     n = entries.shape[0]
     used = np.zeros(n, dtype=bool)
     prefix: list[float] = []
     sigma = np.empty(n, dtype=np.int64)
     for i in range(n):
-        best_j = -1
-        best_total = -np.inf
-        for j in range(n):
-            if used[j]:
-                continue
+        candidates = np.flatnonzero(tight[i] & ~used)
+        best_j = int(candidates[0])
+        if candidates.size > 1:
+            best_total = -inf
+            rest = np.arange(i + 1, n)
             free_cols = np.flatnonzero(~used)
-            free_cols = free_cols[free_cols != j]
-            completion: list[float] = []
-            if i + 1 < n:
-                sub = entries[np.ix_(np.arange(i + 1, n), free_cols)]
-                r, c = linear_sum_assignment(sub, maximize=True)
-                completion = [float(sub[a, b]) for a, b in zip(r, c)]
-            total = fsum(prefix + [float(entries[i, j])] + completion)
-            if total > best_total:
-                best_total = total
-                best_j = j
+            for j in candidates:
+                sub = entries[np.ix_(rest, free_cols[free_cols != j])]
+                completion = sub[np.arange(rest.size), _max_assignment(sub)[0]].tolist()
+                total = fsum(prefix + [float(entries[i, j])] + completion)
+                if total > best_total:
+                    best_total = total
+                    best_j = int(j)
         sigma[i] = best_j
         used[best_j] = True
         prefix.append(float(entries[i, best_j]))
@@ -152,11 +247,11 @@ def round_to_permutation(q) -> ShuffleMatrix:
     entries = _as_square(q)
     if not np.isfinite(entries).all():
         raise NumericError("matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(entries, maximize=True)
-    perm = np.asarray(cols, dtype=np.int64)
-    if np.unique(entries).size < entries.size:
-        # Duplicate entries can produce ties; re-derive lexicographically.
-        perm = _lexicographic_refine(entries)
+    perm, reduced = _max_assignment(entries)
+    scale = 1.0 + np.abs(entries).max(initial=0.0)
+    tight = reduced <= TIGHT_TOL * scale
+    if np.count_nonzero(tight) > perm.size and _has_other_tight_matching(tight, perm):
+        perm = _lexicographic_refine(entries, tight)
     return ShuffleMatrix(perm)
 
 

@@ -141,7 +141,7 @@ def test_criterion_3_assignment_matches_exhaustive_search():
             for w in weights:
                 q[np.arange(n), rng.permutation(n)] += w
         else:
-            q = sinkhorn(rng.uniform(0.1, 10.0, (n, n)), cfg)
+            q = np.exp(sinkhorn(np.log(rng.uniform(0.1, 10.0, (n, n))), cfg))
         got = round_to_permutation(q).matrix
         want = _brute_force_assignment(np.asarray(q, dtype=np.float64))
         if not np.array_equal(got, want):

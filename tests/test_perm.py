@@ -20,6 +20,9 @@ from seqreorder.augment import ShuffleMatrix
 from seqreorder.errors import NumericError, ValidationError
 from seqreorder.perm import (
     SinkhornConfig,
+    _has_other_tight_matching,
+    _lexicographic_refine,
+    _max_assignment,
     permutation_accuracy,
     reorder_loss,
     reorder_loss_grad,
@@ -268,11 +271,15 @@ def _brute_force_round(entries):
     return np.array(min(ties))
 
 
-@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("seed", range(100))
 def test_rounding_matches_exhaustive_search(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
-    if seed % 3 == 0:
+    if seed >= 30:
+        # distinct entries whose totals can still tie, as 0.3 + 0.9 == 0.5 + 0.7
+        k = rng.choice(n * n + 4, size=(n, n), replace=False) + 1.0
+        entries = k / 10 if seed % 2 == 0 else k * 1e6
+    elif seed % 3 == 0:
         entries = rng.integers(0, 3, size=(n, n)).astype(float)  # tie-heavy
         entries[rng.integers(n), rng.integers(n)] += 0.5
     else:
@@ -284,6 +291,77 @@ def test_rounding_matches_exhaustive_search(seed):
 def test_rounding_uniform_matrix_picks_identity():
     ds = np.full((4, 4), 0.25)
     np.testing.assert_array_equal(round_to_permutation(ds).perm, np.arange(4))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "negative", "1e6", "all-equal"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_max_assignment_total_matches_exhaustive_search(n, kind):
+    rng = np.random.default_rng(100 * n + len(kind))
+    entries = {
+        "uniform": rng.uniform(0.0, 1.0, (n, n)),
+        "negative": rng.uniform(-5.0, -1.0, (n, n)),
+        "1e6": rng.uniform(-1e6, 1e6, (n, n)),
+        "all-equal": np.full((n, n), 0.7),
+    }[kind]
+    cols, reduced = _max_assignment(entries)
+    assert sorted(cols) == list(range(n))
+    rows = np.arange(n)
+    assert math.fsum(entries[rows, cols]) == math.fsum(entries[rows, _brute_force_round(entries)])
+    scale = 1.0 + np.abs(entries).max()
+    assert reduced.min() >= -1e-12 * scale
+    assert np.abs(reduced[rows, cols]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [24, 60])
+def test_max_assignment_total_matches_scipy(n):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(n)
+    for entries in (rng.uniform(0.0, 1.0, (n, n)), rng.normal(0.0, 1e6, (n, n))):
+        cols, _ = _max_assignment(entries)
+        rows, want = optimize.linear_sum_assignment(entries, maximize=True)
+        assert math.fsum(entries[np.arange(n), cols]) == math.fsum(entries[rows, want])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tie_check_matches_a_count_of_tight_matchings(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    cols = rng.permutation(n)
+    tight = rng.uniform(size=(n, n)) < 0.3
+    tight[np.arange(n), cols] = True
+    matchings = sum(
+        all(tight[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n))
+    )
+    assert _has_other_tight_matching(tight, cols) == (matchings > 1)
+
+
+def _count_refines(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _lexicographic_refine(*args)
+
+    monkeypatch.setattr("seqreorder.perm._lexicographic_refine", spy)
+    return calls
+
+
+def test_refine_skipped_for_duplicate_entry_with_unique_optimum(monkeypatch):
+    calls = _count_refines(monkeypatch)
+    entries = np.random.default_rng(3).uniform(0.0, 1.0, (6, 6))
+    entries[0, 1] = entries[2, 3]
+    want = _brute_force_round(entries)
+    np.testing.assert_array_equal(round_to_permutation(entries).perm, want)
+    assert calls == []
+
+
+def test_refine_runs_when_two_rows_are_equal(monkeypatch):
+    calls = _count_refines(monkeypatch)
+    entries = np.random.default_rng(4).uniform(0.0, 1.0, (6, 6))
+    entries[4] = entries[1]
+    want = _brute_force_round(entries)
+    np.testing.assert_array_equal(round_to_permutation(entries).perm, want)
+    assert len(calls) == 1
 
 
 def test_reorder_loss_perfect_match_is_zero():
