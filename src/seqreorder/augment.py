@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import RESIDUE_VOCAB, ProteinRecord
+from .corpus import RESIDUE_MASK_ID, RESIDUE_PAD_ID, ProteinRecord
 from .errors import AugmentationError, ValidationError
 
 NOISE_KINDS = ("identity", "mask")
@@ -97,23 +97,6 @@ class ShuffleMatrix:
         m[np.arange(self.n), self.perm] = 1
         return m
 
-    def transposed(self) -> "ShuffleMatrix":
-        """The inverse permutation (transpose of the binary matrix)."""
-        return ShuffleMatrix(np.argsort(self.perm))
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "ShuffleMatrix":
-        m = np.asarray(matrix)
-        if (
-            m.ndim != 2
-            or m.shape[0] != m.shape[1]
-            or not np.isin(m, (0, 1)).all()
-            or (m.sum(axis=0) != 1).any()
-            or (m.sum(axis=1) != 1).any()
-        ):
-            raise ValidationError("matrix must be a binary permutation matrix")
-        return cls(np.argmax(m, axis=1))
-
 
 @dataclass
 class PretrainExample:
@@ -153,7 +136,7 @@ def racut(
         rem -= lengths[i - 1]
     lengths[n - 1] = rem
 
-    blocks = np.full((n, f_max), RESIDUE_VOCAB.pad_id, dtype=np.int64)
+    blocks = np.full((n, f_max), RESIDUE_PAD_ID, dtype=np.int64)
     offset = 0
     for i in range(n):
         li = int(lengths[i])
@@ -191,7 +174,7 @@ def apply_noise(
     draws = rng.random(out.blocks.shape)
     nonpad = np.arange(out.f_max)[None, :] < out.true_lengths[:, None]
     masked = (draws < spec.mask_prob) & nonpad
-    out.blocks[masked] = RESIDUE_VOCAB.mask_id
+    out.blocks[masked] = RESIDUE_MASK_ID
     return out
 
 

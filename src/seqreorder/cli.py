@@ -287,11 +287,10 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
     rc = _run_config(args)
     ckpt = pretrain.load_checkpoint(args.checkpoint)
     state = pretrain.encoder_state_from_checkpoint(ckpt)
-    seg = state.config.segmentation
     pids, proteins, skipped = [], [], []
     for _, pid, seq in read_protein_list(args.proteins):
         try:
-            protein = encode_protein(seq, l_max=seg.l_max)
+            protein = encode_protein(seq, l_max=state.config.segmentation.l_max)
             enc.segment_protein(state.config, protein)  # too short to segment raises
         except (ValidationError, SeqReorderError) as exc:
             logger.warning("skipping %s: %s", pid, exc)
@@ -299,7 +298,7 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
             continue
         pids.append(pid)
         proteins.append(protein)
-    vectors = enc.protein_embeddings(state, proteins, seg, rc.batch_size)
+    vectors = enc.protein_embeddings(state, proteins, rc.batch_size)
     out = _out_dir(args, "export-embeddings")
     rows = [pid + "\t" + "\t".join(f"{v:.17g}" for v in vec) for pid, vec in zip(pids, vectors)]
     (out / "embeddings.tsv").write_text(
@@ -413,10 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SeqReorderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (SeqReorderError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

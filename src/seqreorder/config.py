@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 from .augment import NoiseSpec, RAcutConfig
-from .corpus import DEFAULT_MAX_RESIDUES
+from .corpus import DEFAULT_MAX_RESIDUES, read_text
 from .cpi import CpiConfig, FinetuneConfig
 from .encoder import EncoderConfig
 from .errors import ValidationError
@@ -33,7 +33,6 @@ class RunConfig:
     l_max: int = DEFAULT_MAX_RESIDUES
     max_atoms: int = CpiConfig.max_atoms
     mask_prob: float = NoiseSpec.mask_prob
-    noise_kind: str = NoiseSpec.kind
     # encoder
     embed_dim: int = EncoderConfig.embed_dim
     layers: int = EncoderConfig.layers
@@ -65,7 +64,7 @@ class RunConfig:
         and a value of the wrong type raise ValidationError naming the file.
         """
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(data, dict):
@@ -105,7 +104,7 @@ class RunConfig:
         return RAcutConfig(n=self.n, l_max=self.l_max)
 
     def noise(self) -> NoiseSpec:
-        return NoiseSpec(kind=self.noise_kind, mask_prob=self.mask_prob)
+        return NoiseSpec(mask_prob=self.mask_prob)
 
     def encoder(self) -> EncoderConfig:
         rc = self.racut()

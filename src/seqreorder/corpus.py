@@ -1,30 +1,39 @@
 """Tokenization and dataset ingestion for compound-protein interaction data.
 
-Proteins are tokenized over a fixed residue vocabulary: 22 canonical
-single-letter codes (the 20 standard amino acids plus U and O) and one
-unknown class that absorbs every other letter — 23 residue classes in all,
-with dedicated pad and mask ids above them. SMILES strings are tokenized
-character-wise over a fixed printable character set.
+Both vocabularies are module constants. Proteins are tokenized by
+``RESIDUE_TO_ID``: 22 canonical single-letter codes (the 20 standard
+amino acids plus U and O) and one unknown class that absorbs every other
+letter, 23 residue classes in all, with the pad and mask ids above them
+(``RESIDUE_VOCAB_SIZE`` ids). SMILES strings are tokenized character-wise
+by ``SMILES_TO_ID`` over a fixed printable character set.
 
 Interaction files are tab-separated ``smiles<TAB>sequence<TAB>label`` with
 one record per line and an optional header row; the columns and the
 delimiter are fixed. Protein-list files hold one ``id<TAB>sequence`` or
-bare sequence per line. Every protein is tokenized over ``RESIDUE_VOCAB``.
+bare sequence per line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ParseError, ValidationError
 
 # 22 canonical residue letters, alphabetical. Everything else -> unknown.
 CANONICAL_RESIDUES = "ACDEFGHIKLMNOPQRSTUVWY"
 UNKNOWN_RESIDUE_CHAR = "X"
-PAD_CHAR = "·"  # middle dot, used when rendering padded blocks
+PAD_CHAR = "·"  # middle dot
 MASK_CHAR = "#"
+
+# Residue ids 0..21 follow CANONICAL_RESIDUES; the unknown class, pad and
+# mask take the next three.
+RESIDUE_TO_ID = {ch: i for i, ch in enumerate(CANONICAL_RESIDUES)}
+RESIDUE_UNKNOWN_ID = len(CANONICAL_RESIDUES)
+RESIDUE_PAD_ID = RESIDUE_UNKNOWN_ID + 1
+RESIDUE_MASK_ID = RESIDUE_PAD_ID + 1
+RESIDUE_VOCAB_SIZE = RESIDUE_MASK_ID + 1
 
 DEFAULT_MAX_RESIDUES = 1200
 DEFAULT_MAX_ATOMS = 290
@@ -36,69 +45,6 @@ SMILES_CHARS = (
     "ABCDEFGHIKLMNOPRSTUVWXYZ"
     "abcdefghilmnoprstuy"
 )
-
-
-@dataclass(frozen=True)
-class ResidueVocabulary:
-    """Residue-letter to token-id table with pad/mask ids.
-
-    Exactly 23 residue classes (ids 0..22, the last being the unknown
-    class); ``pad_id`` and ``mask_id`` sit above them and are distinct from
-    every residue id.
-    """
-
-    residue_to_id: Mapping[str, int]
-    unknown_id: int
-    pad_id: int
-    mask_id: int
-
-    def __post_init__(self) -> None:
-        ids = set(self.residue_to_id.values()) | {self.unknown_id}
-        if len(ids) != self.num_residue_classes:
-            raise ValidationError("residue ids must be distinct")
-        if self.pad_id in ids or self.mask_id in ids or self.pad_id == self.mask_id:
-            raise ValidationError("pad and mask ids must be distinct from residue ids")
-
-    @property
-    def num_residue_classes(self) -> int:
-        return len(self.residue_to_id) + 1  # + unknown
-
-    @property
-    def size(self) -> int:
-        """Total id count (residues + unknown + pad + mask): embedding rows."""
-        return max(self.pad_id, self.mask_id) + 1
-
-    def token_id(self, ch: str) -> int:
-        return self.residue_to_id.get(ch, self.unknown_id)
-
-    def id_to_char(self, token: int) -> str:
-        if token == self.pad_id:
-            return PAD_CHAR
-        if token == self.mask_id:
-            return MASK_CHAR
-        if token == self.unknown_id:
-            return UNKNOWN_RESIDUE_CHAR
-        for ch, i in self.residue_to_id.items():
-            if i == token:
-                return ch
-        raise ValidationError(f"token id {token} is out of vocabulary")
-
-    def decode(self, tokens: Sequence[int]) -> str:
-        return "".join(self.id_to_char(t) for t in tokens)
-
-
-def standard_vocabulary() -> ResidueVocabulary:
-    mapping = {ch: i for i, ch in enumerate(CANONICAL_RESIDUES)}
-    unknown = len(mapping)
-    return ResidueVocabulary(
-        residue_to_id=mapping,
-        unknown_id=unknown,
-        pad_id=unknown + 1,
-        mask_id=unknown + 2,
-    )
-
-
-RESIDUE_VOCAB = standard_vocabulary()
 
 SMILES_TO_ID = {ch: i for i, ch in enumerate(SMILES_CHARS)}
 SMILES_UNKNOWN_ID = len(SMILES_CHARS)
@@ -129,6 +75,14 @@ class InteractionRecord:
     label: int
 
 
+def read_text(path: str | Path) -> str:
+    """A file's UTF-8 text; bytes that do not decode raise ParseError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def encode_protein(raw: str, l_max: int = DEFAULT_MAX_RESIDUES) -> ProteinRecord:
     """Tokenize a residue string.
 
@@ -142,7 +96,7 @@ def encode_protein(raw: str, l_max: int = DEFAULT_MAX_RESIDUES) -> ProteinRecord
     if l_max < 1:
         raise ValidationError(f"l_max must be >= 1, got {l_max}")
     upper = raw.upper()
-    tokens = [RESIDUE_VOCAB.token_id(ch) for ch in upper[:l_max]]
+    tokens = [RESIDUE_TO_ID.get(ch, RESIDUE_UNKNOWN_ID) for ch in upper[:l_max]]
     return ProteinRecord(raw=upper, tokens=tokens)
 
 
@@ -171,38 +125,37 @@ def parse_dataset(
     """
     path = Path(path)
     records: list[InteractionRecord] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if header and lineno == 1:
-                continue
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 3:
-                raise ParseError(
-                    f"{path.name} line {lineno}: expected at least 3 "
-                    f"columns, got {len(fields)}"
-                )
-            label_text = fields[2].strip()
-            try:
-                label_value = float(label_text)
-            except ValueError:
-                raise ParseError(
-                    f"{path.name} line {lineno}: label {label_text!r} is not a number"
-                ) from None
-            if label_value not in (0.0, 1.0):
-                raise ValidationError(
-                    f"{path.name} line {lineno}: label must be 0 or 1, got {label_text!r}"
-                )
-            try:
-                compound = encode_smiles(fields[0].strip(), max_atoms)
-                protein = encode_protein(fields[1].strip(), l_max)
-            except ValidationError as exc:
-                raise ValidationError(f"{path.name} line {lineno}: {exc}") from None
-            records.append(
-                InteractionRecord(compound=compound, protein=protein, label=int(label_value))
+    # read_text translates every newline convention to "\n"
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if header and lineno == 1:
+            continue
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) < 3:
+            raise ParseError(
+                f"{path.name} line {lineno}: expected at least 3 "
+                f"columns, got {len(fields)}"
             )
+        label_text = fields[2].strip()
+        try:
+            label_value = float(label_text)
+        except ValueError:
+            raise ParseError(
+                f"{path.name} line {lineno}: label {label_text!r} is not a number"
+            ) from None
+        if label_value not in (0.0, 1.0):
+            raise ValidationError(
+                f"{path.name} line {lineno}: label must be 0 or 1, got {label_text!r}"
+            )
+        try:
+            compound = encode_smiles(fields[0].strip(), max_atoms)
+            protein = encode_protein(fields[1].strip(), l_max)
+        except ValidationError as exc:
+            raise ValidationError(f"{path.name} line {lineno}: {exc}") from None
+        records.append(
+            InteractionRecord(compound=compound, protein=protein, label=int(label_value))
+        )
     return records
 
 
@@ -218,7 +171,7 @@ def read_protein_list(path: str | Path) -> list[tuple[int, str, str]]:
     to a row that fails encoding.
     """
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         fields = [f.strip() for f in line.split("\t")]
         if not any(fields):
             continue
@@ -254,14 +207,7 @@ class PretrainDataset:
 
 
 def write_vocab_table(path: str | Path) -> None:
-    """Emit the id<TAB>char table of ``RESIDUE_VOCAB`` for auditing."""
-    rows = sorted(
-        [(i, ch) for ch, i in RESIDUE_VOCAB.residue_to_id.items()]
-        + [
-            (RESIDUE_VOCAB.unknown_id, UNKNOWN_RESIDUE_CHAR),
-            (RESIDUE_VOCAB.pad_id, PAD_CHAR),
-            (RESIDUE_VOCAB.mask_id, MASK_CHAR),
-        ]
-    )
-    text = "".join(f"{i}\t{ch}\n" for i, ch in rows)
+    """Emit the id<TAB>char table of the residue vocabulary for auditing."""
+    chars = CANONICAL_RESIDUES + UNKNOWN_RESIDUE_CHAR + PAD_CHAR + MASK_CHAR
+    text = "".join(f"{i}\t{ch}\n" for i, ch in enumerate(chars))
     Path(path).write_text(text, encoding="utf-8")

@@ -25,12 +25,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import nn
-from .augment import RAcutConfig
 from .corpus import (
     DEFAULT_MAX_ATOMS,
     SMILES_VOCAB_SIZE,
     InteractionRecord,
     ProteinRecord,
+    read_text,
 )
 from .encoder import EncoderConfig, EncoderState, protein_embeddings
 from .encoder import init as init_encoder
@@ -97,10 +97,6 @@ class CpiModel:
     config: CpiConfig
     params: dict[str, np.ndarray]
     encoder_state: EncoderState  # frozen; never updated here
-
-    @property
-    def segmentation(self) -> RAcutConfig:
-        return self.encoder_state.config.segmentation
 
 
 def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> CpiModel:
@@ -178,12 +174,9 @@ def _compound_backward(model: CpiModel, cache, d_pooled: np.ndarray) -> dict[str
 
 
 def _fuse_batch(model: CpiModel, z_comp: np.ndarray, z_prot: np.ndarray):
-    p = model.params
+    """relu(cat @ w1 + b1) @ w2 + b2 on the concatenated pair vectors."""
     cat = np.concatenate([z_comp, z_prot], axis=1)
-    pre = cat @ p["fusion.w1"] + p["fusion.b1"]
-    hid = np.maximum(pre, 0.0)
-    joint = hid @ p["fusion.w2"] + p["fusion.b2"]
-    return joint, (cat, pre, hid)
+    return nn.ffn_forward(cat, model.params, "fusion.")
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -249,9 +242,7 @@ def build_protein_cache(
     for rec in records:
         if rec.protein.raw not in cache:
             missing.setdefault(rec.protein.raw, rec.protein)
-    vectors = protein_embeddings(
-        model.encoder_state, list(missing.values()), model.segmentation, batch_size
-    )
+    vectors = protein_embeddings(model.encoder_state, list(missing.values()), batch_size)
     cache.update(zip(missing, vectors))
     return cache
 
@@ -329,19 +320,13 @@ def _batch_grads(
     p = model.params
     dlogit = np.where(y == 1.0, -_expit(-logits), _expit(logits))
     djoint = dlogit[:, None] * p["dec.w"][None, :]
-    cat, pre, hid = fuse_cache
-    dhid = djoint @ p["fusion.w2"].T
-    dpre = dhid * (pre > 0)
-    dcat = dpre @ p["fusion.w1"].T
+    dcat, fusion_grads = nn.ffn_backward(fuse_cache, djoint)
     dz_comp = dcat[:, : model.config.embed_dim]  # protein side is constant
     d_pooled = nn.embedding_backward(inverse, dz_comp, n_distinct)
     grads = _compound_backward(model, comp_cache, d_pooled)
+    grads.update(fusion_grads)
     grads["dec.w"] = joint.T @ dlogit
     grads["dec.b"] = np.asarray(dlogit.sum())  # 0-d array: the L2 term adds in place
-    grads["fusion.w2"] = hid.T @ djoint
-    grads["fusion.b2"] = djoint.sum(axis=0)
-    grads["fusion.w1"] = cat.T @ dpre
-    grads["fusion.b1"] = dpre.sum(axis=0)
     if lam > 0:
         for k, g in grads.items():
             g += lam * p[k]
@@ -480,7 +465,7 @@ def write_predictions(
 
 def read_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Scores and labels of a ``write_predictions`` file, in file order."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "pair_id,score,label":
         raise ParseError(f"{path}: expected header 'pair_id,score,label'")
     scores, labels = [], []

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import nn, perm
 from .augment import RAcutConfig, SubsequenceSet
-from .corpus import DEFAULT_MAX_RESIDUES, RESIDUE_VOCAB, ProteinRecord
+from .corpus import DEFAULT_MAX_RESIDUES, RESIDUE_PAD_ID, RESIDUE_VOCAB_SIZE, ProteinRecord
 from .errors import NumericError, ValidationError
 
 
@@ -41,7 +41,7 @@ class EncoderConfig:
     n: int = 24
     # the default residue budget cut into the default block count
     f_max: int = RAcutConfig(n=n, l_max=DEFAULT_MAX_RESIDUES).f_max
-    vocab_size: int = RESIDUE_VOCAB.size
+    vocab_size: int = RESIDUE_VOCAB_SIZE
 
     def __post_init__(self) -> None:
         for name in ("embed_dim", "layers", "heads", "ffn_dim", "n", "f_max", "vocab_size"):
@@ -76,10 +76,6 @@ def init(config: EncoderConfig, seed: int = 0) -> EncoderState:
     params["ln_f.gamma"] = np.ones(d)
     params["head.w"] = nn.uniform_init(rng, (d, config.n), d)
     return EncoderState(config=config, params=params)
-
-
-def parameter_count(state: EncoderState) -> int:
-    return int(sum(p.size for p in state.params.values()))
 
 
 def _forward_core(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
@@ -184,7 +180,7 @@ def segment_protein(
         raise ValidationError(
             f"protein has {len(tokens)} tokens but at least {n} are required"
         )
-    blocks = np.full(n * f, RESIDUE_VOCAB.pad_id, dtype=np.int64)
+    blocks = np.full(n * f, RESIDUE_PAD_ID, dtype=np.int64)
     blocks[: len(tokens)] = tokens
     lengths = np.diff(np.minimum(f * np.arange(n + 1), len(tokens)))
     return blocks.reshape(n, f), lengths
@@ -193,7 +189,6 @@ def segment_protein(
 def protein_embeddings(
     state: EncoderState,
     proteins: Sequence[ProteinRecord],
-    config: RAcutConfig,
     batch_size: int,
 ) -> np.ndarray:
     """Whole-protein vectors for downstream use, shape (len(proteins), embed_dim).
@@ -204,11 +199,6 @@ def protein_embeddings(
     packed forward.
     """
     cfg = state.config
-    if config.n != cfg.n or config.f_max != cfg.f_max:
-        raise ValidationError(
-            f"segmentation {config.n} x {config.f_max} does not match encoder "
-            f"{cfg.n} x {cfg.f_max}"
-        )
     segments = [segment_protein(cfg, protein) for protein in proteins]
     out = np.empty((len(proteins), cfg.embed_dim))
     for start in range(0, len(segments), batch_size):
@@ -223,8 +213,6 @@ def protein_embeddings(
     return out
 
 
-def protein_embedding(
-    state: EncoderState, protein: ProteinRecord, config: RAcutConfig
-) -> np.ndarray:
+def protein_embedding(state: EncoderState, protein: ProteinRecord) -> np.ndarray:
     """Whole-protein vector of one protein; see ``protein_embeddings``."""
-    return protein_embeddings(state, [protein], config, batch_size=1)[0]
+    return protein_embeddings(state, [protein], batch_size=1)[0]

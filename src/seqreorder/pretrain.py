@@ -228,19 +228,12 @@ def checkpoint_from_encoder(
     )
 
 
-def encoder_state_from_checkpoint(
-    ckpt: Checkpoint, expected_config: enc.EncoderConfig | None = None
-) -> enc.EncoderState:
+def encoder_state_from_checkpoint(ckpt: Checkpoint) -> enc.EncoderState:
     if ckpt.section != "encoder":
         raise CheckpointError(
             f"checkpoint section is {ckpt.section!r}, expected 'encoder'"
         )
     config = enc.EncoderConfig(**ckpt.config)
-    if expected_config is not None and config != expected_config:
-        raise CheckpointError(
-            f"checkpoint encoder config {ckpt.config} does not match the "
-            f"requested config {asdict(expected_config)}; parameter shapes differ"
-        )
     check_params(ckpt.params, enc.init(config).params)
     return enc.EncoderState(config=config, params=ckpt.params)
 

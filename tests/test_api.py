@@ -1,4 +1,4 @@
-"""The package's public export list and its dependencies."""
+"""What importing the package loads."""
 
 import os
 import subprocess
@@ -8,11 +8,21 @@ from pathlib import Path
 import seqreorder
 
 
-def test_every_export_resolves_once():
-    names = seqreorder.__all__
-    assert len(names) == len(set(names))
-    for name in names:
-        assert hasattr(seqreorder, name), name
+def _run_python(code, cwd):
+    src = str(Path(seqreorder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_package_import_loads_no_module(tmp_path):
+    done = _run_python(
+        "import sys, seqreorder; print(sorted(m for m in sys.modules if m.startswith('seqreorder.')))",
+        tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 _WITHOUT_SCIPY = """
@@ -43,11 +53,6 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_pretrain_runs_without_scipy(tmp_path):
-    src = str(Path(seqreorder.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = _run_python(_WITHOUT_SCIPY, tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"

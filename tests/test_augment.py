@@ -17,11 +17,11 @@ from seqreorder.augment import (
     sample_shuffle,
     shuffle_apply,
 )
-from seqreorder.corpus import CANONICAL_RESIDUES, RESIDUE_VOCAB, encode_protein
+from seqreorder.corpus import CANONICAL_RESIDUES, RESIDUE_MASK_ID, RESIDUE_PAD_ID, encode_protein
 from seqreorder.errors import AugmentationError, ValidationError
 
-PAD = RESIDUE_VOCAB.pad_id
-MASK = RESIDUE_VOCAB.mask_id
+PAD = RESIDUE_PAD_ID
+MASK = RESIDUE_MASK_ID
 
 
 def _protein(length, offset=0):
@@ -103,7 +103,7 @@ def test_shuffle_matrix_roundtrip():
     sset = racut(_protein(40), RAcutConfig(n=5, l_max=40), rng)
     p = sample_shuffle(5, rng)
     shuffled = shuffle_apply(sset, p)
-    restored = shuffle_apply(shuffled, p.transposed())
+    restored = shuffle_apply(shuffled, ShuffleMatrix(np.argsort(p.perm)))
     assert np.array_equal(restored.blocks, sset.blocks)
     assert np.array_equal(restored.true_lengths, sset.true_lengths)
 
@@ -113,7 +113,6 @@ def test_shuffle_matrix_one_hot_encoding():
     expected = np.zeros((3, 3))
     expected[0, 2] = expected[1, 0] = expected[2, 1] = 1.0
     np.testing.assert_array_equal(p.matrix, expected)
-    assert ShuffleMatrix.from_matrix(p.matrix).perm.tolist() == [2, 0, 1]
 
 
 def test_shuffle_matrix_rejects_non_permutation():
@@ -142,6 +141,19 @@ def test_identity_noise_is_bitwise_noop():
     assert np.array_equal(out.blocks, sset.blocks)
     out.blocks[0, 0] = -1  # the copy must be independent
     assert sset.blocks[0, 0] != -1
+
+
+def test_identity_noise_equals_zero_mask_probability():
+    # noise is the last draw from an example's generator, so a mask that
+    # never fires leaves the same example as no noise at all
+    protein = _protein(40)
+    cfg = RAcutConfig(n=5, l_max=40)
+    for seed in range(20):
+        a = make_pretrain_example(protein, cfg, NoiseSpec("identity"), seed)
+        b = make_pretrain_example(protein, cfg, NoiseSpec("mask", 0.0), seed)
+        assert np.array_equal(a.shuffled.blocks, b.shuffled.blocks)
+        assert np.array_equal(a.shuffled.true_lengths, b.shuffled.true_lengths)
+        assert np.array_equal(a.target.perm, b.target.perm)
 
 
 def test_full_mask_hits_every_non_pad_token():
@@ -211,5 +223,5 @@ def test_make_pretrain_example_stream_order():
     changed = example.shuffled.blocks != prenoise.blocks
     assert (example.shuffled.blocks[changed] == MASK).all()
     # unshuffling the pre-noise blocks recovers the original cut
-    restored = shuffle_apply(prenoise, target.transposed())
+    restored = shuffle_apply(prenoise, ShuffleMatrix(np.argsort(target.perm)))
     assert np.array_equal(restored.blocks, sset.blocks)

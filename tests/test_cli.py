@@ -76,6 +76,24 @@ def test_split_missing_input_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["split", "synth", "undecodable"])
+def test_input_errors_are_one_error_line(command, tmp_path, capsys):
+    if command == "split":  # a directory where a file is expected
+        argv = ["split", "--data", str(tmp_path), "--out", str(tmp_path / "out")]
+    elif command == "synth":  # the output's parent is a file
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        argv = ["synth", "motif", "--out-file", str(tmp_path / "taken" / "x.tsv"), "--num", "2"]
+    else:
+        (tmp_path / "latin1.tsv").write_bytes("CCO\tMK\xc9V\t1\n".encode("latin-1"))
+        argv = ["split", "--data", str(tmp_path / "latin1.tsv"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if command == "undecodable":
+        assert str(tmp_path / "latin1.tsv") in err and "UTF-8" in err
+
+
 def test_pretrain_writes_checkpoints_and_log(pretrain_dir):
     assert (pretrain_dir / "best.ckpt").exists()
     assert (pretrain_dir / "epoch_0001.ckpt").exists()
@@ -367,7 +385,7 @@ def _parse_config(argv):
     "field", [f for f in fields(RunConfig) if f.name != "seed"], ids=lambda f: f.name
 )
 def test_every_run_config_field_has_a_typed_flag(field):
-    value = {int: 7, float: 0.125, str: "shuffle"}[type(field.default)]
+    value = {int: 7, float: 0.125}[type(field.default)]
     rc = _parse_config([f"--{field.name.replace('_', '-')}", str(value)])
     assert getattr(rc, field.name) == value
     assert type(getattr(rc, field.name)) is type(field.default)
@@ -388,11 +406,10 @@ def test_explicit_flag_beats_config_file(tmp_path):
         ('{"epochs": "3"}', "'epochs' must be int"),
         ('{"epochs": true}', "'epochs' must be int"),
         ('{"lr": "fast"}', "'lr' must be float"),
-        ('{"noise_kind": 1}', "'noise_kind' must be str"),
         ('{"epoch": 3}', "unknown config keys"),
     ],
     ids=["bad-json", "not-an-object", "str-for-int", "bool-for-int", "str-for-float",
-         "int-for-str", "unknown-key"],
+         "unknown-key"],
 )
 def test_bad_config_file_is_an_error_line(corpus_dir, tmp_path, capsys, text, message):
     path = tmp_path / "config.json"

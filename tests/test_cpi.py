@@ -80,11 +80,6 @@ def test_init_is_deterministic():
         np.testing.assert_array_equal(a.params[key], b.params[key])
 
 
-def test_segmentation_matches_encoder_geometry():
-    seg = _model().segmentation
-    assert (seg.n, seg.f_max) == (TINY_ENC.n, TINY_ENC.f_max)
-
-
 def test_encode_compound_shape_and_determinism():
     model = _model()
     a, _ = cpi._compound_forward(model, [encode_smiles("CC(=O)O").tokens])

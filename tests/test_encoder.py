@@ -14,7 +14,14 @@ from seqreorder.augment import (
     sample_shuffle,
     shuffle_apply,
 )
-from seqreorder.corpus import CANONICAL_RESIDUES, DEFAULT_MAX_RESIDUES, RESIDUE_VOCAB, encode_protein
+from seqreorder.corpus import (
+    CANONICAL_RESIDUES,
+    DEFAULT_MAX_RESIDUES,
+    RESIDUE_PAD_ID,
+    RESIDUE_TO_ID,
+    RESIDUE_VOCAB_SIZE,
+    encode_protein,
+)
 from seqreorder.encoder import EncoderConfig
 from seqreorder.errors import ValidationError
 from seqreorder.perm import SinkhornConfig
@@ -67,7 +74,7 @@ def test_init_is_deterministic(tiny_config):
 
 def test_parameter_count_formula(tiny_config):
     state = enc.init(tiny_config, seed=0)
-    d, f, n, v = 8, 16, 3, RESIDUE_VOCAB.size
+    d, f, n, v = 8, 16, 3, RESIDUE_VOCAB_SIZE
     per_layer = (
         2 * d  # first layer norm
         + 4 * d * d + 3 * d  # attention projections; keys have no bias
@@ -83,7 +90,7 @@ def test_parameter_count_formula(tiny_config):
         + d  # final layer norm, no bias
         + d * n  # scoring head, no bias
     )
-    assert enc.parameter_count(state) == expected
+    assert sum(p.size for p in state.params.values()) == expected
 
 
 def test_forward_shapes_and_finiteness(tiny_config):
@@ -112,10 +119,10 @@ def test_pad_tokens_do_not_affect_scores(tiny_config):
     corrupted = sset.copy()
     for i in range(corrupted.n):
         li = int(corrupted.true_lengths[i])
-        corrupted.blocks[i, li:] = RESIDUE_VOCAB.token_id("W")  # overwrite pads
+        corrupted.blocks[i, li:] = RESIDUE_TO_ID["W"]  # overwrite pads
     corrupted.blocks[
         np.arange(corrupted.f_max)[None, :] >= corrupted.true_lengths[:, None]
-    ] = RESIDUE_VOCAB.pad_id
+    ] = RESIDUE_PAD_ID
     after = _logits(state, corrupted)
     np.testing.assert_array_equal(before, after)
 
@@ -151,7 +158,7 @@ def test_backward_unused_token_rows_have_zero_grad(tiny_config):
     grads = _grads(state, example.shuffled, np.ones((3, 3)))
     used = set(example.shuffled.blocks.ravel().tolist())
     tok_grad = grads["tok_embed"]
-    for token in range(RESIDUE_VOCAB.size):
+    for token in range(RESIDUE_VOCAB_SIZE):
         if token not in used:
             np.testing.assert_array_equal(tok_grad[token], np.zeros(8))
     assert np.abs(tok_grad[list(used)]).sum() > 0
@@ -171,21 +178,19 @@ def test_backward_is_pure(tiny_config):
 
 def test_protein_embedding_shape_and_determinism(tiny_config):
     state = enc.init(tiny_config, seed=0)
-    seg = RAcutConfig(n=3, l_max=12)
-    a = enc.protein_embedding(state, _protein(12), seg)
-    b = enc.protein_embedding(state, _protein(12), seg)
+    a = enc.protein_embedding(state, _protein(12))
+    b = enc.protein_embedding(state, _protein(12))
     assert a.shape == (8,)
     np.testing.assert_array_equal(a, b)
 
 
 def test_protein_embedding_truncates_long_proteins(tiny_config):
     state = enc.init(tiny_config, seed=0)
-    seg = RAcutConfig(n=3, l_max=12)
     long = _protein(40)
     trimmed = encode_protein(long.raw[:12])
     np.testing.assert_array_equal(
-        enc.protein_embedding(state, long, seg),
-        enc.protein_embedding(state, trimmed, seg),
+        enc.protein_embedding(state, long),
+        enc.protein_embedding(state, trimmed),
     )
 
 
@@ -193,23 +198,15 @@ def test_protein_embedding_handles_partial_last_block(tiny_config):
     # 7 tokens over 3 blocks of 4: blocks get 4, 3, 0 tokens; the mean
     # runs over the two non-empty blocks only
     state = enc.init(tiny_config, seed=0)
-    seg = RAcutConfig(n=3, l_max=12)
-    vec = enc.protein_embedding(state, _protein(7), seg)
+    vec = enc.protein_embedding(state, _protein(7))
     assert vec.shape == (8,)
     assert np.isfinite(vec).all()
 
 
 def test_protein_embedding_rejects_too_short(tiny_config):
     state = enc.init(tiny_config, seed=0)
-    seg = RAcutConfig(n=3, l_max=12)
     with pytest.raises(ValidationError):
-        enc.protein_embedding(state, _protein(2), seg)
-
-
-def test_protein_embedding_rejects_mismatched_segmentation(tiny_config):
-    state = enc.init(tiny_config, seed=0)
-    with pytest.raises(ValidationError):
-        enc.protein_embedding(state, _protein(12), RAcutConfig(n=4, l_max=12))
+        enc.protein_embedding(state, _protein(2))
 
 
 def test_scores_respond_to_shuffle(tiny_config):
@@ -268,8 +265,8 @@ def _ragged_batch(rng, b, n, f):
     lengths[:, 0] = np.maximum(lengths[:, 0], 1)  # no example is all padding
     lengths[0, -1] = 0
     lengths[1] = f
-    blocks = rng.integers(1, RESIDUE_VOCAB.size, size=(b, n, f))
-    blocks[np.arange(f) >= lengths[:, :, None]] = RESIDUE_VOCAB.pad_id
+    blocks = rng.integers(1, RESIDUE_VOCAB_SIZE, size=(b, n, f))
+    blocks[np.arange(f) >= lengths[:, :, None]] = RESIDUE_PAD_ID
     return blocks, lengths
 
 
@@ -323,9 +320,8 @@ def test_scores_do_not_depend_on_batch_neighbours(tiny_config):
 
 def test_protein_embeddings_match_one_at_a_time(tiny_config):
     state = enc.init(tiny_config, seed=0)
-    seg = RAcutConfig(n=3, l_max=12)
     proteins = [_protein(k, offset=k) for k in (12, 7, 3, 40, 9)]
-    batched = enc.protein_embeddings(state, proteins, seg, batch_size=2)
+    batched = enc.protein_embeddings(state, proteins, batch_size=2)
     assert batched.shape == (5, 8)
     for vec, protein in zip(batched, proteins):
-        assert _rel_err(vec, enc.protein_embedding(state, protein, seg)) <= 1e-12
+        assert _rel_err(vec, enc.protein_embedding(state, protein)) <= 1e-12
