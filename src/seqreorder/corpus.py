@@ -123,7 +123,6 @@ def parse_dataset(
     ValidationError for a row whose fields fail encoding (empty sequence,
     label outside {0,1}); both name the offending 1-based line number.
     """
-    path = Path(path)
     records: list[InteractionRecord] = []
     # read_text translates every newline convention to "\n"
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
@@ -134,7 +133,7 @@ def parse_dataset(
         fields = line.split("\t")
         if len(fields) < 3:
             raise ParseError(
-                f"{path.name} line {lineno}: expected at least 3 "
+                f"{path} line {lineno}: expected at least 3 "
                 f"columns, got {len(fields)}"
             )
         label_text = fields[2].strip()
@@ -142,17 +141,17 @@ def parse_dataset(
             label_value = float(label_text)
         except ValueError:
             raise ParseError(
-                f"{path.name} line {lineno}: label {label_text!r} is not a number"
+                f"{path} line {lineno}: label {label_text!r} is not a number"
             ) from None
         if label_value not in (0.0, 1.0):
             raise ValidationError(
-                f"{path.name} line {lineno}: label must be 0 or 1, got {label_text!r}"
+                f"{path} line {lineno}: label must be 0 or 1, got {label_text!r}"
             )
         try:
             compound = encode_smiles(fields[0].strip(), max_atoms)
             protein = encode_protein(fields[1].strip(), l_max)
         except ValidationError as exc:
-            raise ValidationError(f"{path.name} line {lineno}: {exc}") from None
+            raise ValidationError(f"{path} line {lineno}: {exc}") from None
         records.append(
             InteractionRecord(compound=compound, protein=protein, label=int(label_value))
         )

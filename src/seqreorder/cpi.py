@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +40,6 @@ from .evaluation import auroc
 from .pretrain import Checkpoint, PretrainConfig, StepRecord, TrainLog, check_params, write_val_log
 
 logger = logging.getLogger(__name__)
-
-PROB_CLAMP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -192,32 +190,6 @@ def _expit(x: np.ndarray) -> np.ndarray:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function clipped to [1e-15, 1 - 1e-15], for reported probabilities."""
     return np.clip(_expit(x), 1e-15, 1.0 - 1e-15)
-
-
-def cpi_loss(
-    predictions: Sequence[float],
-    labels: Sequence[int],
-    params: Iterable[np.ndarray] | None = None,
-    lam: float = 0.0,
-) -> float:
-    """Summed binary cross-entropy plus (lam / 2) * ||theta||^2.
-
-    Predictions are clamped to [1e-9, 1 - 1e-9] before the logs.
-    """
-    p = np.asarray(predictions, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValidationError(
-            f"{p.shape[0] if p.ndim else 0} predictions vs {y.shape[0] if y.ndim else 0} labels"
-        )
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValidationError("labels must be 0 or 1")
-    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    bce = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum())
-    reg = 0.0
-    if params is not None and lam > 0.0:
-        reg = 0.5 * lam * float(sum((w * w).sum() for w in params))
-    return bce + reg
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +396,6 @@ def checkpoint_from_cpi(model: CpiModel, provenance: dict) -> Checkpoint:
             "encoder": asdict(model.encoder_state.config),
         },
         params=params,
-        adam_m=None,
-        adam_v=None,
-        adam_t=0,
         provenance=dict(provenance),
         log_tail=[],
     )

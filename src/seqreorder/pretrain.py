@@ -11,7 +11,8 @@ best checkpoint.
 Checkpoints are a single binary container: magic bytes, a format version,
 a canonical-JSON header (section tag, config, RNG provenance, a short
 training-log tail, array shapes), the little-endian float64 parameter
-block, optional Adam moment blocks, and a trailing SHA-256 checksum.
+block, and a trailing SHA-256 checksum. Optimizer state is not kept: no
+run resumes from a checkpoint.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import CheckpointError, NumericError, ValidationError
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"SRCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 LOG_TAIL_LIMIT = 20
 
 
@@ -121,17 +122,8 @@ class Checkpoint:
     section: str
     config: dict
     params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray] | None
-    adam_v: dict[str, np.ndarray] | None
-    adam_t: int
     provenance: dict
     log_tail: list[list]
-
-
-def _array_block(arrays: dict[str, np.ndarray]) -> bytes:
-    return b"".join(
-        np.ascontiguousarray(arrays[k], dtype="<f8").tobytes() for k in sorted(arrays)
-    )
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -143,8 +135,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "arrays": [
             {"key": k, "shape": list(ckpt.params[k].shape)} for k in sorted(ckpt.params)
         ],
-        "has_moments": ckpt.adam_m is not None,
-        "adam_t": ckpt.adam_t,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = bytearray()
@@ -152,10 +142,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     body += struct.pack("<I", CHECKPOINT_VERSION)
     body += struct.pack("<Q", len(header_bytes))
     body += header_bytes
-    body += _array_block(ckpt.params)
-    if ckpt.adam_m is not None:
-        body += _array_block(ckpt.adam_m)
-        body += _array_block(ckpt.adam_v)
+    for k in sorted(ckpt.params):
+        body += np.ascontiguousarray(ckpt.params[k], dtype="<f8").tobytes()
     body += hashlib.sha256(bytes(body)).digest()
     Path(path).write_bytes(bytes(body))
 
@@ -177,34 +165,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     header_len = struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
     offset = 16 + header_len
-
-    def read_block(specs):
-        nonlocal offset
-        out = {}
-        for spec in specs:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            nbytes = count * 8
-            arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-            out[spec["key"]] = arr.reshape(shape).astype(np.float64).copy()
-            offset += nbytes
-        return out
-
-    specs = sorted(header["arrays"], key=lambda s: s["key"])
-    params = read_block(specs)
-    adam_m = adam_v = None
-    if header["has_moments"]:
-        adam_m = read_block(specs)
-        adam_v = read_block(specs)
+    params = {}
+    for spec in sorted(header["arrays"], key=lambda s: s["key"]):
+        shape = tuple(spec["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+        params[spec["key"]] = arr.reshape(shape).astype(np.float64)
+        offset += count * 8
     if offset != len(body):
         raise CheckpointError(f"{path}: trailing bytes after parameter blocks")
     return Checkpoint(
         section=header["section"],
         config=header["config"],
         params=params,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_t=header["adam_t"],
         provenance=header["provenance"],
         log_tail=header["log_tail"],
     )
@@ -212,7 +185,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 def checkpoint_from_encoder(
     state: enc.EncoderState,
-    adam: nn.AdamState | None,
     provenance: dict,
     log_tail: list[list],
 ) -> Checkpoint:
@@ -220,9 +192,6 @@ def checkpoint_from_encoder(
         section="encoder",
         config=asdict(state.config),
         params={k: p.copy() for k, p in state.params.items()},
-        adam_m=None if adam is None else {k: v.copy() for k, v in adam.m.items()},
-        adam_v=None if adam is None else {k: v.copy() for k, v in adam.v.items()},
-        adam_t=0 if adam is None else adam.t,
         provenance=dict(provenance),
         log_tail=list(log_tail),
     )
@@ -417,7 +386,7 @@ def pretrain_run(
         val_history.append((epoch, val_acc))
 
         provenance = {"global_seed": gs, "epoch": epoch, "step": global_step}
-        ckpt = checkpoint_from_encoder(state, adam, provenance, log.tail())
+        ckpt = checkpoint_from_encoder(state, provenance, log.tail())
         if out_path is not None:
             save_checkpoint(ckpt, out_path / f"epoch_{epoch:04d}.ckpt")
         if val_acc > best_acc:

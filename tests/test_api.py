@@ -1,5 +1,6 @@
-"""What importing the package loads."""
+"""What importing the package loads, and what each module imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -56,3 +57,38 @@ def test_pretrain_runs_without_scipy(tmp_path):
     done = _run_python(_WITHOUT_SCIPY, tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def _unused_imports(path):
+    """(line, name) of each import in ``path`` that the file never reads.
+
+    A name is read when it appears as a name or as a function argument (a
+    pytest fixture). ``__future__`` imports and lines marked ``# noqa: F401``
+    are skipped.
+    """
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append((alias.lineno, name))
+    return unused
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(root.glob("src/seqreorder/*.py")) + sorted(root.glob("tests/*.py"))
+    unused = [
+        f"{path.relative_to(root)}:{line} {name}"
+        for path in files
+        for line, name in _unused_imports(path)
+    ]
+    assert unused == []

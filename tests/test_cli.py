@@ -204,7 +204,7 @@ def _edited_checkpoint(pretrain_dir, path, edit):
     ckpt = load_checkpoint(pretrain_dir / "best.ckpt")
     params = dict(ckpt.params)
     edit(params)
-    save_checkpoint(replace(ckpt, params=params, adam_m=None, adam_v=None), path)
+    save_checkpoint(replace(ckpt, params=params), path)
     return path
 
 

@@ -1,5 +1,7 @@
 """Vocabulary, record encoding, and TSV parsing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -115,6 +117,16 @@ def test_parse_dataset_errors_name_the_line(tmp_path):
     path = _write(tmp_path, "CCO\tMKV\t1\nCCN\tMKL\t2\n", name="out_of_range.tsv")
     with pytest.raises(ValidationError, match="line 2"):
         parse_dataset(path)
+
+
+def test_parse_dataset_errors_name_the_path_as_given(tmp_path):
+    # two files with one name: only the path says which one is bad
+    for part, text in (("a", "CCO\tMKV\t1\n"), ("b", "CCO\tMKV\t1\nCCN\tMKL\n")):
+        (tmp_path / part).mkdir()
+        _write(tmp_path / part, text, name="train.tsv")
+    parse_dataset(tmp_path / "a" / "train.tsv")
+    with pytest.raises(ParseError, match=re.escape(f"{tmp_path / 'b' / 'train.tsv'} line 2")):
+        parse_dataset(tmp_path / "b" / "train.tsv")
 
 
 def test_parse_dataset_entity_counts(tmp_path):

@@ -9,23 +9,19 @@ import pytest
 from seqreorder import cpi
 from seqreorder import encoder as enc
 from seqreorder import nn
-from seqreorder.augment import RAcutConfig
 from seqreorder.corpus import (
     CANONICAL_RESIDUES,
     SMILES_CHARS,
     SMILES_PAD_ID,
-    CompoundRecord,
     InteractionRecord,
     encode_protein,
     encode_smiles,
 )
 from seqreorder.cpi import (
     CpiConfig,
-    CpiModel,
     FinetuneConfig,
     build_protein_cache,
     checkpoint_from_cpi,
-    cpi_loss,
     cpi_model_from_checkpoint,
     finetune_run,
     init_cpi,
@@ -146,18 +142,18 @@ def test_predict_monotone_in_bias():
 
 
 def test_cpi_loss_hand_values():
-    assert cpi_loss([0.5], [1]) == pytest.approx(math.log(2), rel=1e-12)
-    assert cpi_loss([0.5, 0.5], [1, 0]) == pytest.approx(2 * math.log(2), rel=1e-12)
-    # regularizer: lam/2 * ||theta||^2 with theta = (1, 1) and lam = 2 adds 2
-    reg_only = cpi_loss([0.5], [1], params=[np.ones(2)], lam=2.0)
-    assert reg_only == pytest.approx(math.log(2) + 2.0, rel=1e-12)
-
-
-def test_cpi_loss_validates_labels():
-    with pytest.raises(ValidationError):
-        cpi_loss([0.5], [2])
-    with pytest.raises(ValidationError):
-        cpi_loss([0.5, 0.5], [1])
+    # a zero decoder puts every logit at 0, where each pair's BCE is log 2
+    model = _model()
+    model.params["dec.w"][...] = 0.0
+    model.params["dec.b"][...] = 0.0
+    for records in (_pairs(1), _pairs(2)):
+        cache = build_protein_cache(model, records)
+        loss = cpi._batch_grads(model, records, cache, 0.0)[0]
+        assert loss == pytest.approx(len(records) * math.log(2), rel=1e-12)
+        # the L2 term adds (lam / 2) * ||theta||^2
+        loss = cpi._batch_grads(model, records, cache, 2.0)[0]
+        want = len(records) * math.log(2) + nn.l2_penalty(model.params, 2.0)
+        assert loss == pytest.approx(want, rel=1e-12)
 
 
 def test_head_gradients_match_finite_differences():

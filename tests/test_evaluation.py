@@ -1,6 +1,5 @@
 """Scenario splitting, ranking metrics, and the evaluation report."""
 
-import itertools
 import json
 
 import numpy as np

@@ -1,5 +1,7 @@
 """Training steps, the run loop, and the checkpoint container."""
 
+import hashlib
+import struct
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -14,7 +16,6 @@ from seqreorder.errors import CheckpointError, NumericError, ValidationError
 from seqreorder import perm
 from seqreorder.perm import SinkhornConfig
 from seqreorder.pretrain import (
-    Checkpoint,
     PretrainConfig,
     StepRecord,
     TrainLog,
@@ -176,7 +177,7 @@ def test_train_log_tail_excludes_wall_time(tmp_path):
 def test_checkpoint_roundtrip(tmp_path):
     state = enc.init(TINY, seed=3)
     ckpt = checkpoint_from_encoder(
-        state, None, {"global_seed": 3, "epoch": 2, "step": 7}, [[1, 0, 0.5, 0.0]]
+        state, {"global_seed": 3, "epoch": 2, "step": 7}, [[1, 0, 0.5, 0.0]]
     )
     path = tmp_path / "enc.ckpt"
     save_checkpoint(ckpt, path)
@@ -192,23 +193,10 @@ def test_checkpoint_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_checkpoint_roundtrips_adam_moments(tmp_path):
-    state = enc.init(TINY, seed=0)
-    adam = nn.adam_init(state.params)
-    pretrain_step(state, _examples(4), _config(), adam)
-    ckpt = checkpoint_from_encoder(state, adam, {}, [])
-    save_checkpoint(ckpt, tmp_path / "with_adam.ckpt")
-    loaded = load_checkpoint(tmp_path / "with_adam.ckpt")
-    assert loaded.adam_t == adam.t
-    for key in adam.m:
-        np.testing.assert_array_equal(loaded.adam_m[key], adam.m[key])
-        np.testing.assert_array_equal(loaded.adam_v[key], adam.v[key])
-
-
 def test_checkpoint_detects_corruption(tmp_path):
     state = enc.init(TINY, seed=0)
     path = tmp_path / "enc.ckpt"
-    save_checkpoint(checkpoint_from_encoder(state, None, {}, []), path)
+    save_checkpoint(checkpoint_from_encoder(state, {}, []), path)
     blob = bytearray(path.read_bytes())
     blob[-40] ^= 0xFF  # flip a bit inside the parameter block
     path.write_bytes(bytes(blob))
@@ -219,9 +207,21 @@ def test_checkpoint_detects_corruption(tmp_path):
 def test_checkpoint_detects_truncation(tmp_path):
     state = enc.init(TINY, seed=0)
     path = tmp_path / "enc.ckpt"
-    save_checkpoint(checkpoint_from_encoder(state, None, {}, []), path)
+    save_checkpoint(checkpoint_from_encoder(state, {}, []), path)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_an_older_format_version(tmp_path):
+    # a file of format version 1 carried Adam moment blocks; it is refused
+    # by its version, not misread
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(checkpoint_from_encoder(enc.init(TINY, seed=0), {}, []), path)
+    body = bytearray(path.read_bytes()[:-32])
+    body[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
+    with pytest.raises(CheckpointError, match="version 1 is not supported \\(expected 2\\)"):
         load_checkpoint(path)
 
 
@@ -234,7 +234,7 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
 
 def test_encoder_state_from_checkpoint_config_guard(tmp_path):
     state = enc.init(TINY, seed=0)
-    ckpt = checkpoint_from_encoder(state, None, {}, [])
+    ckpt = checkpoint_from_encoder(state, {}, [])
     restored = encoder_state_from_checkpoint(ckpt)
     assert restored.config == TINY
     # a config whose parameters are not the ones in the file is refused
@@ -267,6 +267,15 @@ def test_run_is_deterministic(tmp_path):
         tmp_path / "b" / "best.ckpt"
     ).read_bytes()
     assert (tmp_path / "a" / "train_log.csv").exists()
+
+
+def test_run_checkpoints_hold_only_the_parameters(tmp_path):
+    dataset = PretrainDataset(proteins=[_protein(12, offset=i) for i in range(8)])
+    pretrain_run(dataset, TINY, CUT, _config(), out_dir=tmp_path)
+    blob = (tmp_path / "epoch_0001.ckpt").read_bytes()
+    header_len = struct.unpack("<Q", blob[8:16])[0]
+    param_count = sum(p.size for p in enc.init(TINY).params.values())
+    assert len(blob) == 16 + header_len + 8 * param_count + 32
 
 
 def test_run_skips_short_proteins(tmp_path, caplog):

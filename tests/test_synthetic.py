@@ -1,7 +1,5 @@
 """Bundled synthetic corpora used by the desk-scale experiments."""
 
-import numpy as np
-
 from seqreorder.corpus import parse_dataset
 from seqreorder.synthetic import (
     corpus_records,
