@@ -12,8 +12,9 @@ position is padded or masked and no example pays for a longer one's T^2.
 Attention never keeps its softmax weights. It runs over blocks of
 consecutive (example, head) slices holding at most 1 MiB of weights each,
 and keeps q, k, v and each softmax row's max and sum: the backward
-rebuilds each block's weights with the forward's own operations, bit for
-bit. The FFN builds and rectifies its hidden activation in place.
+rebuilds each block's unnormalized weights bit for bit, and the sums
+divide the (t, dh) context and its gradient, never the (t, t) weights.
+Layernorm's row statistics are einsum row dots; the FFN's ReLU runs in place.
 
 Importing this module fixes glibc's malloc thresholds for the whole
 process (see ``_keep_freed_memory``), so each training step reuses the
@@ -82,27 +83,34 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
 
 
 def layernorm_forward(x: Array, gamma: Array, beta: Array | None = None):
-    """gamma * xhat + beta over the last axis; no beta adds nothing."""
+    """gamma * xhat + beta over the last axis; no beta adds nothing.
+
+    The variance is a per-row einsum dot: a row's bits do not depend on its layout.
+    """
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.einsum("...j,...j->...", xc, xc)[..., None] / x.shape[-1]
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    out = gamma * xhat
+    xc *= inv
+    out = gamma * xc
     if beta is not None:
         out += beta
-    return out, (xhat, inv, gamma)
+    return out, (xc, inv, gamma)
 
 
 def layernorm_backward(cache, dy: Array):
     xhat, inv, gamma = cache
+    d = xhat.shape[-1]
     dxhat = dy * gamma
-    dgamma = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dbeta = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    dgamma = np.einsum("ij,ij->j", dy.reshape(-1, d), xhat.reshape(-1, d))
+    dbeta = dy.reshape(-1, d).sum(axis=0)
     m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dgamma, dbeta
+    m2 = np.einsum("...j,...j->...", dxhat, xhat)[..., None] / d
+    # dx = inv * (dxhat - m1 - xhat * m2), built in dxhat
+    dxhat -= m1
+    dxhat -= xhat * m2
+    dxhat *= inv
+    return dxhat, dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +163,12 @@ def _weight_blocks(slices: int, t: int) -> list[slice]:
 
 
 def _softmax_weights(q, k, block, rowmax, rowsum, rebuild: bool) -> Array:
-    """One block's softmax weights, made in place on its scores q·kᵀ.
+    """One block's unnormalized softmax weights exp(q·kᵀ − max), in place on the scores.
 
     The forward stores each row's max and sum in the block's rows of
-    ``rowmax`` and ``rowsum``; a rebuild reads them back. Both run the
+    ``rowmax`` and ``rowsum``; a rebuild reads the max back. Both run the
     same operations on the same values, so rebuilt weights are
-    bit-identical.
+    bit-identical. The caller divides by the row sums.
     """
     w = q[block] @ k[block].transpose(0, 2, 1)
     if not rebuild:
@@ -169,7 +177,6 @@ def _softmax_weights(q, k, block, rowmax, rowsum, rebuild: bool) -> Array:
     np.exp(w, out=w)
     if not rebuild:
         np.sum(w, axis=-1, keepdims=True, out=rowsum[block])
-    w /= rowsum[block]
     return w
 
 
@@ -183,12 +190,13 @@ def attention_forward(x: Array, p: dict, prefix: str, lengths: Array, heads: int
     Nothing is masked. There is no key bias: the softmax ignores it.
 
     The scale is folded into q (the cached q is the scaled one), and the
-    softmax runs in place on the scores, in blocks of consecutive slices
-    holding at most ``_BLOCK_BYTES`` (1 MiB) of weights (one slice when a
-    slice is larger). The cache keeps q, k, v and each row's max and sum,
-    never the weights: the backward rebuilds each block's weights from
-    them. No log-sum-exp is kept, because exp(s - lse) is not bitwise
-    exp(s - max) / sum.
+    weights e = exp(s - max) are made in place on the scores, in blocks of
+    consecutive slices holding at most ``_BLOCK_BYTES`` (1 MiB) of them
+    (one slice when a slice is larger). Each row's sum divides the (t, dh)
+    context, not e, as in FlashAttention (Dao et al. 2022). The cache keeps
+    q, k, v and each row's max and sum, never e: the backward rebuilds e
+    bit for bit and divides the context gradient by the sums. No
+    log-sum-exp is kept: exp(s - lse) is not bitwise exp(s - max) / sum.
     """
     wq, wk, wv, wo = (p[prefix + n] for n in ("wq", "wk", "wv", "wo"))
     bq, bv, bo = (p[prefix + n] for n in ("bq", "bv", "bo"))
@@ -203,8 +211,9 @@ def attention_forward(x: Array, p: dict, prefix: str, lengths: Array, heads: int
         rowmax, rowsum = np.empty((b * heads, t, 1)), np.empty((b * heads, t, 1))
         ctx = np.empty(qg.shape)
         for block in _weight_blocks(b * heads, t):
-            w = _softmax_weights(qg, kg, block, rowmax, rowsum, rebuild=False)
-            np.matmul(w, vg[block], out=ctx[block])
+            e = _softmax_weights(qg, kg, block, rowmax, rowsum, rebuild=False)
+            np.matmul(e, vg[block], out=ctx[block])
+        ctx /= rowsum
         _merge_heads(ctx, merged[rows])
         kept.append((qg, kg, vg, rowmax, rowsum))
     out = merged @ wo + bo
@@ -223,16 +232,17 @@ def attention_backward(cache, dout: Array):
     dq, dk, dv = np.empty_like(xs), np.empty_like(xs), np.empty_like(xs)
     for (rows, b, t), (q, k, v, rowmax, rowsum) in zip(groups, kept):
         dctx = _split_heads(dctx_rows[rows], b, heads)
+        dctx /= rowsum  # the weights are e / rowsum: every product of e takes dctx / rowsum
         gq, gk, gv = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape)
         for block in _weight_blocks(b * heads, t):
-            w = _softmax_weights(q, k, block, rowmax, rowsum, rebuild=True)
-            np.matmul(w.transpose(0, 2, 1), dctx[block], out=gv[block])
-            # softmax backward in place on d(weights). ds is the gradient of
-            # the scores q·k with q already scaled, so dk pairs it with that
-            # q and only dq takes the scale.
+            e = _softmax_weights(q, k, block, rowmax, rowsum, rebuild=True)
+            np.matmul(e.transpose(0, 2, 1), dctx[block], out=gv[block])
+            # softmax backward in place on d(weights) / rowsum. ds is the
+            # gradient of the scores q·k with q already scaled, so dk pairs
+            # it with that q and only dq takes the scale.
             ds = dctx[block] @ v[block].transpose(0, 2, 1)
-            ds -= np.einsum("...ij,...ij->...i", ds, w)[..., None]
-            ds *= w
+            ds -= np.einsum("...ij,...ij->...i", ds, e)[..., None] / rowsum[block]
+            ds *= e
             np.matmul(ds, k[block], out=gq[block])
             gq[block] *= scale
             np.matmul(ds.transpose(0, 2, 1), q[block], out=gk[block])

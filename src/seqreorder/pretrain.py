@@ -144,8 +144,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     body += header_bytes
     for k in sorted(ckpt.params):
         body += np.ascontiguousarray(ckpt.params[k], dtype="<f8").tobytes()
-    body += hashlib.sha256(bytes(body)).digest()
-    Path(path).write_bytes(bytes(body))
+    body += hashlib.sha256(body).digest()
+    Path(path).write_bytes(body)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -153,7 +153,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if len(raw) < 4 + 4 + 8 + 32 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     digest = raw[-32:]
-    body = raw[:-32]
+    body = memoryview(raw)[:-32]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"{path}: checksum mismatch (corrupt or truncated)")
     version = struct.unpack("<I", raw[4:8])[0]
@@ -385,16 +385,16 @@ def pretrain_run(
             val_acc = float(np.mean(epoch_accs))
         val_history.append((epoch, val_acc))
 
-        provenance = {"global_seed": gs, "epoch": epoch, "step": global_step}
-        ckpt = checkpoint_from_encoder(state, provenance, log.tail())
-        if out_path is not None:
-            save_checkpoint(ckpt, out_path / f"epoch_{epoch:04d}.ckpt")
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_ckpt = ckpt
-            best_epoch = epoch
+        improved = val_acc > best_acc
+        if out_path is not None or improved:
+            provenance = {"global_seed": gs, "epoch": epoch, "step": global_step}
+            ckpt = checkpoint_from_encoder(state, provenance, log.tail())
             if out_path is not None:
-                save_checkpoint(ckpt, out_path / "best.ckpt")
+                save_checkpoint(ckpt, out_path / f"epoch_{epoch:04d}.ckpt")
+            if improved:
+                best_acc, best_ckpt, best_epoch = val_acc, ckpt, epoch
+                if out_path is not None:
+                    save_checkpoint(ckpt, out_path / "best.ckpt")
         if config.stop_accuracy is not None and val_acc >= config.stop_accuracy:
             logger.info("early stop at epoch %d: %s %.4f", epoch, val_label, val_acc)
             break

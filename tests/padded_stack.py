@@ -56,8 +56,9 @@ def _merge_heads(x):
 def attention_forward(x, p, prefix, key_mask, heads):
     """Scaled dot-product attention on x (B, T, d); masked keys get -inf.
 
-    The softmax runs in place on one block of every (example, head) slice,
-    and the weights are rebuilt in the backward from each row's max and sum.
+    The unnormalized weights exp(s - max) are made in place on one block of
+    every (example, head) slice, each row's sum divides the context, and
+    the weights are rebuilt in the backward from each row's max.
     """
     wq, wk, wv, wo = (p[prefix + n] for n in ("wq", "wk", "wv", "wo"))
     bq, bv, bo = (p[prefix + n] for n in ("bq", "bv", "bo"))
@@ -70,8 +71,8 @@ def attention_forward(x, p, prefix, key_mask, heads):
     q, k, v = (a.reshape(b * h, t, dh) for a in (q, k, v))
     masked = None if key_mask.all() else np.repeat(~key_mask, h, axis=0)[:, None, :]
     rowmax, rowsum = np.empty((b * h, t, 1)), np.empty((b * h, t, 1))
-    w = _softmax_weights(q, k, masked, rowmax, rowsum, rebuild=False)
-    merged = _merge_heads((w @ v).reshape(b, h, t, dh))
+    e = _softmax_weights(q, k, masked, rowmax, rowsum, rebuild=False)
+    merged = _merge_heads(((e @ v) / rowsum).reshape(b, h, t, dh))
     out = merged @ wo + bo
     return out, (x, q, k, v, masked, rowmax, rowsum, merged, scale, prefix, heads, wq, wk, wv, wo)
 
@@ -86,7 +87,6 @@ def _softmax_weights(q, k, masked, rowmax, rowsum, rebuild):
     np.exp(w, out=w)
     if not rebuild:
         np.sum(w, axis=-1, keepdims=True, out=rowsum)
-    w /= rowsum
     return w
 
 
@@ -95,13 +95,13 @@ def attention_backward(cache, dout):
     b, t, d = x.shape
     dout2 = dout.reshape(-1, d)
     grads = {prefix + "wo": merged.reshape(-1, d).T @ dout2, prefix + "bo": dout2.sum(axis=0)}
-    dctx = _split_heads(dout @ wo.T, heads).reshape(q.shape)
-    w = _softmax_weights(q, k, masked, rowmax, rowsum, rebuild=True)
-    dv = w.transpose(0, 2, 1) @ dctx
+    dctx = _split_heads(dout @ wo.T, heads).reshape(q.shape) / rowsum
+    e = _softmax_weights(q, k, masked, rowmax, rowsum, rebuild=True)
+    dv = e.transpose(0, 2, 1) @ dctx
     # masked entries have weight 0, so their grad is 0
     ds = dctx @ v.transpose(0, 2, 1)
-    ds -= np.einsum("...ij,...ij->...i", ds, w)[..., None]
-    ds *= w
+    ds -= np.einsum("...ij,...ij->...i", ds, e)[..., None] / rowsum
+    ds *= e
     dq = (ds @ k) * scale
     dk = ds.transpose(0, 2, 1) @ q
     dq2, dk2, dv2 = (_merge_heads(a.reshape(b, heads, t, -1)).reshape(-1, d) for a in (dq, dk, dv))

@@ -8,7 +8,8 @@ rebuilds its softmax weights in the backward against a copy of the
 attention that kept them; and the in-place Adam step against the
 expressions it evaluates. Also that a training step, once warm, reuses
 the memory the previous step freed, and that its traced peak stays below
-its layers' attention weights.
+its layers' attention weights. Layernorm against the two-pass formula it
+replaced, and row by row against itself.
 """
 
 import ctypes
@@ -188,6 +189,69 @@ def test_embedding_backward_matches_add_at():
 
 
 # ---------------------------------------------------------------------------
+# layernorm against the two-pass formula, and row by row
+# ---------------------------------------------------------------------------
+
+
+def _two_pass_layernorm(x, gamma, beta, dy):
+    """Output, dx, dgamma and dbeta of the out-of-place formula layernorm replaced."""
+    d = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + nn.LN_EPS)
+    xhat = xc * inv
+    dxhat = dy * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    dgamma = (dy * xhat).reshape(-1, d).sum(axis=0)
+    return gamma * xhat + beta, dx, dgamma, dy.reshape(-1, d).sum(axis=0)
+
+
+def _layernorm(x, gamma, beta, dy):
+    out, cache = nn.layernorm_forward(x, gamma, beta)
+    return (out, *nn.layernorm_backward(cache, dy))
+
+
+LAYERNORM_SHAPES = [(37, 8), (3, 5, 16), (4, 300, 64), (1200, 64), (1536, 32), (2, 7, 256)]
+
+
+@pytest.mark.parametrize("shape", LAYERNORM_SHAPES)
+def test_layernorm_matches_two_pass_formula(shape):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    x = rng.normal(loc=3.0, size=shape)  # an offset the centring must remove
+    gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    dy = rng.normal(size=shape)
+    x_before, dy_before = x.copy(), dy.copy()
+    got = _layernorm(x, gamma, beta, dy)
+    for actual, expected in zip(got, _two_pass_layernorm(x, gamma, beta, dy)):
+        assert actual.shape == expected.shape
+        assert _rel_err(actual, expected) <= 1e-12
+    np.testing.assert_array_equal(x, x_before)
+    np.testing.assert_array_equal(dy, dy_before)
+
+
+@pytest.mark.parametrize("shape", LAYERNORM_SHAPES)
+def test_layernorm_rows_do_not_depend_on_their_layout(shape):
+    # a row's output and dx have the bits of that row computed alone, and
+    # (B, T, d) gives the bits of its (N, d) rows, dgamma and dbeta included
+    rng = np.random.default_rng(shape[-1])
+    x, dy = rng.normal(size=shape), rng.normal(size=shape)
+    gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    d = shape[-1]
+    out, dx, dgamma, dbeta = _layernorm(x, gamma, beta, dy)
+    rows = _layernorm(x.reshape(-1, d), gamma, beta, dy.reshape(-1, d))
+    np.testing.assert_array_equal(out.reshape(-1, d), rows[0])
+    np.testing.assert_array_equal(dx.reshape(-1, d), rows[1])
+    np.testing.assert_array_equal(dgamma, rows[2])
+    np.testing.assert_array_equal(dbeta, rows[3])
+    n = rows[0].shape[0]
+    for i in sorted({0, 1, n // 2, n - 1}):
+        alone = _layernorm(x.reshape(-1, d)[i : i + 1], gamma, beta, dy.reshape(-1, d)[i : i + 1])
+        np.testing.assert_array_equal(alone[0], rows[0][i : i + 1])
+        np.testing.assert_array_equal(alone[1], rows[1][i : i + 1])
+
+
+# ---------------------------------------------------------------------------
 # attention against the out-of-place formula
 # ---------------------------------------------------------------------------
 
@@ -246,6 +310,7 @@ ATTENTION_MASKS = {
     "ragged": ((5, 2, 7, 1), 7),
     "one-key": ((1, 1, 1), 1),
     "batch-of-one": ((4,), 6),
+    "long": ((300, 300), 300),
 }
 
 
@@ -294,8 +359,10 @@ def test_attention_matches_out_of_place_reference(mask, dh):
 def _kept_weights_attention_forward(x, p, prefix, lengths, heads):
     """``nn.attention_forward`` as it would be if every group kept its weights.
 
-    Per length group, one (b·h, t, t) score buffer softmaxed in place and
-    cached whole for ``_kept_weights_attention_backward``.
+    Per length group, one (b·h, t, t) score buffer turned in place into the
+    unnormalized weights exp(s - max) and cached whole, with each row's
+    sum, for ``_kept_weights_attention_backward``; the sums divide the
+    context.
     """
     wq, wk, wv, wo = (p[prefix + n] for n in ("wq", "wk", "wv", "wo"))
     bq, bv, bo = (p[prefix + n] for n in ("bq", "bv", "bo"))
@@ -310,9 +377,9 @@ def _kept_weights_attention_forward(x, p, prefix, lengths, heads):
         attn = qg @ kg.transpose(0, 2, 1)
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        nn._merge_heads(attn @ vg, merged[rows])
-        kept.append((qg, kg, vg, attn))
+        rowsum = attn.sum(axis=-1, keepdims=True)
+        nn._merge_heads((attn @ vg) / rowsum, merged[rows])
+        kept.append((qg, kg, vg, attn, rowsum))
     out = merged @ wo + bo
     if order is not None:
         out = nn._unsort(out, order)
@@ -326,10 +393,10 @@ def _kept_weights_attention_backward(cache, dout):
     grads = {prefix + "wo": merged.T @ dout, prefix + "bo": dout.sum(axis=0)}
     dctx_rows = dout @ wo.T
     dq, dk, dv = np.empty_like(xs), np.empty_like(xs), np.empty_like(xs)
-    for (rows, b, t), (q, k, v, attn) in zip(groups, kept):
-        dctx = nn._split_heads(dctx_rows[rows], b, heads)
+    for (rows, b, t), (q, k, v, attn, rowsum) in zip(groups, kept):
+        dctx = nn._split_heads(dctx_rows[rows], b, heads) / rowsum
         ds = dctx @ v.transpose(0, 2, 1)
-        ds -= np.einsum("...ij,...ij->...i", ds, attn)[..., None]
+        ds -= np.einsum("...ij,...ij->...i", ds, attn)[..., None] / rowsum
         ds *= attn
         nn._merge_heads((ds @ k) * scale, dq[rows])
         nn._merge_heads(ds.transpose(0, 2, 1) @ q, dk[rows])
@@ -393,7 +460,7 @@ def test_rebuilt_weights_attention_is_bit_identical_to_kept_weights(
         assert sorted(grads) == sorted(ref_grads)
         for key in grads:
             np.testing.assert_array_equal(grads[key], ref_grads[key])
-        # each rebuilt block is its group's kept weights' block
+        # each rebuilt block is its group's kept unnormalized weights' block
         ref_attn = {t: kept[3] for (_, _, t), kept in zip(groups, ref_cache[3])}
         for t, block, w in rebuilt:
             np.testing.assert_array_equal(w, ref_attn[t][block])

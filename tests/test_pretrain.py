@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from seqreorder import encoder as enc
 from seqreorder import nn
+from seqreorder import pretrain as pretrain_mod
 from seqreorder.augment import NoiseSpec, RAcutConfig, make_pretrain_example
 from seqreorder.corpus import CANONICAL_RESIDUES, PretrainDataset, encode_protein
 from seqreorder.encoder import EncoderConfig
@@ -193,6 +195,29 @@ def test_checkpoint_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_checkpoint_io_holds_the_file_at_most_twice(tmp_path):
+    # a save holds the file's bytes once (plus one array's bytes), and a
+    # load holds the file once plus the arrays it returns
+    config = EncoderConfig(embed_dim=64, layers=2, heads=2, ffn_dim=128, n=3, f_max=4)
+    ckpt = checkpoint_from_encoder(enc.init(config, seed=0), {}, [])
+    path = tmp_path / "enc.ckpt"
+    tracemalloc.start()
+    try:
+        save_checkpoint(ckpt, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 500_000
+    assert save_peak < 1.5 * size
+    assert load_peak < 2.2 * size
+    for key in ckpt.params:
+        np.testing.assert_array_equal(loaded.params[key], ckpt.params[key])
+
+
 def test_checkpoint_detects_corruption(tmp_path):
     state = enc.init(TINY, seed=0)
     path = tmp_path / "enc.ckpt"
@@ -276,6 +301,33 @@ def test_run_checkpoints_hold_only_the_parameters(tmp_path):
     header_len = struct.unpack("<Q", blob[8:16])[0]
     param_count = sum(p.size for p in enc.init(TINY).params.values())
     assert len(blob) == 16 + header_len + 8 * param_count + 32
+
+
+def test_run_without_out_dir_copies_only_improving_epochs(tmp_path, monkeypatch):
+    dataset = PretrainDataset(proteins=[_protein(12, offset=i) for i in range(12)])
+    config = _config(epochs=6, lr=1e-2)
+    written = pretrain_run(dataset, TINY, CUT, config, out_dir=tmp_path)
+    epochs = []
+
+    def spy(state, provenance, log_tail):
+        epochs.append(provenance["epoch"])
+        return checkpoint_from_encoder(state, provenance, log_tail)
+
+    monkeypatch.setattr(pretrain_mod, "checkpoint_from_encoder", spy)
+    result = pretrain_run(dataset, TINY, CUT, config)
+    best, improving = -np.inf, []
+    for epoch, acc in result.val_history:
+        if acc > best:
+            best = acc
+            improving.append(epoch)
+    assert 1 < len(improving) < config.epochs  # some epochs improve and some do not
+    assert epochs == improving
+    assert result.best_epoch == written.best_epoch == improving[-1]
+    best_ckpt, want = result.best_checkpoint, written.best_checkpoint
+    assert (best_ckpt.provenance, best_ckpt.log_tail) == (want.provenance, want.log_tail)
+    assert sorted(best_ckpt.params) == sorted(want.params)
+    for key in want.params:
+        np.testing.assert_array_equal(best_ckpt.params[key], want.params[key])
 
 
 def test_run_skips_short_proteins(tmp_path, caplog):
