@@ -19,8 +19,6 @@ import numpy as np
 from .corpus import RESIDUE_MASK_ID, RESIDUE_PAD_ID, ProteinRecord
 from .errors import AugmentationError, ValidationError
 
-NOISE_KINDS = ("identity", "mask")
-
 
 @dataclass(frozen=True)
 class RAcutConfig:
@@ -42,12 +40,12 @@ class RAcutConfig:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    kind: str = "mask"
+    kind: str = "mask"  # the only kind; perfbench still passes it
     mask_prob: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.kind not in NOISE_KINDS:
-            raise ValidationError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
+        if self.kind != "mask":
+            raise ValidationError(f"noise kind must be 'mask', got {self.kind!r}")
         if not 0.0 <= self.mask_prob <= 1.0:
             raise ValidationError(f"mask_prob must be in [0, 1], got {self.mask_prob}")
 
@@ -167,10 +165,8 @@ def shuffle_apply(sset: SubsequenceSet, p: ShuffleMatrix) -> SubsequenceSet:
 def apply_noise(
     sset: SubsequenceSet, spec: NoiseSpec, rng: np.random.Generator
 ) -> SubsequenceSet:
-    """Apply token noise. Pads are never touched; lengths never change."""
+    """Mask each real token with probability ``spec.mask_prob``; pads and lengths never change."""
     out = sset.copy()
-    if spec.kind == "identity":
-        return out
     draws = rng.random(out.blocks.shape)
     nonpad = np.arange(out.f_max)[None, :] < out.true_lengths[:, None]
     masked = (draws < spec.mask_prob) & nonpad

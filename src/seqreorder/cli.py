@@ -2,9 +2,9 @@
 
 Commands: split, pretrain, finetune, evaluate, gradcheck,
 export-embeddings, plus synth (the bundled corpus generator). Every
-command takes --seed (defaulted, echoed into every artifact it writes)
-and --out; when --out is omitted the output root comes from the
-SEQREORDER_OUT environment variable (default ./runs).
+command takes --seed (echoed into every artifact it writes) and --out;
+when --out is omitted the output root comes from the SEQREORDER_OUT
+environment variable (default ./runs).
 """
 
 from __future__ import annotations
@@ -35,15 +35,13 @@ logger = logging.getLogger(__name__)
 
 OUT_ROOT_ENV = "SEQREORDER_OUT"
 
-# Every RunConfig field except seed (which has its own flag) is a
-# --kebab-case flag typed by its default value.
-_FLAG_TYPES = {f.name: type(f.default) for f in fields(RunConfig) if f.name != "seed"}
+# Every RunConfig field is a --kebab-case flag typed by its default value.
+_FLAG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 _GEOMETRY_FLAGS = ("embed_dim", "layers", "heads", "ffn_dim", "n")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     for name, typ in _FLAG_TYPES.items():
@@ -52,12 +50,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     rc = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {"seed": args.seed}
-    for name in _FLAG_TYPES:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return rc.with_overrides(overrides)
+    overrides = {name: getattr(args, name) for name in _FLAG_TYPES}
+    return rc.with_overrides({k: v for k, v in overrides.items() if v is not None})
 
 
 def _out_dir(args: argparse.Namespace, command: str) -> Path:
@@ -75,6 +69,20 @@ def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict) -> None:
     (out / "run_meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+
+
+def _checkpoint_encoder(args: argparse.Namespace, rc: RunConfig):
+    """The encoder in ``--checkpoint``, and ``rc`` with its geometry; a conflicting flag fails."""
+    state = pretrain.encoder_state_from_checkpoint(pretrain.load_checkpoint(args.checkpoint))
+    geometry = {name: getattr(state.config, name) for name in _GEOMETRY_FLAGS}
+    for name, have in geometry.items():
+        value = getattr(args, name)
+        if value is not None and value != have:
+            raise CheckpointError(
+                f"checkpoint encoder has {name}={have} "
+                f"but {name}={value} was requested; parameter shapes differ"
+            )
+    return state, rc.with_overrides(geometry)
 
 
 def _read_pairs(path, args: argparse.Namespace, rc: RunConfig):
@@ -189,25 +197,21 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     if bool(args.checkpoint) == bool(args.random_init):
         raise ValidationError("give exactly one of --checkpoint or --random-init")
     if args.checkpoint:
-        ckpt = pretrain.load_checkpoint(args.checkpoint)
-        frozen = pretrain.encoder_state_from_checkpoint(ckpt)
-        for name in _GEOMETRY_FLAGS:
-            value = getattr(args, name)
-            if value is not None and getattr(frozen.config, name) != value:
-                raise CheckpointError(
-                    f"checkpoint encoder has {name}={getattr(frozen.config, name)} "
-                    f"but {name}={value} was requested; parameter shapes differ"
-                )
+        frozen, rc = _checkpoint_encoder(args, rc)
     else:
         frozen = enc.init(rc.encoder(), seed=rc.seed)
 
     train = _read_pairs(args.train, args, rc)
     valid = _read_pairs(args.valid, args, rc) if args.valid else []
+    if len({r.label for r in valid}) == 1:
+        raise ValidationError(
+            f"{args.valid}: every pair has label {valid[0].label}; "
+            "the validation AUROC needs both labels"
+        )
     # test sets are read before training, so a bad one fails at once
     tests = [(name, _read_pairs(path, args, rc)) for name, path in _test_specs(args.test or [])]
     out = _out_dir(args, "finetune")
-    cpi_cfg = rc.with_overrides({"embed_dim": frozen.config.embed_dim}).cpi()
-    result = cpi_mod.finetune_run(train, valid, frozen, cpi_cfg, rc.finetune(), out_dir=out)
+    result = cpi_mod.finetune_run(train, valid, frozen, rc.cpi(), rc.finetune(), out_dir=out)
     ckpt_out = cpi_mod.checkpoint_from_cpi(
         result.model, {"global_seed": rc.seed, "epoch": result.selected_epoch, "step": 0}
     )
@@ -284,9 +288,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_export_embeddings(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
-    ckpt = pretrain.load_checkpoint(args.checkpoint)
-    state = pretrain.encoder_state_from_checkpoint(ckpt)
+    state, rc = _checkpoint_encoder(args, _run_config(args))
     pids, proteins, skipped = [], [], []
     for _, pid, seq in read_protein_list(args.proteins):
         try:

@@ -41,6 +41,8 @@ from .pretrain import Checkpoint, PretrainConfig, StepRecord, TrainLog, check_pa
 
 logger = logging.getLogger(__name__)
 
+PREDICT_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class CpiConfig:
@@ -50,7 +52,6 @@ class CpiConfig:
     comp_ffn_dim: int = 1024
     fusion_dim: int = 512
     max_atoms: int = DEFAULT_MAX_ATOMS
-    smiles_vocab_size: int = SMILES_VOCAB_SIZE
 
     def __post_init__(self) -> None:
         for name in (
@@ -60,7 +61,6 @@ class CpiConfig:
             "comp_ffn_dim",
             "fusion_dim",
             "max_atoms",
-            "smiles_vocab_size",
         ):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
@@ -106,7 +106,7 @@ def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> C
     rng = np.random.default_rng(seed)
     d = config.embed_dim
     params: dict[str, np.ndarray] = {}
-    params["comp.tok_embed"] = nn.uniform_init(rng, (config.smiles_vocab_size, d), d)
+    params["comp.tok_embed"] = nn.uniform_init(rng, (SMILES_VOCAB_SIZE, d), d)
     params["comp.pos_embed"] = nn.uniform_init(rng, (config.max_atoms, d), d)
     nn.init_stack_params(rng, params, "comp.", config.comp_layers, d, config.comp_ffn_dim)
     params["comp.ln_f.gamma"] = np.ones(d)
@@ -243,17 +243,12 @@ def _pair_logits(
 def predict_pairs(
     model: CpiModel,
     records: Sequence[InteractionRecord],
-    cache: dict[str, np.ndarray] | None = None,
-    batch_size: int = 256,
+    cache: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Interaction probabilities for a list of pairs."""
-    if not records:
-        return np.zeros(0)
-    if cache is None:
-        cache = build_protein_cache(model, records)
+    """Interaction probabilities, ``PREDICT_CHUNK`` pairs at a time, from cached proteins."""
     out = np.empty(len(records))
-    for start in range(0, len(records), batch_size):
-        chunk = records[start : start + batch_size]
+    for start in range(0, len(records), PREDICT_CHUNK):
+        chunk = records[start : start + PREDICT_CHUNK]
         logits, _, _, _ = _pair_logits(model, chunk, cache)
         out[start : start + len(chunk)] = _sigmoid(logits)
     return out

@@ -41,10 +41,9 @@ class EncoderConfig:
     n: int = 24
     # the default residue budget cut into the default block count
     f_max: int = RAcutConfig(n=n, l_max=DEFAULT_MAX_RESIDUES).f_max
-    vocab_size: int = RESIDUE_VOCAB_SIZE
 
     def __post_init__(self) -> None:
-        for name in ("embed_dim", "layers", "heads", "ffn_dim", "n", "f_max", "vocab_size"):
+        for name in ("embed_dim", "layers", "heads", "ffn_dim", "n", "f_max"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         if self.embed_dim % self.heads != 0:
@@ -69,7 +68,7 @@ def init(config: EncoderConfig, seed: int = 0) -> EncoderState:
     rng = np.random.default_rng(seed)
     d = config.embed_dim
     params: dict[str, np.ndarray] = {}
-    params["tok_embed"] = nn.uniform_init(rng, (config.vocab_size, d), d)
+    params["tok_embed"] = nn.uniform_init(rng, (RESIDUE_VOCAB_SIZE, d), d)
     params["pos_embed"] = nn.uniform_init(rng, (config.f_max, d), d)
     params["slot_embed"] = nn.uniform_init(rng, (config.n, d), d)
     nn.init_stack_params(rng, params, "", config.layers, d, config.ffn_dim)
@@ -132,7 +131,7 @@ def _validate_input(state: EncoderState, sset: SubsequenceSet) -> None:
             f"input blocks are {sset.n} x {sset.f_max}, encoder expects "
             f"{cfg.n} x {cfg.f_max}"
         )
-    if (sset.blocks >= cfg.vocab_size).any() or (sset.blocks < 0).any():
+    if (sset.blocks >= RESIDUE_VOCAB_SIZE).any() or (sset.blocks < 0).any():
         raise ValidationError("block token id out of vocabulary range")
 
 

@@ -1,8 +1,9 @@
 """Finite-difference verification of the analytic gradients.
 
 Two component families are checked: the normalization backward on its own
-(several unroll depths) and the full model — the batch-mean reordering
-loss through the projection and every encoder layer down to the
+(several unroll depths) and the full model — ``pretrain.objective``, the
+batch-mean reordering loss and gradient that every pretraining step
+descends, through the projection and every encoder layer down to the
 embeddings, on a batch of two short proteins whose ragged blocks and
 unequal lengths exercise the packed layout and its grouping by length.
 Errors are relative with a small floor so exactly-zero gradients do not
@@ -18,6 +19,7 @@ from . import encoder as enc
 from . import perm
 from .augment import NoiseSpec, RAcutConfig, make_pretrain_example
 from .corpus import encode_protein
+from .pretrain import objective
 
 FD_STEP = 1e-6
 SINKHORN_TOL = 1e-5
@@ -71,30 +73,19 @@ def _model_component(rng: np.random.Generator, perturb: float) -> ComponentRepor
         make_pretrain_example(
             encode_protein(seq),
             RAcutConfig(n=3, l_max=12),
-            NoiseSpec("mask", 0.15),
+            NoiseSpec(mask_prob=0.15),
             seed=int(rng.integers(1 << 30)),
         )
         for seq in ("ACDEFGHI", "KLMNP")
     ]
-    blocks = np.stack([ex.shuffled.blocks for ex in examples])
-    lengths = np.stack([ex.shuffled.true_lengths for ex in examples])
     sk = perm.SinkhornConfig(m=3)
 
-    def loss_value() -> float:  # the batch mean, as in a pretraining step
-        _, logits, _ = enc._forward_core(state, blocks, lengths)
-        log_q = perm.sinkhorn(logits, sk)
-        losses = [perm.reorder_loss(ex.target, lq) for ex, lq in zip(examples, log_q)]
-        return sum(losses) / len(examples)
+    def loss_value() -> float:
+        return float(objective(state, examples, sk)[0].mean())
 
-    _, logits, cache = enc._forward_core(state, blocks, lengths)
-    log_q = perm.sinkhorn(logits, sk)
-    dlog_q = np.stack([perm.reorder_loss_grad(ex.target, lq)[1] for ex, lq in zip(examples, log_q)])
-    dlogits = perm.sinkhorn_backward(logits, sk, dlog_q) / len(examples)
-    grads = enc._backward_core(state, cache, dlogits)
+    _, _, grads = objective(state, examples, sk)
     if perturb:
-        grads = {k: g.copy() for k, g in grads.items()}
-        first = sorted(grads)[0]
-        grads[first].reshape(-1)[0] += perturb
+        grads[sorted(grads)[0]].reshape(-1)[0] += perturb
 
     keys = sorted(state.params)
     worst = 0.0

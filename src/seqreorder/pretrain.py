@@ -37,7 +37,7 @@ from .errors import CheckpointError, NumericError, ValidationError
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"SRCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 LOG_TAIL_LIMIT = 20
 
 
@@ -103,11 +103,11 @@ class TrainLog:
             )
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    def tail(self, limit: int = LOG_TAIL_LIMIT) -> list[list]:
-        # Deterministic fields only (no wall time), so identical runs write
-        # identical checkpoints.
+    def tail(self) -> list[list]:
+        # The last LOG_TAIL_LIMIT records, deterministic fields only (no wall
+        # time), so identical runs write identical checkpoints.
         return [
-            [r.epoch, r.step, r.loss, r.perm_acc] for r in self.records[-limit:]
+            [r.epoch, r.step, r.loss, r.perm_acc] for r in self.records[-LOG_TAIL_LIMIT:]
         ]
 
 
@@ -221,6 +221,29 @@ def check_params(params: dict, built: dict, prefix: str = "") -> None:
             )
 
 
+def objective(
+    state: enc.EncoderState,
+    batch: Sequence[PretrainExample],
+    sinkhorn: perm.SinkhornConfig,
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """The pretraining objective on one batch and its exact gradient.
+
+    Returns the per-example reordering losses (B,), the log Q stack
+    (B, n, n) and the parameter gradients of the batch-mean loss. Weight
+    decay is not part of it: Adam adds that term.
+    """
+    blocks = np.stack([ex.shuffled.blocks for ex in batch])
+    lengths = np.stack([ex.shuffled.true_lengths for ex in batch])
+    _, logits, cache = enc._forward_core(state, blocks, lengths)
+    log_q = perm.sinkhorn(logits, sinkhorn)
+    dlog_q = np.empty_like(log_q)
+    losses = np.empty(len(batch))
+    for i, ex in enumerate(batch):
+        losses[i], dlog_q[i] = perm.reorder_loss_grad(ex.target, log_q[i])
+    dlogits = perm.sinkhorn_backward(logits, sinkhorn, dlog_q) / len(batch)
+    return losses, log_q, enc._backward_core(state, cache, dlogits)
+
+
 def pretrain_step(
     state: enc.EncoderState,
     batch: Sequence[PretrainExample],
@@ -229,7 +252,7 @@ def pretrain_step(
     epoch: int = 0,
     step: int = 0,
 ) -> tuple[enc.EncoderState, StepRecord]:
-    """One batched forward/backward plus one Adam update (in place).
+    """One ``objective`` evaluation plus one Adam update (in place).
 
     The reported loss is the mean reordering loss over the batch plus the
     (weight_decay / 2) * ||theta||^2 penalty; it is >= 0 whenever Sinkhorn
@@ -238,22 +261,11 @@ def pretrain_step(
     if not batch:
         raise ValidationError("batch is empty")
     start = time.perf_counter()
-    cfg = state.config
-    blocks = np.stack([ex.shuffled.blocks for ex in batch])
-    lengths = np.stack([ex.shuffled.true_lengths for ex in batch])
-    _, logits, cache = enc._forward_core(state, blocks, lengths)
-    if not np.isfinite(logits).all():
-        raise NumericError(f"non-finite logits at epoch {epoch} step {step}")
-    b = len(batch)
-    log_q = perm.sinkhorn(logits, config.sinkhorn)
-    q = np.exp(log_q)
-    dlog_q = np.empty_like(log_q)
-    losses = np.empty(b)
-    accs = np.empty(b)
-    for i, ex in enumerate(batch):
-        losses[i], dlog_q[i] = perm.reorder_loss_grad(ex.target, log_q[i])
-        accs[i] = perm.permutation_accuracy(perm.round_to_permutation(q[i]), ex.target)
-    dlogits = perm.sinkhorn_backward(logits, config.sinkhorn, dlog_q) / b
+    losses, log_q, grads = objective(state, batch, config.sinkhorn)
+    accs = [
+        perm.permutation_accuracy(perm.round_to_permutation(q), ex.target)
+        for ex, q in zip(batch, np.exp(log_q))
+    ]
     penalty = nn.l2_penalty(state.params, config.weight_decay)
     loss = float(losses.mean() + penalty)
     if not np.isfinite(loss):
@@ -261,10 +273,9 @@ def pretrain_step(
             f"non-finite loss at epoch {epoch} step {step}: "
             f"data={losses.mean()!r} penalty={penalty!r}"
         )
-    grads = enc._backward_core(state, cache, dlogits)
     nn.adam_step(state.params, grads, adam, lr=config.lr, weight_decay=config.weight_decay)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return state, StepRecord(epoch, step, loss, float(accs.mean()), wall_ms)
+    return state, StepRecord(epoch, step, loss, float(np.mean(accs)), wall_ms)
 
 
 def heldout_accuracy(

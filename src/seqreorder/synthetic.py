@@ -76,8 +76,11 @@ def motif_sequences(
 # interaction corpus
 # ---------------------------------------------------------------------------
 
+_N_REGIONS = 4
+_REGION_LEN = 12
 _VARIANT_REGION_A = 1
 _VARIANT_REGION_B = 3
+_VARIANT_BIAS = 0.85
 _CHAIN_ATOMS = ("C", "C", "C", "O", "N", "CC", "C(C)", "C(=O)")
 _RING_DECOR = ("C", "O", "N", "CC", "Cl", "F", "C(C)")
 
@@ -91,10 +94,8 @@ def _variant_letters(fam: str) -> tuple[str, str]:
 def _motif_protein(
     rng: np.random.Generator,
     families: list[str],
-    block_len: int,
     variant_a: int,
     variant_b: int,
-    bias: float,
 ) -> str:
     parts = []
     for region, fam in enumerate(families):
@@ -106,8 +107,8 @@ def _motif_protein(
         else:
             pool = fam
         chars = []
-        for _ in range(block_len):
-            use = pool if (pool is fam or rng.random() < bias) else fam
+        for _ in range(_REGION_LEN):
+            use = pool if (pool is fam or rng.random() < _VARIANT_BIAS) else fam
             chars.append(use[int(rng.integers(0, len(use)))])
         parts.append("".join(chars))
     return "".join(parts)
@@ -142,23 +143,16 @@ def interaction_corpus(
     num_proteins: int = 400,
     num_compounds: int = 400,
     num_pairs: int = 1200,
-    n_regions: int = 4,
-    block_len: int = 12,
-    variant_bias: float = 0.85,
     seed: int = 0,
 ) -> InteractionCorpus:
     """A CPI task whose labels need cross-region motif co-occurrence.
 
     label = 1 iff (variant_a == variant_b) matches (compound is aromatic).
     """
-    if n_regions <= max(_VARIANT_REGION_A, _VARIANT_REGION_B):
-        raise ValidationError(
-            f"n_regions must be > {max(_VARIANT_REGION_A, _VARIANT_REGION_B)}"
-        )
     if num_pairs > num_proteins * num_compounds:
         raise ValidationError("more pairs requested than distinct (compound, protein) combos")
     rng = np.random.default_rng(seed)
-    families = _family_alphabets(n_regions)
+    families = _family_alphabets(_N_REGIONS)
 
     proteins: list[str] = []
     protein_classes: list[int] = []
@@ -166,7 +160,7 @@ def interaction_corpus(
     while len(proteins) < num_proteins:
         a = int(rng.integers(0, 2))
         b = int(rng.integers(0, 2))
-        seq = _motif_protein(rng, families, block_len, a, b, variant_bias)
+        seq = _motif_protein(rng, families, a, b)
         if seq in seen_p:
             continue
         seen_p.add(seq)

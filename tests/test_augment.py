@@ -134,26 +134,18 @@ def test_shuffle_uniformity():
         assert 0.7 * expected <= count <= 1.3 * expected
 
 
-def test_identity_noise_is_bitwise_noop():
+def test_zero_mask_probability_is_bitwise_noop():
     rng = np.random.default_rng(4)
     sset = racut(_protein(30), RAcutConfig(n=3, l_max=30), rng)
-    out = apply_noise(sset, NoiseSpec(kind="identity"), rng)
+    out = apply_noise(sset, NoiseSpec(mask_prob=0.0), rng)
     assert np.array_equal(out.blocks, sset.blocks)
     out.blocks[0, 0] = -1  # the copy must be independent
     assert sset.blocks[0, 0] != -1
 
 
-def test_identity_noise_equals_zero_mask_probability():
-    # noise is the last draw from an example's generator, so a mask that
-    # never fires leaves the same example as no noise at all
-    protein = _protein(40)
-    cfg = RAcutConfig(n=5, l_max=40)
-    for seed in range(20):
-        a = make_pretrain_example(protein, cfg, NoiseSpec("identity"), seed)
-        b = make_pretrain_example(protein, cfg, NoiseSpec("mask", 0.0), seed)
-        assert np.array_equal(a.shuffled.blocks, b.shuffled.blocks)
-        assert np.array_equal(a.shuffled.true_lengths, b.shuffled.true_lengths)
-        assert np.array_equal(a.target.perm, b.target.perm)
+def test_noise_kind_other_than_mask_is_rejected():
+    with pytest.raises(ValidationError, match="'identity'"):
+        NoiseSpec(kind="identity")
 
 
 def test_full_mask_hits_every_non_pad_token():

@@ -1,12 +1,14 @@
 """End-to-end command-line behavior on tiny corpora."""
 
 import json
+import shlex
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seqreorder.cli import _run_config, build_parser, main
+from seqreorder.cli import _GEOMETRY_FLAGS, _run_config, build_parser, main
 from seqreorder.config import RunConfig
 from seqreorder.gradcheck import run_gradcheck
 from seqreorder.pretrain import load_checkpoint, save_checkpoint
@@ -235,6 +237,56 @@ def test_checkpoint_whose_parameters_do_not_match_its_config_is_an_error_line(
     assert err.startswith("error: ") and repr(key) in err
 
 
+@pytest.mark.parametrize("command", ["finetune", "export-embeddings"])
+def test_run_meta_records_the_checkpoint_geometry(
+    command, split_dir, pretrain_dir, corpus_dir, tmp_path
+):
+    ckpt = pretrain_dir / "best.ckpt"
+    out = tmp_path / "out"
+    if command == "finetune":
+        assert _finetune(split_dir, out, ["--checkpoint", str(ckpt)]) == 0
+    else:
+        argv = ["export-embeddings", "--checkpoint", str(ckpt),
+                "--proteins", str(corpus_dir / "seqs.tsv"), "--out", str(out)]
+        assert main(argv) == 0
+    recorded = json.loads((out / "run_meta.json").read_text())["config"]
+    stored = load_checkpoint(ckpt).config
+    assert {k: recorded[k] for k in _GEOMETRY_FLAGS} == {k: stored[k] for k in _GEOMETRY_FLAGS}
+
+
+def test_export_embeddings_rejects_mismatched_geometry(pretrain_dir, corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(
+        ["export-embeddings", "--checkpoint", str(pretrain_dir / "best.ckpt"),
+         "--proteins", str(corpus_dir / "seqs.tsv"), "--embed-dim", "64", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "embed_dim=64" in err
+    assert not out.exists()
+
+
+def test_finetune_rejects_a_single_label_valid_file_before_training(
+    split_dir, tmp_path, capsys, monkeypatch
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("fine-tuning started with a single-label validation file")
+
+    monkeypatch.setattr("seqreorder.cpi.finetune_run", no_training)
+    rows = (split_dir / "train.tsv").read_text().splitlines()
+    negatives = tmp_path / "negatives.tsv"
+    negatives.write_text("\n".join(r for r in rows if r.endswith("\t0")) + "\n")
+    out = tmp_path / "out"
+    code = main(
+        ["finetune", "--random-init", "--train", str(split_dir / "train.tsv"),
+         "--valid", str(negatives), "--out", str(out)] + TINY_ENCODER + TINY_HEAD
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(negatives) in err
+    assert not out.exists()
+
+
 def test_finetune_requires_encoder_choice(split_dir, tmp_path):
     assert _finetune(split_dir, tmp_path, []) == 1
 
@@ -381,14 +433,21 @@ def _parse_config(argv):
     return _run_config(build_parser().parse_args(["evaluate", "--run", "r"] + argv))
 
 
-@pytest.mark.parametrize(
-    "field", [f for f in fields(RunConfig) if f.name != "seed"], ids=lambda f: f.name
-)
+@pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
 def test_every_run_config_field_has_a_typed_flag(field):
     value = {int: 7, float: 0.125}[type(field.default)]
     rc = _parse_config([f"--{field.name.replace('_', '-')}", str(value)])
     assert getattr(rc, field.name) == value
     assert type(getattr(rc, field.name)) is type(field.default)
+
+
+def test_config_file_seed_holds_without_a_seed_flag(corpus_dir, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 7}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["split", "--data", str(corpus_dir / "pairs.tsv"), "--config", str(path),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "run_meta.json").read_text())["seed"] == 7
 
 
 def test_explicit_flag_beats_config_file(tmp_path):
@@ -435,3 +494,22 @@ def test_int_in_config_file_is_stored_like_the_float_flag(corpus_dir, tmp_path):
     assert json.loads(from_file)["config"]["lr"] == 1.0
     assert b'"lr": 1.0' in from_file
 
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the ``seqreorder`` commands in the README walkthrough."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    walkthrough = readme.split("## Command-line walkthrough", 1)[1]
+    block = walkthrough.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("seqreorder ")]
+
+
+def test_readme_walkthrough_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "synth", "split", "pretrain", "finetune", "evaluate", "export-embeddings"
+    }
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # an unknown or renamed flag exits here

@@ -93,7 +93,7 @@ def test_encode_compound_rejects_too_long():
         cpi._compound_forward(model, [too_long.tokens])
     record = InteractionRecord(compound=too_long, protein=_protein(12), label=1)
     with pytest.raises(ValidationError):
-        predict_pairs(model, [record])
+        predict_pairs(model, [record], build_protein_cache(model, [record]))
 
 
 def test_fuse_is_asymmetric():
@@ -115,7 +115,7 @@ def test_fuse_zero_weights_gives_zero_vector():
 
 def _predict_at_bias(model, records, bias):
     model.params["dec.b"][...] = bias
-    return predict_pairs(model, records)
+    return predict_pairs(model, records, build_protein_cache(model, records))
 
 
 def test_predict_is_half_at_zero_logit():
@@ -273,10 +273,13 @@ def test_cpi_checkpoint_must_hold_the_parameters_its_config_builds(key, present)
 def test_predict_pairs_uses_cache_consistently():
     model = _model()
     records = _pairs(8)
-    with_cache = predict_pairs(model, records, build_protein_cache(model, records))
-    without = predict_pairs(model, records)
-    np.testing.assert_allclose(with_cache, without, rtol=0, atol=0)
-    assert all(0.0 < s < 1.0 for s in with_cache)
+    at_once = predict_pairs(model, records, build_protein_cache(model, records))
+    # a cache extended in place, a few proteins at a time, holds the same vectors
+    grown = {}
+    for start in range(0, len(records), 3):
+        build_protein_cache(model, records[start : start + 3], 2, grown)
+    np.testing.assert_allclose(predict_pairs(model, records, grown), at_once, rtol=0, atol=0)
+    assert all(0.0 < s < 1.0 for s in at_once)
 
 
 def test_write_predictions_format(tmp_path):
@@ -370,12 +373,13 @@ def test_batch_grads_match_padded_compound_oracle(lengths, monkeypatch):
         assert _rel_err(grads[key], ref_grads[key]) <= 1e-12, key
 
 
-def test_predict_pairs_does_not_depend_on_batch_size():
+def test_predict_pairs_does_not_depend_on_batch_size(monkeypatch):
     model = _model(seed=2)
     records = _ragged_pairs((4, 32, 1, 11, 20, 7, 15), seed=5)
     cache = build_protein_cache(model, records)
-    one = predict_pairs(model, records, cache, batch_size=1)
-    many = predict_pairs(model, records, cache, batch_size=256)
+    many = predict_pairs(model, records, cache)
+    monkeypatch.setattr(cpi, "PREDICT_CHUNK", 1)
+    one = predict_pairs(model, records, cache)
     assert _rel_err(one, many) <= 1e-12
 
 

@@ -239,14 +239,14 @@ def test_checkpoint_detects_truncation(tmp_path):
 
 
 def test_checkpoint_rejects_an_older_format_version(tmp_path):
-    # a file of format version 1 carried Adam moment blocks; it is refused
-    # by its version, not misread
+    # a file of format version 2 has a vocab_size key in its config, which
+    # would not build an EncoderConfig; it is refused by its version
     path = tmp_path / "enc.ckpt"
     save_checkpoint(checkpoint_from_encoder(enc.init(TINY, seed=0), {}, []), path)
     body = bytearray(path.read_bytes()[:-32])
-    body[4:8] = struct.pack("<I", 1)
+    body[4:8] = struct.pack("<I", 2)
     path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
-    with pytest.raises(CheckpointError, match="version 1 is not supported \\(expected 2\\)"):
+    with pytest.raises(CheckpointError, match="version 2 is not supported \\(expected 3\\)"):
         load_checkpoint(path)
 
 
