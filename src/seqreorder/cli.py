@@ -20,7 +20,7 @@ from pathlib import Path
 from . import cpi as cpi_mod
 from . import encoder as enc
 from . import evaluation, pretrain, synthetic
-from .config import RunConfig
+from .config import RunConfig, read_config_file
 from .corpus import (
     PretrainDataset,
     encode_protein,
@@ -48,10 +48,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
 
 
+def _given(args: argparse.Namespace) -> dict:
+    """The config values this run sets: the --config file's, with flags over them."""
+    given = read_config_file(args.config) if args.config else {}
+    flags = {name: getattr(args, name) for name in _FLAG_TYPES}
+    given.update({k: v for k, v in flags.items() if v is not None})
+    return given
+
+
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    rc = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {name: getattr(args, name) for name in _FLAG_TYPES}
-    return rc.with_overrides({k: v for k, v in overrides.items() if v is not None})
+    return RunConfig().with_overrides(_given(args))
 
 
 def _out_dir(args: argparse.Namespace, command: str) -> Path:
@@ -71,18 +77,22 @@ def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict) -> None:
     )
 
 
-def _checkpoint_encoder(args: argparse.Namespace, rc: RunConfig):
-    """The encoder in ``--checkpoint``, and ``rc`` with its geometry; a conflicting flag fails."""
+def _checkpoint_encoder(args: argparse.Namespace):
+    """The encoder in ``--checkpoint``, and the run config with its geometry.
+
+    A geometry value set by a flag or the --config file must equal the
+    checkpoint's.
+    """
+    given = _given(args)
     state = pretrain.encoder_state_from_checkpoint(pretrain.load_checkpoint(args.checkpoint))
     geometry = {name: getattr(state.config, name) for name in _GEOMETRY_FLAGS}
     for name, have in geometry.items():
-        value = getattr(args, name)
-        if value is not None and value != have:
+        if given.get(name, have) != have:
             raise CheckpointError(
                 f"checkpoint encoder has {name}={have} "
-                f"but {name}={value} was requested; parameter shapes differ"
+                f"but {name}={given[name]} was requested; parameter shapes differ"
             )
-    return state, rc.with_overrides(geometry)
+    return state, RunConfig().with_overrides({**given, **geometry})
 
 
 def _read_pairs(path, args: argparse.Namespace, rc: RunConfig):
@@ -193,12 +203,12 @@ def _test_specs(specs: list[str]) -> list[tuple[str, str]]:
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
     if bool(args.checkpoint) == bool(args.random_init):
         raise ValidationError("give exactly one of --checkpoint or --random-init")
     if args.checkpoint:
-        frozen, rc = _checkpoint_encoder(args, rc)
+        frozen, rc = _checkpoint_encoder(args)
     else:
+        rc = _run_config(args)
         frozen = enc.init(rc.encoder(), seed=rc.seed)
 
     train = _read_pairs(args.train, args, rc)
@@ -288,7 +298,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_export_embeddings(args: argparse.Namespace) -> int:
-    state, rc = _checkpoint_encoder(args, _run_config(args))
+    state, rc = _checkpoint_encoder(args)
     pids, proteins, skipped = [], [], []
     for _, pid, seq in read_protein_list(args.proteins):
         try:
@@ -323,7 +333,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
             n_families=args.families,
             block_len=args.block_len,
             seed=args.seed,
-            length_jitter=args.jitter,
         )
         synthetic.write_sequence_tsv(out_path, seqs)
         print(f"wrote {len(seqs)} sequences to {out_path}")
@@ -399,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=2000, help="motif: sequence count")
     p.add_argument("--families", type=int, default=4)
     p.add_argument("--block-len", type=int, default=12)
-    p.add_argument("--jitter", type=int, default=0)
     p.add_argument("--num-proteins", type=int, default=400)
     p.add_argument("--num-compounds", type=int, default=400)
     p.add_argument("--num-pairs", type=int, default=1200)

@@ -56,24 +56,6 @@ class RunConfig:
     valid_ratio: float = DEFAULT_RATIOS[1]
     test_ratio: float = DEFAULT_RATIOS[2]
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        """Defaults overridden by a JSON object of field values.
-
-        Malformed JSON, a document that is not an object, an unknown key
-        and a value of the wrong type raise ValidationError naming the file.
-        """
-        try:
-            data = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValidationError(f"{path}: expected a JSON object of config keys")
-        try:
-            return cls().with_overrides(data)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-
     def with_overrides(self, overrides: dict) -> "RunConfig":
         """A copy with some fields replaced; each value must have its field's type.
 
@@ -151,3 +133,22 @@ class RunConfig:
 
     def ratios(self) -> tuple[float, float, float]:
         return (self.train_ratio, self.valid_ratio, self.test_ratio)
+
+
+def read_config_file(path: str | Path) -> dict:
+    """The RunConfig field values a JSON config file sets.
+
+    Malformed JSON, a document that is not an object, an unknown key
+    and a value of the wrong type raise ValidationError naming the file.
+    """
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object of config keys")
+    try:
+        RunConfig().with_overrides(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return data

@@ -257,7 +257,6 @@ def predict_pairs(
 @dataclass
 class FinetuneResult:
     model: CpiModel
-    log: TrainLog
     selected_epoch: int
     val_history: list[tuple[int, float]]
 
@@ -311,8 +310,9 @@ def finetune_run(
     """Train the CPI head on frozen protein embeddings.
 
     The returned model carries the parameters of the epoch with the best
-    validation AUROC. The encoder is never updated: no gradient path
-    reaches it and the protein embeddings are computed once up front.
+    validation AUROC, or of the final epoch when there are no validation
+    pairs. The encoder is never updated: no gradient path reaches it and
+    the protein embeddings are computed once up front.
     With ``out_dir`` the step log lands in finetune_log.csv and the
     per-epoch validation AUROC in val_log.csv.
     """
@@ -324,8 +324,7 @@ def finetune_run(
     log = TrainLog(acc_label="acc")
     val_history: list[tuple[int, float]] = []
     best_auc = -np.inf
-    best_params = {k: p.copy() for k, p in model.params.items()}
-    best_epoch = 0
+    best_epoch = ft.epochs
     global_step = 0
     train = list(train)
 
@@ -358,21 +357,17 @@ def finetune_run(
                 best_auc = val_auc
                 best_params = {k: q.copy() for k, q in model.params.items()}
                 best_epoch = epoch
-        else:
-            best_params = {k: q.copy() for k, q in model.params.items()}
-            best_epoch = epoch
 
-    if not valid:
+    if valid:
+        model.params = best_params
+    else:
         logger.warning("no validation pairs: keeping the final epoch")
-    model.params = best_params
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         log.write_csv(out_path / "finetune_log.csv")
         write_val_log(out_path / "val_log.csv", "val_auroc", val_history)
-    return FinetuneResult(
-        model=model, log=log, selected_epoch=best_epoch, val_history=val_history
-    )
+    return FinetuneResult(model=model, selected_epoch=best_epoch, val_history=val_history)
 
 
 # ---------------------------------------------------------------------------

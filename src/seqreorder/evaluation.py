@@ -6,10 +6,10 @@ anywhere in the training pairs, giving four partitions: seen_both,
 unseen_comp, unseen_prot, unseen_both. Identity is exact string equality
 on the verbatim SMILES and the uppercased sequence.
 
-AUROC is the tie-averaged rank statistic (ties get half credit); AUPRC is
-average precision — the mean over positives of precision at each
-positive's rank, with exact ties ordered by input index so the value is
-deterministic.
+The four metrics read one best-first ranking of the scores, with exact
+ties in input order so every value is deterministic. AUROC is the
+tie-averaged rank statistic (ties get half credit); AUPRC is average
+precision — the mean over positives of precision at each positive's rank.
 """
 
 from __future__ import annotations
@@ -103,49 +103,46 @@ def _check_binary(scores: np.ndarray, labels: np.ndarray) -> None:
         raise ValidationError("labels must be 0 or 1")
 
 
-def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Probability a random positive outranks a random negative (ties: 1/2)."""
+def _ranked(scores: Sequence[float], labels: Sequence[int]):
+    """One validated best-first ranking: (hits, tp, fp, last).
+
+    Scores sort descending, exact ties in input order. ``hits`` flags the
+    positives in rank order, ``tp`` and ``fp`` count the true and false
+    positives through each rank, and ``last`` holds the final rank of each
+    run of equal scores.
+    """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     _check_binary(s, y)
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
+    order = np.lexsort((np.arange(s.size), -s))
+    s = s[order]
+    hits = y[order] == 1
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])
+    return hits, np.cumsum(hits), np.cumsum(~hits), last
+
+
+def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """Probability a random positive outranks a random negative (ties: 1/2)."""
+    _, tp, fp, last = _ranked(scores, labels)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise MetricError(
             f"AUROC undefined: {n_pos} positives and {n_neg} negatives"
         )
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and sorted_s[j] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)  # average rank of the tie group
-        i = j
-    rank_sum = ranks[y == 1].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def _desc_order(scores: np.ndarray) -> np.ndarray:
-    # descending score, ascending input index on exact ties
-    return np.lexsort((np.arange(scores.size), -scores))
+    # each tie group's positives beat every negative ranked below the group
+    # and half of the negatives inside it; the half-integer sum is exact
+    pos = np.diff(tp[last], prepend=0)
+    neg = np.diff(fp[last], prepend=0)
+    wins = np.sum(pos * (n_neg - fp[last])) + 0.5 * np.sum(pos * neg)
+    return float(wins / (n_pos * n_neg))
 
 
 def auprc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Average precision: mean over positives of precision at their rank."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    _check_binary(s, y)
-    n_pos = int((y == 1).sum())
-    if n_pos == 0:
+    hits, tp, fp, _ = _ranked(scores, labels)
+    if tp[-1] == 0:
         raise MetricError("AUPRC undefined: no positives")
-    order = _desc_order(s)
-    hits = (y[order] == 1).astype(np.float64)
-    tp = np.cumsum(hits)
-    precision = tp / np.arange(1, s.size + 1)
-    return float(precision[hits == 1].mean())
+    return float((tp / (tp + fp))[hits].mean())
 
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]):
@@ -154,23 +151,10 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]):
     Trapezoidal integration of this curve reproduces the tie-averaged
     AUROC exactly: tied groups become single diagonal segments.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    _check_binary(s, y)
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    _, tp, fp, last = _ranked(scores, labels)
+    if tp[-1] == 0 or fp[-1] == 0:
         raise MetricError("ROC curve undefined for single-class labels")
-    order = np.argsort(-s, kind="stable")
-    sorted_s = s[order]
-    sorted_y = y[order]
-    # last index of each distinct-score group
-    distinct = np.flatnonzero(np.r_[sorted_s[1:] != sorted_s[:-1], True])
-    tp = np.cumsum(sorted_y == 1)[distinct]
-    fp = np.cumsum(sorted_y == 0)[distinct]
-    tpr = np.r_[0.0, tp / n_pos]
-    fpr = np.r_[0.0, fp / n_neg]
-    return fpr, tpr
+    return np.r_[0.0, fp[last] / fp[-1]], np.r_[0.0, tp[last] / tp[-1]]
 
 
 def pr_curve(scores: Sequence[float], labels: Sequence[int]):
@@ -179,18 +163,10 @@ def pr_curve(scores: Sequence[float], labels: Sequence[int]):
     Step integration, sum of precision * delta-recall, reproduces average
     precision exactly.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    _check_binary(s, y)
-    n_pos = int((y == 1).sum())
-    if n_pos == 0:
+    _, tp, fp, _ = _ranked(scores, labels)
+    if tp[-1] == 0:
         raise MetricError("PR curve undefined without positives")
-    order = _desc_order(s)
-    hits = (y[order] == 1).astype(np.float64)
-    tp = np.cumsum(hits)
-    precision = tp / np.arange(1, s.size + 1)
-    recall = tp / n_pos
-    return recall, precision
+    return tp / tp[-1], tp / (tp + fp)
 
 
 SeedResults = Mapping[str, tuple[Sequence[float], Sequence[int]]]

@@ -302,7 +302,6 @@ def heldout_accuracy(
 @dataclass
 class PretrainResult:
     best_checkpoint: Checkpoint
-    log: TrainLog
     val_history: list[tuple[int, float]]
     best_epoch: int
     # "heldout_acc", or "train_acc" when nothing was held out and
@@ -416,7 +415,6 @@ def pretrain_run(
     assert best_ckpt is not None
     return PretrainResult(
         best_checkpoint=best_ckpt,
-        log=log,
         val_history=val_history,
         best_epoch=best_epoch,
         val_label=val_label,

@@ -2,10 +2,10 @@
 
 The motif corpus builds proteins from ``n`` ordered families: position i
 of every sequence is drawn from family i's own residue alphabet, so block
-content identifies a block's original region. By default each family
-block is exactly f_max long (sequence length n * f_max), which pins the
+content identifies a block's original region. Every family block has
+the same length; at f_max (sequence length n * f_max) that pins the
 random cutter to equal cuts and makes the reordering task cleanly
-learnable at tiny scale; a variable-length mode exists for messier demos.
+learnable at tiny scale.
 
 The interaction corpus adds a hidden binary motif variant to two separate
 regions of each protein and splits compounds into two string families
@@ -46,13 +46,10 @@ def motif_sequences(
     n_families: int = 4,
     block_len: int = 12,
     seed: int = 0,
-    length_jitter: int = 0,
 ) -> list[str]:
     """Sequences made of n ordered motif blocks with disjoint alphabets.
 
-    With length_jitter = 0 every block is exactly block_len residues;
-    otherwise block lengths vary uniformly in [block_len - jitter,
-    block_len + jitter].
+    Every block is exactly block_len residues.
     """
     if num_sequences < 1:
         raise ValidationError("num_sequences must be >= 1")
@@ -62,11 +59,7 @@ def motif_sequences(
     for _ in range(num_sequences):
         parts = []
         for fam in families:
-            if length_jitter:
-                ln = int(rng.integers(block_len - length_jitter, block_len + length_jitter + 1))
-            else:
-                ln = block_len
-            idx = rng.integers(0, len(fam), size=ln)
+            idx = rng.integers(0, len(fam), size=block_len)
             parts.append("".join(fam[i] for i in idx))
         out.append("".join(parts))
     return out

@@ -457,7 +457,7 @@ def test_criterion_9_reproducibility(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_10_block_count_sweep():
+def test_criterion_10_block_count_sweep(tmp_path):
     start = time.perf_counter()
     rows = []
     ok = True
@@ -476,9 +476,11 @@ def test_criterion_10_block_count_sweep():
             valid_fraction=0.1,
             eval_m=50,
         )
-        result = pretrain_run(data, config, RAcutConfig(n=n, l_max=6 * n), pcfg)
+        out = tmp_path / f"n{n}"
+        result = pretrain_run(data, config, RAcutConfig(n=n, l_max=6 * n), pcfg, out_dir=out)
         acc = max(acc for _, acc in result.val_history)
-        losses = [rec.loss for rec in result.log.records]
+        steps = (out / "train_log.csv").read_text().splitlines()[1:]
+        losses = [float(line.split(",")[2]) for line in steps]
         ok = ok and 0.0 <= acc <= 1.0 and len(losses) > 0 and all(np.isfinite(losses))
         rows.append((n, acc))
     print("  n  accuracy  chance")

@@ -266,6 +266,31 @@ def test_export_embeddings_rejects_mismatched_geometry(pretrain_dir, corpus_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["finetune", "export-embeddings"])
+def test_config_file_geometry_must_match_the_checkpoint(
+    command, split_dir, pretrain_dir, corpus_dir, tmp_path, capsys
+):
+    ckpt = pretrain_dir / "best.ckpt"
+
+    def run(embed_dim):
+        config = tmp_path / f"embed_{embed_dim}.json"
+        config.write_text(json.dumps({"embed_dim": embed_dim}), encoding="utf-8")
+        out = tmp_path / f"out_{embed_dim}"
+        extra = ["--checkpoint", str(ckpt), "--config", str(config)]
+        if command == "finetune":
+            return _finetune(split_dir, out, extra), out
+        argv = ["export-embeddings", "--proteins", str(corpus_dir / "seqs.tsv"), "--out", str(out)]
+        return main(argv + extra), out
+
+    code, out = run(64)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "embed_dim=64" in err
+    assert not out.exists()
+    code, out = run(load_checkpoint(ckpt).config["embed_dim"])
+    assert code == 0 and (out / "run_meta.json").exists()
+
+
 def test_finetune_rejects_a_single_label_valid_file_before_training(
     split_dir, tmp_path, capsys, monkeypatch
 ):

@@ -203,6 +203,15 @@ def test_finetune_selects_best_validation_epoch(tmp_path):
     assert (tmp_path / "finetune_log.csv").exists()
 
 
+def test_finetune_without_validation_keeps_the_final_epoch():
+    frozen = enc.init(TINY_ENC, seed=0)
+    ft = FinetuneConfig(epochs=2, lr=1e-3, batch_size=4, seed=3)
+    result = finetune_run(_pairs(12), [], frozen, TINY_CPI, ft)
+    assert result.selected_epoch == 2 and result.val_history == []
+    untrained = init_cpi(TINY_CPI, frozen, seed=ft.seed).params
+    assert all(not np.array_equal(result.model.params[k], p) for k, p in untrained.items())
+
+
 def test_finetune_never_touches_encoder(tmp_path):
     frozen = enc.init(TINY_ENC, seed=0)
     before = {k: v.copy() for k, v in frozen.params.items()}

@@ -214,6 +214,137 @@ def test_pr_curve_step_integral_equals_auprc():
     assert area == pytest.approx(auprc(scores, labels), abs=1e-12)
 
 
+# The four metrics as each ranked its own scores before they shared
+# evaluation._ranked: the reference that ranking must reproduce bit for bit.
+
+
+def _ref_check_binary(scores, labels):
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise ValidationError(
+            f"scores shape {scores.shape} does not match labels shape {labels.shape}"
+        )
+    if scores.size == 0:
+        raise MetricError("no instances")
+    if not np.isfinite(scores).all():
+        raise ValidationError("scores contain non-finite values")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValidationError("labels must be 0 or 1")
+
+
+def _ref_auroc(scores, labels):
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    _ref_check_binary(s, y)
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    if n_pos == 0 or n_neg == 0:
+        raise MetricError(f"AUROC undefined: {n_pos} positives and {n_neg} negatives")
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(s.size, dtype=np.float64)
+    sorted_s = s[order]
+    i = 0
+    while i < s.size:
+        j = i
+        while j < s.size and sorted_s[j] == sorted_s[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)
+        i = j
+    rank_sum = ranks[y == 1].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _ref_desc_order(scores):
+    return np.lexsort((np.arange(scores.size), -scores))
+
+
+def _ref_auprc(scores, labels):
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    _ref_check_binary(s, y)
+    n_pos = int((y == 1).sum())
+    if n_pos == 0:
+        raise MetricError("AUPRC undefined: no positives")
+    order = _ref_desc_order(s)
+    hits = (y[order] == 1).astype(np.float64)
+    tp = np.cumsum(hits)
+    precision = tp / np.arange(1, s.size + 1)
+    return float(precision[hits == 1].mean())
+
+
+def _ref_roc_curve(scores, labels):
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    _ref_check_binary(s, y)
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    if n_pos == 0 or n_neg == 0:
+        raise MetricError("ROC curve undefined for single-class labels")
+    order = np.argsort(-s, kind="stable")
+    sorted_s = s[order]
+    sorted_y = y[order]
+    distinct = np.flatnonzero(np.r_[sorted_s[1:] != sorted_s[:-1], True])
+    tp = np.cumsum(sorted_y == 1)[distinct]
+    fp = np.cumsum(sorted_y == 0)[distinct]
+    return np.r_[0.0, fp / n_neg], np.r_[0.0, tp / n_pos]
+
+
+def _ref_pr_curve(scores, labels):
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    _ref_check_binary(s, y)
+    n_pos = int((y == 1).sum())
+    if n_pos == 0:
+        raise MetricError("PR curve undefined without positives")
+    order = _ref_desc_order(s)
+    hits = (y[order] == 1).astype(np.float64)
+    tp = np.cumsum(hits)
+    return tp / n_pos, tp / np.arange(1, s.size + 1)
+
+
+def _outcome(metric, scores, labels):
+    """What a metric returns, as typed arrays, or the type and text it raises."""
+    try:
+        out = metric(scores, labels)
+    except (MetricError, ValidationError) as exc:
+        return type(exc), str(exc)
+    parts = out if isinstance(out, tuple) else (out,)
+    return [(type(p), np.asarray(p).dtype, np.asarray(p)) for p in parts]
+
+
+def _reference_instances(seed, count):
+    """Seeded (scores, labels) of 1-400 entries; every third has forced ties."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        size = int(rng.integers(1, 401))
+        labels = (rng.random(size) < rng.random()).astype(int)
+        if k % 3 == 0:
+            scores = rng.integers(0, int(rng.integers(1, 9)), size=size) / 8.0
+        else:
+            scores = rng.normal(size=size)
+        yield scores, labels
+    yield [], []  # no instances
+    yield [0.2, 0.2, 0.7], [1, 1, 1]  # single class
+    yield [0.2, 0.7], [0, 0]
+    yield [0.2, 0.7], [0, 1, 1]  # shapes differ
+
+
+@pytest.mark.parametrize(
+    "metric, reference",
+    [(auroc, _ref_auroc), (auprc, _ref_auprc), (roc_curve, _ref_roc_curve),
+     (pr_curve, _ref_pr_curve)],
+    ids=["auroc", "auprc", "roc_curve", "pr_curve"],
+)
+def test_metric_matches_its_reference_bit_for_bit(metric, reference):
+    for scores, labels in _reference_instances(seed=20, count=600):
+        want = _outcome(reference, scores, labels)
+        got = _outcome(metric, scores, labels)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert [(t, d) for t, d, _ in got] == [(t, d) for t, d, _ in want]
+        assert all(np.array_equal(g, w) for (_, _, g), (_, _, w) in zip(got, want))
+
+
 def test_emit_report_aggregates_and_writes_curves(tmp_path):
     rng = np.random.default_rng(3)
     per_seed = []
