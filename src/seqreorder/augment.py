@@ -4,8 +4,8 @@ A protein is cut into ``n`` contiguous blocks of random lengths (each
 between 1 and ``f_max`` residues, padded up to ``f_max``), the blocks are
 shuffled by a uniform random permutation, and token-level noise may then
 mask residues. The example records which permutation was applied, which is
-the recovery target, plus the seed that produced it. Given the same
-(protein, config, noise spec, seed) the pipeline is a pure function.
+the recovery target. Given the same (protein, config, noise spec, seed)
+the pipeline is a pure function.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ class PretrainExample:
 
     shuffled: SubsequenceSet
     target: ShuffleMatrix
-    seed: tuple[int, ...]
 
 
 def racut(
@@ -182,8 +181,7 @@ def make_pretrain_example(
 ) -> PretrainExample:
     """Cut, permute, then noise — in that order, from one seeded generator.
 
-    The same (protein, config, spec, seed) always yields the same example;
-    the seed is recorded on the example for provenance.
+    The same (protein, config, spec, seed) always yields the same example.
     """
     seed_key = (seed,) if isinstance(seed, int) else tuple(int(s) for s in seed)
     rng = np.random.default_rng(seed_key)
@@ -191,4 +189,4 @@ def make_pretrain_example(
     target = sample_shuffle(config.n, rng)
     shuffled = shuffle_apply(sset, target)
     noisy = apply_noise(shuffled, spec, rng)
-    return PretrainExample(shuffled=noisy, target=target, seed=seed_key)
+    return PretrainExample(shuffled=noisy, target=target)

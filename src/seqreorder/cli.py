@@ -80,17 +80,19 @@ def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict) -> None:
 def _checkpoint_encoder(args: argparse.Namespace):
     """The encoder in ``--checkpoint``, and the run config with its geometry.
 
-    A geometry value set by a flag or the --config file must equal the
-    checkpoint's.
+    The geometry includes ``l_max``, the n * f_max residues the encoder
+    cuts. A geometry value set by a flag or the --config file must equal
+    the checkpoint's.
     """
     given = _given(args)
     state = pretrain.encoder_state_from_checkpoint(pretrain.load_checkpoint(args.checkpoint))
     geometry = {name: getattr(state.config, name) for name in _GEOMETRY_FLAGS}
+    geometry["l_max"] = state.config.segmentation.l_max
     for name, have in geometry.items():
         if given.get(name, have) != have:
             raise CheckpointError(
-                f"checkpoint encoder has {name}={have} "
-                f"but {name}={given[name]} was requested; parameter shapes differ"
+                f"checkpoint encoder has {name}={have} but {name}={given[name]} "
+                "was requested; a checkpoint fixes its encoder's shape and cut"
             )
     return state, RunConfig().with_overrides({**given, **geometry})
 
@@ -227,9 +229,9 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     )
     pretrain.save_checkpoint(ckpt_out, out / "cpi.ckpt")
 
-    cache = cpi_mod.build_protein_cache(result.model, train + list(valid), rc.batch_size)
+    cache = cpi_mod.build_protein_cache(result.model, train + list(valid))
     for name, records in tests:
-        cpi_mod.build_protein_cache(result.model, records, rc.batch_size, cache)
+        cpi_mod.build_protein_cache(result.model, records, cache)
         scores = cpi_mod.predict_pairs(result.model, records, cache)
         cpi_mod.write_predictions(
             out / f"predictions_{name}.csv",
@@ -302,7 +304,7 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
     pids, proteins, skipped = [], [], []
     for _, pid, seq in read_protein_list(args.proteins):
         try:
-            protein = encode_protein(seq, l_max=state.config.segmentation.l_max)
+            protein = encode_protein(seq, l_max=rc.l_max)
             enc.segment_protein(state.config, protein)  # too short to segment raises
         except (ValidationError, SeqReorderError) as exc:
             logger.warning("skipping %s: %s", pid, exc)
@@ -310,7 +312,7 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
             continue
         pids.append(pid)
         proteins.append(protein)
-    vectors = enc.protein_embeddings(state, proteins, rc.batch_size)
+    vectors = enc.protein_embeddings(state, proteins)
     out = _out_dir(args, "export-embeddings")
     rows = [pid + "\t" + "\t".join(f"{v:.17g}" for v in vec) for pid, vec in zip(pids, vectors)]
     (out / "embeddings.tsv").write_text(

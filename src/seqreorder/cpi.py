@@ -200,21 +200,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def build_protein_cache(
     model: CpiModel,
     records: Sequence[InteractionRecord],
-    batch_size: int = FinetuneConfig.batch_size,
     cache: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """One frozen-encoder embedding per distinct sequence.
 
-    Sequences not yet in ``cache`` are embedded ``batch_size`` at a time
-    and added to it (in place when a cache is given); the cache is
-    returned.
+    Sequences not yet in ``cache`` are embedded and added to it (in place
+    when a cache is given); the cache is returned.
     """
     cache = {} if cache is None else cache
     missing: dict[str, ProteinRecord] = {}
     for rec in records:
         if rec.protein.raw not in cache:
             missing.setdefault(rec.protein.raw, rec.protein)
-    vectors = protein_embeddings(model.encoder_state, list(missing.values()), batch_size)
+    vectors = protein_embeddings(model.encoder_state, list(missing.values()))
     cache.update(zip(missing, vectors))
     return cache
 
@@ -319,7 +317,7 @@ def finetune_run(
     if not train:
         raise ValidationError("training set is empty")
     model = init_cpi(config, frozen, seed=ft.seed)
-    cache = build_protein_cache(model, list(train) + list(valid), ft.batch_size)
+    cache = build_protein_cache(model, list(train) + list(valid))
     adam = nn.adam_init(model.params)
     log = TrainLog(acc_label="acc")
     val_history: list[tuple[int, float]] = []

@@ -31,6 +31,10 @@ from .augment import RAcutConfig, SubsequenceSet
 from .corpus import DEFAULT_MAX_RESIDUES, RESIDUE_PAD_ID, RESIDUE_VOCAB_SIZE, ProteinRecord
 from .errors import NumericError, ValidationError
 
+# Real tokens per inference forward, whatever the training batch size:
+# INFER_TOKENS // (n * f_max) examples, and at least one (Ott et al. 2018).
+INFER_TOKENS = 2048
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -135,24 +139,36 @@ def _validate_input(state: EncoderState, sset: SubsequenceSet) -> None:
         raise ValidationError("block token id out of vocabulary range")
 
 
+def _chunked_forward(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
+    """Pooled vectors and logits, one ``_forward_core`` per ``INFER_TOKENS`` chunk."""
+    b, n, f = blocks.shape
+    per_chunk = max(1, INFER_TOKENS // (n * f))
+    pooled = np.empty((b, n, state.config.embed_dim))
+    logits = np.empty((b, n, n))
+    for start in range(0, b, per_chunk):
+        chunk = slice(start, start + per_chunk)
+        # the cache is not kept, so it is freed before the next chunk runs
+        pooled[chunk], logits[chunk] = _forward_core(state, blocks[chunk], lengths[chunk])[:2]
+    if not (np.isfinite(pooled).all() and np.isfinite(logits).all()):
+        raise NumericError("encoder forward produced non-finite activations")
+    return pooled, logits
+
+
 def forward_batch(
     state: EncoderState, ssets: Sequence[SubsequenceSet]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode SubsequenceSets in one packed forward.
+    """Encode SubsequenceSets for inference, ``INFER_TOKENS`` at a time.
 
     Returns the pooled block vectors (B, n, embed_dim) and the logit
     matrices (B, n, n).
     """
     for sset in ssets:
         _validate_input(state, sset)
-    pooled, logits, _ = _forward_core(
+    return _chunked_forward(
         state,
         np.stack([s.blocks for s in ssets]),
         np.stack([s.true_lengths for s in ssets]),
     )
-    if not (np.isfinite(pooled).all() and np.isfinite(logits).all()):
-        raise NumericError("encoder forward produced non-finite activations")
-    return pooled, logits
 
 
 def predict_q(
@@ -185,33 +201,23 @@ def segment_protein(
     return blocks.reshape(n, f), lengths
 
 
-def protein_embeddings(
-    state: EncoderState,
-    proteins: Sequence[ProteinRecord],
-    batch_size: int,
-) -> np.ndarray:
+def protein_embeddings(state: EncoderState, proteins: Sequence[ProteinRecord]) -> np.ndarray:
     """Whole-protein vectors for downstream use, shape (len(proteins), embed_dim).
 
     Each protein is cut by ``segment_protein`` (no noise, natural slot
     order) and its vector is the mean of its non-empty block embeddings.
-    Proteins are encoded ``batch_size`` at a time, each chunk in one
-    packed forward.
+    Proteins are encoded ``INFER_TOKENS`` at a time.
     """
     cfg = state.config
-    segments = [segment_protein(cfg, protein) for protein in proteins]
-    out = np.empty((len(proteins), cfg.embed_dim))
-    for start in range(0, len(segments), batch_size):
-        chunk = segments[start : start + batch_size]
-        lengths = np.stack([ln for _, ln in chunk])
-        pooled, _, _ = _forward_core(state, np.stack([bl for bl, _ in chunk]), lengths)
-        nonempty = (lengths > 0).sum(axis=1, keepdims=True)
-        # empty blocks pool to zero, so the sum runs over non-empty ones
-        out[start : start + len(chunk)] = pooled.sum(axis=1) / nonempty
-    if not np.isfinite(out).all():
-        raise NumericError("protein embedding contains non-finite values")
-    return out
+    blocks = np.empty((len(proteins), cfg.n, cfg.f_max), dtype=np.int64)
+    lengths = np.empty((len(proteins), cfg.n), dtype=np.int64)
+    for i, protein in enumerate(proteins):
+        blocks[i], lengths[i] = segment_protein(cfg, protein)
+    pooled, _ = _chunked_forward(state, blocks, lengths)
+    # empty blocks pool to zero, so the sum runs over non-empty ones
+    return pooled.sum(axis=1) / (lengths > 0).sum(axis=1, keepdims=True)
 
 
 def protein_embedding(state: EncoderState, protein: ProteinRecord) -> np.ndarray:
     """Whole-protein vector of one protein; see ``protein_embeddings``."""
-    return protein_embeddings(state, [protein], batch_size=1)[0]
+    return protein_embeddings(state, [protein])[0]

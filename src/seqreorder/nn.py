@@ -18,7 +18,8 @@ Layernorm's row statistics are einsum row dots; the FFN's ReLU runs in place.
 
 Importing this module fixes glibc's malloc thresholds for the whole
 process (see ``_keep_freed_memory``), so each training step reuses the
-pages the previous step freed instead of faulting them in again.
+pages the previous step freed instead of faulting them in again, and pins
+BLAS to one thread (see ``_pin_blas_threads``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -70,6 +72,27 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+
+
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread for the whole process.
+
+    OpenBLAS splits a product's sums by its thread count, so the bits of
+    every artifact would depend on it. Reopening the loaded library by its
+    path returns the same copy; where none has the setter, nothing is set.
+    """
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+        try:
+            setter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if setter is not None:
+            setter.argtypes = (ctypes.c_int,)
+            setter.restype = None
+            setter(1)
+
+
+_pin_blas_threads()
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:

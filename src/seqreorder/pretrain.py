@@ -282,20 +282,17 @@ def heldout_accuracy(
     state: enc.EncoderState,
     examples: Sequence[PretrainExample],
     eval_m: int,
-    batch_size: int,
 ) -> float:
     """Mean slot accuracy under the deeper evaluation-time projection.
 
-    Examples are scored ``batch_size`` at a time through one encoder
-    forward and one projection; rounding then runs per example.
+    The examples go through one ``forward_batch`` and one projection of
+    the whole stack; rounding then runs per example.
     """
-    sk = perm.SinkhornConfig(m=eval_m)
+    _, logits = enc.forward_batch(state, [ex.shuffled for ex in examples])
+    q = np.exp(perm.sinkhorn(logits, perm.SinkhornConfig(m=eval_m)))
     total = 0.0
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
-        _, logits = enc.forward_batch(state, [ex.shuffled for ex in chunk])
-        for ex, q in zip(chunk, np.exp(perm.sinkhorn(logits, sk))):
-            total += perm.permutation_accuracy(perm.round_to_permutation(q), ex.target)
+    for ex, q_ex in zip(examples, q):
+        total += perm.permutation_accuracy(perm.round_to_permutation(q_ex), ex.target)
     return total / len(examples)
 
 
@@ -388,9 +385,7 @@ def pretrain_run(
             epoch_accs.append(rec.perm_acc)
 
         if val_examples:
-            val_acc = heldout_accuracy(
-                state, val_examples, config.eval_m, config.batch_size
-            )
+            val_acc = heldout_accuracy(state, val_examples, config.eval_m)
         else:
             val_acc = float(np.mean(epoch_accs))
         val_history.append((epoch, val_acc))

@@ -9,9 +9,10 @@ from pathlib import Path
 import seqreorder
 
 
-def _run_python(code, cwd):
+def _run_python(code, cwd, **env_vars):
     src = str(Path(seqreorder.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, **env_vars)
     return subprocess.run(
         [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
@@ -57,6 +58,34 @@ def test_pretrain_runs_without_scipy(tmp_path):
     done = _run_python(_WITHOUT_SCIPY, tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+_TINY_FINETUNE = """
+from seqreorder.cli import main
+from seqreorder.synthetic import interaction_corpus, write_interaction_tsv
+
+corpus = interaction_corpus(num_proteins=40, num_compounds=40, num_pairs=100, seed=7)
+write_interaction_tsv("pairs.tsv", corpus)
+raise SystemExit(main([
+    "finetune", "--train", "pairs.tsv", "--random-init", "--out", "run", "--seed", "0",
+    "--epochs", "1", "--batch-size", "32", "--lr", "3e-3", "--n", "4", "--l-max", "48",
+    "--embed-dim", "32", "--layers", "1", "--heads", "2", "--ffn-dim", "16",
+]))
+"""
+
+
+def test_blas_thread_count_does_not_change_the_bits(tmp_path):
+    # At this size the compound head's products give different bits on
+    # two OpenBLAS threads than on one, unless importing the library pins
+    # BLAS to one thread.
+    ckpts = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        done = _run_python(_TINY_FINETUNE, cwd, OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        ckpts.append((cwd / "run" / "cpi.ckpt").read_bytes())
+    assert ckpts[0] == ckpts[1]
 
 
 def _unused_imports(path):

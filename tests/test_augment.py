@@ -190,7 +190,6 @@ def test_make_pretrain_example_deterministic():
     b = make_pretrain_example(protein, cfg, spec, seed=(7, 1, 2))
     assert np.array_equal(a.shuffled.blocks, b.shuffled.blocks)
     assert np.array_equal(a.target.perm, b.target.perm)
-    assert a.seed == (7, 1, 2)
     c = make_pretrain_example(protein, cfg, spec, seed=(7, 1, 3))
     assert not np.array_equal(a.shuffled.blocks, c.shuffled.blocks) or not np.array_equal(
         a.target.perm, c.target.perm

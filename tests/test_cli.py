@@ -252,6 +252,8 @@ def test_run_meta_records_the_checkpoint_geometry(
     recorded = json.loads((out / "run_meta.json").read_text())["config"]
     stored = load_checkpoint(ckpt).config
     assert {k: recorded[k] for k in _GEOMETRY_FLAGS} == {k: stored[k] for k in _GEOMETRY_FLAGS}
+    # the residues the encoder cuts, not the parser's default budget
+    assert recorded["l_max"] == stored["n"] * stored["f_max"]
 
 
 def test_export_embeddings_rejects_mismatched_geometry(pretrain_dir, corpus_dir, tmp_path, capsys):
@@ -263,6 +265,23 @@ def test_export_embeddings_rejects_mismatched_geometry(pretrain_dir, corpus_dir,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "embed_dim=64" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["finetune", "export-embeddings"])
+def test_l_max_other_than_the_checkpoint_cut_is_an_error_line(
+    command, split_dir, pretrain_dir, corpus_dir, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    extra = ["--checkpoint", str(pretrain_dir / "best.ckpt"), "--l-max", "1200"]
+    if command == "finetune":
+        code = _finetune(split_dir, out, extra)
+    else:
+        argv = ["export-embeddings", "--proteins", str(corpus_dir / "seqs.tsv"), "--out", str(out)]
+        code = main(argv + extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "l_max=1200" in err
     assert not out.exists()
 
 

@@ -279,15 +279,18 @@ def test_cpi_checkpoint_must_hold_the_parameters_its_config_builds(key, present)
         cpi_model_from_checkpoint(ckpt)
 
 
-def test_predict_pairs_uses_cache_consistently():
+def test_predict_pairs_uses_cache_consistently(monkeypatch):
     model = _model()
     records = _pairs(8)
+    monkeypatch.setattr(enc, "INFER_TOKENS", 10**6)
     at_once = predict_pairs(model, records, build_protein_cache(model, records))
-    # a cache extended in place, a few proteins at a time, holds the same vectors
+    # a cache extended in place, a few proteins at a time and one per
+    # encoder forward, holds the same vectors
+    monkeypatch.setattr(enc, "INFER_TOKENS", 1)
     grown = {}
     for start in range(0, len(records), 3):
-        build_protein_cache(model, records[start : start + 3], 2, grown)
-    np.testing.assert_allclose(predict_pairs(model, records, grown), at_once, rtol=0, atol=0)
+        build_protein_cache(model, records[start : start + 3], grown)
+    np.testing.assert_array_equal(predict_pairs(model, records, grown), at_once)
     assert all(0.0 < s < 1.0 for s in at_once)
 
 

@@ -135,7 +135,7 @@ def test_step_matches_a_per_example_projection():
         np.testing.assert_array_equal(state.params[key], ref.params[key])
 
 
-def test_batched_heldout_accuracy_matches_one_at_a_time():
+def test_batched_heldout_accuracy_matches_one_at_a_time(monkeypatch):
     state = enc.init(TINY, seed=0)
     adam = nn.adam_init(state.params)
     for _ in range(5):
@@ -154,8 +154,10 @@ def test_batched_heldout_accuracy_matches_one_at_a_time():
             for ex in examples
         ]
     )
-    for batch_size in (1, 4, 9):
-        assert heldout_accuracy(state, examples, 10, batch_size) == one_at_a_time
+    # one example per forward, four (n * f_max = 12 tokens each), and all
+    for budget in (1, 48, 10**6):
+        monkeypatch.setattr(enc, "INFER_TOKENS", budget)
+        assert heldout_accuracy(state, examples, 10) == one_at_a_time
 
 
 def test_train_log_rejects_disorder_and_nonfinite():
