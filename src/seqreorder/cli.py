@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import fields
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import cpi as cpi_mod
 from . import encoder as enc
-from . import evaluation, pretrain, synthetic
+from . import evaluation, nn, pretrain, synthetic
 from .config import RunConfig, read_config_file
 from .corpus import (
     PretrainDataset,
@@ -72,6 +73,7 @@ def _out_dir(args: argparse.Namespace, command: str) -> Path:
 
 def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict) -> None:
     meta = {"command": command, "seed": rc.seed, "config": rc.to_dict(), "inputs": inputs}
+    meta["blas_threads"] = nn.BLAS_THREADS
     (out / "run_meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -80,14 +82,17 @@ def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict) -> None:
 def _checkpoint_encoder(args: argparse.Namespace):
     """The encoder in ``--checkpoint``, and the run config with its geometry.
 
-    The geometry includes ``l_max``, the n * f_max residues the encoder
-    cuts. A geometry value set by a flag or the --config file must equal
-    the checkpoint's.
+    The geometry includes ``l_max``: a given budget that the encoder's n
+    blocks of f_max cut alike (ceil(l_max / n) == f_max), such as the one
+    it was pretrained with, or else n * f_max. A geometry value set by a
+    flag or the --config file must equal the checkpoint's.
     """
     given = _given(args)
     state = pretrain.encoder_state_from_checkpoint(pretrain.load_checkpoint(args.checkpoint))
-    geometry = {name: getattr(state.config, name) for name in _GEOMETRY_FLAGS}
-    geometry["l_max"] = state.config.segmentation.l_max
+    cfg = state.config
+    geometry = {name: getattr(cfg, name) for name in _GEOMETRY_FLAGS}
+    l_max = given.get("l_max", 0)
+    geometry["l_max"] = l_max if math.ceil(l_max / cfg.n) == cfg.f_max else cfg.n * cfg.f_max
     for name, have in geometry.items():
         if given.get(name, have) != have:
             raise CheckpointError(

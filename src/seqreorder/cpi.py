@@ -2,8 +2,10 @@
 
 Compounds run through their own small attention stack over SMILES
 characters, as packed rows of their real tokens only, each compound
-attending over its own rows, then a final layernorm, and are mean-pooled.
-Each distinct token list in a batch is encoded once, and the pairs gather
+attending over its own rows, then a final layernorm with a bias, and are
+mean-pooled: the protein encoder's token path (``nn.token_encoder_forward``)
+under the prefix ``comp.``, with token and position lookups only. Each
+distinct token list in a batch is encoded once, and the pairs gather
 their compound vectors from those encodings. The protein side is the
 frozen encoder's whole-protein embedding, computed once per distinct
 sequence and cached. The two vectors are concatenated, fused by a
@@ -127,10 +129,8 @@ def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> C
 # ---------------------------------------------------------------------------
 
 
-def _compound_batch(
-    model: CpiModel, token_rows: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The real SMILES token ids (N,), compound by compound, and their lengths (B,)."""
+def _compound_forward(model: CpiModel, token_rows: Sequence[Sequence[int]]):
+    """Pooled compound vectors (B, embed_dim); the stack runs on real tokens only."""
     cfg = model.config
     if not token_rows:
         raise ValidationError("no compounds in batch")
@@ -142,33 +142,15 @@ def _compound_batch(
     if lengths.min() == 0:
         raise ValidationError("compound token list is empty")
     ids = np.concatenate([np.asarray(r, dtype=np.int64) for r in token_rows])
-    return ids, lengths
-
-
-def _compound_forward(model: CpiModel, token_rows: Sequence[Sequence[int]]):
-    """Pooled compound vectors (B, embed_dim); the stack runs on real tokens only."""
-    cfg = model.config
-    p = model.params
-    ids, lengths = _compound_batch(model, token_rows)
     pos = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    x = p["comp.tok_embed"][ids] + p["comp.pos_embed"][pos]
-    h, stack_cache = nn.stack_forward(x, p, "comp.", cfg.comp_layers, lengths, cfg.comp_heads)
-    h, ln_cache = nn.layernorm_forward(h, p["comp.ln_f.gamma"], p["comp.ln_f.beta"])
-    pooled = nn.mean_pool(h, lengths)
-    cache = (ids, pos, lengths, stack_cache, ln_cache)
-    return pooled, cache
+    lookups = (("tok_embed", ids), ("pos_embed", pos))
+    return nn.token_encoder_forward(
+        model.params, "comp.", lookups, lengths, lengths, cfg.comp_layers, cfg.comp_heads
+    )
 
 
 def _compound_backward(model: CpiModel, cache, d_pooled: np.ndarray) -> dict[str, np.ndarray]:
-    p = model.params
-    ids, pos, lengths, stack_cache, ln_cache = cache
-    dh = nn.mean_pool_backward(d_pooled, lengths)
-    dh, dgamma, dbeta = nn.layernorm_backward(ln_cache, dh)
-    dx, grads = nn.stack_backward(stack_cache, dh)
-    grads["comp.ln_f.gamma"], grads["comp.ln_f.beta"] = dgamma, dbeta
-    for key, index in (("comp.tok_embed", ids), ("comp.pos_embed", pos)):
-        grads[key] = nn.embedding_backward(index, dx, len(p[key]))
-    return grads
+    return nn.token_encoder_backward(cache, d_pooled)
 
 
 def _fuse_batch(model: CpiModel, z_comp: np.ndarray, z_prot: np.ndarray):

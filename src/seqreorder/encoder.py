@@ -3,16 +3,17 @@
 A batch arrives as blocks padded to f_max, shape (B, n, f_max), and is
 packed before the transformer sees it: only real tokens are embedded, one
 row each, in slot order per example, as token + within-block position +
-slot embeddings. The rows run through a pre-norm transformer stack, each
-example attending over its own rows only, and a final layernorm with no
-bias. Each block's tokens are a run of consecutive rows, mean-pooled, and
-a linear head with no bias scores every block against every original
-position. Its logits are the log-scores that ``perm.sinkhorn`` takes as
-they are: row i scores the block sitting in shuffled slot i against each
-original position j, and the backward receives their gradient directly.
-The two biases are left out because Sinkhorn's limit does not change
-when a constant is added to a column of log-scores, so the loss would
-give them only the truncation error of its unrolled steps as gradient.
+slot embeddings. ``nn.token_encoder_forward`` runs the rows through a
+pre-norm transformer stack, each example attending over its own rows
+only, then a final layernorm with no bias, and mean-pools each block's
+run of consecutive rows. A linear head with no bias scores every block
+against every original position. Its logits are the log-scores that
+``perm.sinkhorn`` takes as they are: row i scores the block sitting in
+shuffled slot i against each original position j, and the backward
+receives their gradient directly. The two biases are left out because
+Sinkhorn's limit does not change when a constant is added to a column of
+log-scores, so the loss would give them only the truncation error of its
+unrolled steps as gradient.
 
 Every entry point is batched and returns plain arrays: pooled block
 vectors (B, n, embed_dim) and a (B, n, n) stack of logit matrices, which
@@ -85,46 +86,32 @@ def _forward_core(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
     """Batched forward. blocks (B, n, f_max) int, lengths (B, n) int.
 
     Only real tokens are embedded: one row per token, example by example
-    and in slot order within an example, each carrying its slot id and
-    within-block position. The stack runs on these rows, and each block
-    is the mean of its run of rows.
+    and in slot order within an example, as token + within-block position
+    + slot embeddings. ``nn.token_encoder_forward`` pools each block's run
+    of rows, and the head scores the pooled blocks.
 
-    Blocks of length 0 are legal here (inference-time equal splits can
-    leave trailing empties); they pool to the zero vector.
+    Blocks of length 0 are legal (``segment_protein``'s fixed f_max cut
+    leaves trailing empties); they pool to the zero vector.
     """
     cfg = state.config
-    p = state.params
     b, n, f = blocks.shape
     # (example, slot, position) of every real token, slot-major per example
     ex, slot, pos = np.nonzero(np.arange(f) < lengths[:, :, None])
-    ids = blocks[ex, slot, pos]
-    x = p["tok_embed"][ids] + p["pos_embed"][pos] + p["slot_embed"][slot]
-    h, stack_cache = nn.stack_forward(x, p, "", cfg.layers, lengths.sum(axis=1), cfg.heads)
-    h, ln_cache = nn.layernorm_forward(h, p["ln_f.gamma"])
-    pooled = nn.mean_pool(h, lengths.ravel()).reshape(b, n, -1)
-    logits = pooled @ p["head.w"]
-    cache = (slot, pos, ids, lengths, stack_cache, ln_cache, pooled)
-    return pooled, logits, cache
+    lookups = (("tok_embed", blocks[ex, slot, pos]), ("pos_embed", pos), ("slot_embed", slot))
+    pooled, core = nn.token_encoder_forward(
+        state.params, "", lookups, lengths.sum(axis=1), lengths.ravel(), cfg.layers, cfg.heads
+    )
+    pooled = pooled.reshape(b, n, -1)
+    return pooled, pooled @ state.params["head.w"], (core, pooled)
 
 
-def _backward_core(
-    state: EncoderState, cache, dlogits: np.ndarray
-) -> dict[str, np.ndarray]:
+def _backward_core(state: EncoderState, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Exact parameter gradients for the batched forward, given d(loss)/d(logits)."""
-    cfg = state.config
-    p = state.params
-    slot, pos, ids, lengths, stack_cache, ln_cache, pooled = cache
-    n, d = cfg.n, cfg.embed_dim
-
-    dpooled = dlogits @ p["head.w"].T
-
-    dh = nn.mean_pool_backward(dpooled.reshape(-1, d), lengths.ravel())
-    dh, dgamma, _ = nn.layernorm_backward(ln_cache, dh)
-    dx, grads = nn.stack_backward(stack_cache, dh)
-    grads["ln_f.gamma"] = dgamma
+    core, pooled = cache
+    w = state.params["head.w"]
+    d, n = w.shape
+    grads = nn.token_encoder_backward(core, (dlogits @ w.T).reshape(-1, d))
     grads["head.w"] = pooled.reshape(-1, d).T @ dlogits.reshape(-1, n)
-    for key, index in (("tok_embed", ids), ("pos_embed", pos), ("slot_embed", slot)):
-        grads[key] = nn.embedding_backward(index, dx, len(p[key]))
     return grads
 
 

@@ -15,11 +15,15 @@ and keeps q, k, v and each softmax row's max and sum: the backward
 rebuilds each block's unnormalized weights bit for bit, and the sums
 divide the (t, dh) context and its gradient, never the (t, t) weights.
 Layernorm's row statistics are einsum row dots; the FFN's ReLU runs in place.
+``token_encoder_forward`` is the whole token path of the protein and the
+compound encoders: summed embedding lookups, the stack, a final layernorm
+and mean pooling, with its mirror in ``token_encoder_backward``.
 
 Importing this module fixes glibc's malloc thresholds for the whole
 process (see ``_keep_freed_memory``), so each training step reuses the
 pages the previous step freed instead of faulting them in again, and pins
-BLAS to one thread (see ``_pin_blas_threads``).
+BLAS to one thread (see ``_pin_blas_threads``); ``BLAS_THREADS`` is the
+count the library reports after the pin, or None where none reports one.
 """
 
 from __future__ import annotations
@@ -74,25 +78,34 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-def _pin_blas_threads() -> None:
+def _pin_blas_threads() -> int | None:
     """Run numpy's bundled OpenBLAS on one thread for the whole process.
 
     OpenBLAS splits a product's sums by its thread count, so the bits of
     every artifact would depend on it. Reopening the loaded library by its
     path returns the same copy; where none has the setter, nothing is set.
+    Returns the thread count the library reports after the pin, or None
+    where no known library or symbol reports one.
     """
     for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
         try:
-            setter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+            lib = ctypes.CDLL(str(path))
         except OSError:
             continue
+        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
         if setter is not None:
             setter.argtypes = (ctypes.c_int,)
             setter.restype = None
             setter(1)
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return getter()
+    return None
 
 
-_pin_blas_threads()
+# the BLAS thread count every product in this process runs on, where known
+BLAS_THREADS = _pin_blas_threads()
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
@@ -406,6 +419,37 @@ def mean_pool(rows: Array, counts: Array) -> Array:
 def mean_pool_backward(dmeans: Array, counts: Array) -> Array:
     """Row gradient (N, d) of ``mean_pool``: a run's gradient over its length, per row."""
     return np.repeat(dmeans / np.maximum(counts, 1)[:, None], counts, axis=0)
+
+
+def token_encoder_forward(
+    p: dict, prefix: str, lookups, lengths: Array, counts: Array, layers: int, heads: int
+):
+    """Vectors (R, d): summed lookups, the stack, final layernorm, mean of each run of rows.
+
+    Each (table, ids) lookup gives one row (ids (N,)) per real token of the
+    examples of ``lengths`` (B,), summed in order. ``ln_f`` has a beta only
+    where ``p`` holds one. ``counts`` (R,) are the pooled runs of rows.
+    """
+    (table, ids), *rest = lookups
+    x = p[prefix + table][ids]
+    for table, ids in rest:
+        x += p[prefix + table][ids]
+    h, stack_cache = stack_forward(x, p, prefix, layers, lengths, heads)
+    h, ln_cache = layernorm_forward(h, p[prefix + "ln_f.gamma"], p.get(prefix + "ln_f.beta"))
+    return mean_pool(h, counts), (p, prefix, lookups, counts, stack_cache, ln_cache)
+
+
+def token_encoder_backward(cache, dpooled: Array) -> dict:
+    """Gradients of the final layernorm, the layers and every lookup table."""
+    p, prefix, lookups, counts, stack_cache, ln_cache = cache
+    dh, dgamma, dbeta = layernorm_backward(ln_cache, mean_pool_backward(dpooled, counts))
+    dx, grads = stack_backward(stack_cache, dh)
+    grads[prefix + "ln_f.gamma"] = dgamma
+    if prefix + "ln_f.beta" in p:
+        grads[prefix + "ln_f.beta"] = dbeta
+    for table, ids in lookups:
+        grads[prefix + table] = embedding_backward(ids, dx, len(p[prefix + table]))
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqreorder import nn
 from seqreorder.cli import _GEOMETRY_FLAGS, _run_config, build_parser, main
 from seqreorder.config import RunConfig
 from seqreorder.gradcheck import run_gradcheck
@@ -283,6 +284,59 @@ def test_l_max_other_than_the_checkpoint_cut_is_an_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "l_max=1200" in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def pretrain_l_max_50_dir(corpus_dir, tmp_path_factory):
+    """A checkpoint pretrained at n=4 and l_max=50: its encoder cuts 4 blocks of 13."""
+    out = tmp_path_factory.mktemp("pretrain_l_max_50")
+    code = main(
+        ["pretrain", "--proteins", str(corpus_dir / "seqs.tsv"), "--seed", "7",
+         "--out", str(out), "--epochs", "1", "--batch-size", "8", "--lr", "1e-3",
+         "--n", "4", "--l-max", "50"]
+        + TINY_ENCODER[4:]
+    )
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command", ["finetune", "export-embeddings"])
+def test_the_l_max_a_checkpoint_was_pretrained_with_is_accepted(
+    command, source, pretrain_l_max_50_dir, split_dir, corpus_dir, tmp_path, capsys
+):
+    def run(l_max):
+        out = tmp_path / f"out_{l_max}"
+        if source == "flag":
+            given = ["--l-max", str(l_max)]
+        else:
+            config = tmp_path / f"l_max_{l_max}.json"
+            config.write_text(json.dumps({"l_max": l_max}), encoding="utf-8")
+            given = ["--config", str(config)]
+        if command == "finetune":
+            argv = ["finetune", "--train", str(split_dir / "train.tsv"),
+                    "--epochs", "1", "--batch-size", "16"] + TINY_HEAD
+        else:
+            argv = ["export-embeddings", "--proteins", str(corpus_dir / "seqs.tsv")]
+        ckpt = ["--checkpoint", str(pretrain_l_max_50_dir / "best.ckpt"), "--out", str(out)]
+        return main(argv + ckpt + given), out
+
+    code, out = run(50)
+    assert code == 0
+    assert json.loads((out / "run_meta.json").read_text())["config"]["l_max"] == 50
+    capsys.readouterr()
+    # ceil(48 / 4) = 12 blocks of 12, not the checkpoint's 13
+    code, out = run(48)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "l_max=48" in err
+    assert not out.exists()
+
+
+def test_run_meta_records_the_blas_thread_count(split_dir):
+    assert nn.BLAS_THREADS in (1, None)  # the pin took wherever the count is known
+    meta = json.loads((split_dir / "run_meta.json").read_text())
+    assert meta["blas_threads"] == nn.BLAS_THREADS
 
 
 @pytest.mark.parametrize("command", ["finetune", "export-embeddings"])
