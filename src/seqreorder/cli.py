@@ -10,7 +10,6 @@ environment variable (default ./runs).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -20,13 +19,14 @@ from pathlib import Path
 
 from . import cpi as cpi_mod
 from . import encoder as enc
-from . import evaluation, nn, pretrain, synthetic
+from . import artifacts, evaluation, nn, pretrain, synthetic
 from .config import RunConfig, read_config_file
 from .corpus import (
     PretrainDataset,
     encode_protein,
     parse_dataset,
     read_protein_list,
+    write_dataset,
     write_vocab_table,
 )
 from .errors import CheckpointError, SeqReorderError, ValidationError
@@ -74,9 +74,7 @@ def _out_dir(args: argparse.Namespace, command: str) -> Path:
 def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict) -> None:
     meta = {"command": command, "seed": rc.seed, "config": rc.to_dict(), "inputs": inputs}
     meta["blas_threads"] = nn.BLAS_THREADS
-    (out / "run_meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    artifacts.write_json(out / "run_meta.json", meta)
 
 
 def _checkpoint_encoder(args: argparse.Namespace):
@@ -88,7 +86,7 @@ def _checkpoint_encoder(args: argparse.Namespace):
     flag or the --config file must equal the checkpoint's.
     """
     given = _given(args)
-    state = pretrain.encoder_state_from_checkpoint(pretrain.load_checkpoint(args.checkpoint))
+    state = pretrain.encoder_state_from_checkpoint(artifacts.load_checkpoint(args.checkpoint))
     cfg = state.config
     geometry = {name: getattr(cfg, name) for name in _GEOMETRY_FLAGS}
     l_max = given.get("l_max", 0)
@@ -106,11 +104,6 @@ def _read_pairs(path, args: argparse.Namespace, rc: RunConfig):
     return parse_dataset(path, header=args.header, l_max=rc.l_max, max_atoms=rc.max_atoms)
 
 
-def _write_records_tsv(path: Path, records) -> None:
-    lines = [f"{r.compound.smiles}\t{r.protein.raw}\t{r.label}" for r in records]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -121,24 +114,20 @@ def cmd_split(args: argparse.Namespace) -> int:
     records = _read_pairs(args.data, args, rc)
     out = _out_dir(args, "split")
     split = evaluation.split_scenarios(records, rc.ratios(), seed=rc.seed)
-    _write_records_tsv(out / "train.tsv", split.train)
-    _write_records_tsv(out / "valid.tsv", split.valid)
-    counts = {"train": len(split.train), "valid": len(split.valid)}
-    for name in evaluation.PARTITIONS:
-        part = split.test_partitions[name]
-        _write_records_tsv(out / f"test_{name}.tsv", part)
-        counts[f"test_{name}"] = len(part)
+    parts = {"train": split.train, "valid": split.valid}
+    parts.update({f"test_{name}": split.test_partitions[name] for name in evaluation.PARTITIONS})
+    for stem, part in parts.items():
+        rows = [(r.compound.smiles, r.protein.raw, r.label) for r in part]
+        write_dataset(out / f"{stem}.tsv", rows)
+    counts = {stem: len(part) for stem, part in parts.items()}
     manifest = {
         "seed": rc.seed,
         "ratios": list(rc.ratios()),
         "source": Path(args.data).name,
         "counts": counts,
-        "files": ["train.tsv", "valid.tsv"]
-        + [f"test_{name}.tsv" for name in evaluation.PARTITIONS],
+        "files": [f"{stem}.tsv" for stem in parts],
     }
-    (out / "split_manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    artifacts.write_json(out / "split_manifest.json", manifest)
     write_vocab_table(out / "vocab.tsv")
     _write_meta(out, "split", rc, {"data": str(args.data)})
     print(f"split {len(records)} pairs -> {counts}")
@@ -230,15 +219,16 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     out = _out_dir(args, "finetune")
     result = cpi_mod.finetune_run(train, valid, frozen, rc.cpi(), rc.finetune(), out_dir=out)
     ckpt_out = cpi_mod.checkpoint_from_cpi(
-        result.model, {"global_seed": rc.seed, "epoch": result.selected_epoch, "step": 0}
+        result.model,
+        {"global_seed": rc.seed, "epoch": result.selected_epoch, "step": result.selected_step},
     )
-    pretrain.save_checkpoint(ckpt_out, out / "cpi.ckpt")
+    artifacts.save_checkpoint(ckpt_out, out / "cpi.ckpt")
 
     cache = cpi_mod.build_protein_cache(result.model, train + list(valid))
     for name, records in tests:
         cpi_mod.build_protein_cache(result.model, records, cache)
         scores = cpi_mod.predict_pairs(result.model, records, cache)
-        cpi_mod.write_predictions(
+        artifacts.write_predictions(
             out / f"predictions_{name}.csv",
             [f"{name}-{i:06d}" for i in range(len(records))],
             scores,
@@ -277,7 +267,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         seed_results = {}
         for f in files:
             name = f.stem[len("predictions_") :]
-            seed_results[name] = cpi_mod.read_predictions(f)
+            seed_results[name] = artifacts.read_predictions(f)
         per_seed.append(seed_results)
     out = _out_dir(args, "evaluate")
     report = evaluation.emit_report(args.dataset_name, per_seed, out)
@@ -320,12 +310,8 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
     vectors = enc.protein_embeddings(state, proteins)
     out = _out_dir(args, "export-embeddings")
     rows = [pid + "\t" + "\t".join(f"{v:.17g}" for v in vec) for pid, vec in zip(pids, vectors)]
-    (out / "embeddings.tsv").write_text(
-        "\n".join(rows) + ("\n" if rows else ""), encoding="utf-8"
-    )
-    (out / "skipped.log").write_text(
-        "\n".join(skipped) + ("\n" if skipped else ""), encoding="utf-8"
-    )
+    artifacts.write_lines(out / "embeddings.tsv", rows)
+    artifacts.write_lines(out / "skipped.log", skipped)
     _write_meta(out, "export-embeddings", rc, {"checkpoint": str(args.checkpoint)})
     print(f"wrote {len(rows)} embeddings ({len(skipped)} skipped) to {out / 'embeddings.tsv'}")
     return 0
@@ -350,7 +336,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             num_pairs=args.num_pairs,
             seed=args.seed,
         )
-        synthetic.write_interaction_tsv(out_path, corpus)
+        write_dataset(out_path, corpus.rows)
         positives = sum(y for _, _, y in corpus.rows)
         print(f"wrote {len(corpus.rows)} pairs ({positives} positive) to {out_path}")
     return 0

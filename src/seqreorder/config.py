@@ -15,8 +15,9 @@ import json
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
+from .artifacts import read_text
 from .augment import NoiseSpec, RAcutConfig
-from .corpus import DEFAULT_MAX_RESIDUES, read_text
+from .corpus import DEFAULT_MAX_RESIDUES
 from .cpi import CpiConfig, FinetuneConfig
 from .encoder import EncoderConfig
 from .errors import ValidationError
@@ -114,7 +115,6 @@ class RunConfig:
 
     def cpi(self) -> CpiConfig:
         return CpiConfig(
-            embed_dim=self.embed_dim,
             comp_layers=self.comp_layers,
             comp_heads=self.comp_heads,
             comp_ffn_dim=self.comp_ffn_dim,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from .artifacts import read_text, write_lines
 from .errors import ParseError, ValidationError
 
 # 22 canonical residue letters, alphabetical. Everything else -> unknown.
@@ -73,14 +74,6 @@ class InteractionRecord:
     compound: CompoundRecord
     protein: ProteinRecord
     label: int
-
-
-def read_text(path: str | Path) -> str:
-    """A file's UTF-8 text; bytes that do not decode raise ParseError naming the file."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def encode_protein(raw: str, l_max: int = DEFAULT_MAX_RESIDUES) -> ProteinRecord:
@@ -158,6 +151,11 @@ def parse_dataset(
     return records
 
 
+def write_dataset(path: str | Path, rows: Sequence[tuple[str, str, int]]) -> None:
+    """(smiles, sequence, label) rows as the interaction TSV ``parse_dataset`` reads."""
+    write_lines(path, [f"{smiles}\t{seq}\t{label}" for smiles, seq, label in rows])
+
+
 def read_protein_list(path: str | Path) -> list[tuple[int, str, str]]:
     """Rows of a protein-list file as (1-based line number, id, sequence).
 
@@ -208,5 +206,4 @@ class PretrainDataset:
 def write_vocab_table(path: str | Path) -> None:
     """Emit the id<TAB>char table of the residue vocabulary for auditing."""
     chars = CANONICAL_RESIDUES + UNKNOWN_RESIDUE_CHAR + PAD_CHAR + MASK_CHAR
-    text = "".join(f"{i}\t{ch}\n" for i, ch in enumerate(chars))
-    Path(path).write_text(text, encoding="utf-8")
+    write_lines(path, [f"{i}\t{ch}" for i, ch in enumerate(chars)])

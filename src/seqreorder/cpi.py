@@ -27,19 +27,14 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .corpus import (
-    DEFAULT_MAX_ATOMS,
-    SMILES_VOCAB_SIZE,
-    InteractionRecord,
-    ProteinRecord,
-    read_text,
-)
+from .artifacts import Checkpoint, StepRecord, TrainLog, check_params, write_val_log
+from .corpus import DEFAULT_MAX_ATOMS, SMILES_VOCAB_SIZE, InteractionRecord, ProteinRecord
 from .encoder import EncoderConfig, EncoderState, protein_embeddings
 from .encoder import init as init_encoder
 from .encoder import protein_embedding  # noqa: F401  (perfbench traces this name)
-from .errors import CheckpointError, NumericError, ParseError, ValidationError
+from .errors import CheckpointError, NumericError, ValidationError
 from .evaluation import auroc
-from .pretrain import Checkpoint, PretrainConfig, StepRecord, TrainLog, check_params, write_val_log
+from .pretrain import PretrainConfig
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +43,6 @@ PREDICT_CHUNK = 256
 
 @dataclass(frozen=True)
 class CpiConfig:
-    embed_dim: int = EncoderConfig.embed_dim
     comp_layers: int = 2
     comp_heads: int = 8
     comp_ffn_dim: int = 1024
@@ -56,21 +50,9 @@ class CpiConfig:
     max_atoms: int = DEFAULT_MAX_ATOMS
 
     def __post_init__(self) -> None:
-        for name in (
-            "embed_dim",
-            "comp_layers",
-            "comp_heads",
-            "comp_ffn_dim",
-            "fusion_dim",
-            "max_atoms",
-        ):
+        for name in ("comp_layers", "comp_heads", "comp_ffn_dim", "fusion_dim", "max_atoms"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if self.embed_dim % self.comp_heads != 0:
-            raise ValidationError(
-                f"embed_dim {self.embed_dim} must be divisible by comp_heads "
-                f"{self.comp_heads}"
-            )
 
 
 @dataclass(frozen=True)
@@ -100,13 +82,10 @@ class CpiModel:
 
 
 def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> CpiModel:
-    if config.embed_dim != encoder_state.config.embed_dim:
-        raise ValidationError(
-            f"cpi embed_dim {config.embed_dim} does not match encoder embed_dim "
-            f"{encoder_state.config.embed_dim}"
-        )
+    d = encoder_state.config.embed_dim
+    if d % config.comp_heads != 0:
+        raise ValidationError(f"embed_dim {d} must be divisible by comp_heads {config.comp_heads}")
     rng = np.random.default_rng(seed)
-    d = config.embed_dim
     params: dict[str, np.ndarray] = {}
     params["comp.tok_embed"] = nn.uniform_init(rng, (SMILES_VOCAB_SIZE, d), d)
     params["comp.pos_embed"] = nn.uniform_init(rng, (config.max_atoms, d), d)
@@ -238,6 +217,7 @@ def predict_pairs(
 class FinetuneResult:
     model: CpiModel
     selected_epoch: int
+    selected_step: int  # the global step that ended the selected epoch
     val_history: list[tuple[int, float]]
 
 
@@ -267,7 +247,7 @@ def _batch_grads(
     dlogit = np.where(y == 1.0, -_expit(-logits), _expit(logits))
     djoint = dlogit[:, None] * p["dec.w"][None, :]
     dcat, fusion_grads = nn.ffn_backward(fuse_cache, djoint)
-    dz_comp = dcat[:, : model.config.embed_dim]  # protein side is constant
+    dz_comp = dcat[:, : model.encoder_state.config.embed_dim]  # protein side is constant
     d_pooled = nn.embedding_backward(inverse, dz_comp, n_distinct)
     grads = _compound_backward(model, comp_cache, d_pooled)
     grads.update(fusion_grads)
@@ -336,18 +316,21 @@ def finetune_run(
             if val_auc > best_auc:
                 best_auc = val_auc
                 best_params = {k: q.copy() for k, q in model.params.items()}
-                best_epoch = epoch
+                best_epoch, best_step = epoch, global_step
 
     if valid:
         model.params = best_params
     else:
+        best_step = global_step
         logger.warning("no validation pairs: keeping the final epoch")
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         log.write_csv(out_path / "finetune_log.csv")
         write_val_log(out_path / "val_log.csv", "val_auroc", val_history)
-    return FinetuneResult(model=model, selected_epoch=best_epoch, val_history=val_history)
+    return FinetuneResult(
+        model=model, selected_epoch=best_epoch, selected_step=best_step, val_history=val_history
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +350,6 @@ def checkpoint_from_cpi(model: CpiModel, provenance: dict) -> Checkpoint:
         },
         params=params,
         provenance=dict(provenance),
-        log_tail=[],
     )
 
 
@@ -386,42 +368,3 @@ def cpi_model_from_checkpoint(ckpt: Checkpoint) -> CpiModel:
     encoder_state = EncoderState(config=enc_config, params=enc_params)
     check_params(cpi_params, init_cpi(config, encoder_state).params, "cpi.")
     return CpiModel(config=config, params=cpi_params, encoder_state=encoder_state)
-
-
-def write_predictions(
-    path: str | Path,
-    pair_ids: Sequence[str],
-    scores: Sequence[float],
-    labels: Sequence[int],
-) -> None:
-    if not (len(pair_ids) == len(scores) == len(labels)):
-        raise ValidationError("pair_ids, scores, and labels must align")
-    lines = ["pair_id,score,label"]
-    for pid, s, y in zip(pair_ids, scores, labels):
-        lines.append(f"{pid},{s:.17g},{int(y)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and labels of a ``write_predictions`` file, in file order."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != "pair_id,score,label":
-        raise ParseError(f"{path}: expected header 'pair_id,score,label'")
-    scores, labels = [], []
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"{path} line {lineno}: expected 3 fields, got {len(fields)}")
-        try:
-            s = float(fields[1])
-        except ValueError:
-            raise ParseError(f"{path} line {lineno}: bad score {fields[1]!r}") from None
-        if not np.isfinite(s):
-            raise ParseError(f"{path} line {lineno}: non-finite score")
-        if fields[2] not in ("0", "1"):
-            raise ParseError(f"{path} line {lineno}: label must be 0 or 1, got {fields[2]!r}")
-        scores.append(s)
-        labels.append(int(fields[2]))
-    return np.array(scores), np.array(labels)

@@ -14,13 +14,13 @@ precision — the mean over positives of precision at each positive's rank.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import write_json, write_lines
 from .corpus import InteractionRecord
 from .errors import MetricError, ValidationError
 
@@ -226,14 +226,9 @@ def emit_report(
     }
     if skipped:
         report["skipped_partitions"] = skipped
-    (out_path / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out_path / "report.json", report)
     return report
 
 
 def _write_curve(path: Path, header: str, xs, ys) -> None:
-    lines = [header]
-    for x, yv in zip(xs, ys):
-        lines.append(f"{x:.17g},{yv:.17g}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, [header] + [f"{x:.17g},{yv:.17g}" for x, yv in zip(xs, ys)])

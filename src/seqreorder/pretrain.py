@@ -6,23 +6,15 @@ seed produce bit-identical parameter trajectories. A 5% slice of the
 admissible proteins is held out; its examples use the reserved epoch
 namespace 0 and stay fixed for the whole run. Held-out permutation
 accuracy (scored with the deeper evaluation-time projection) selects the
-best checkpoint.
-
-Checkpoints are a single binary container: magic bytes, a format version,
-a canonical-JSON header (section tag, config, RNG provenance, a short
-training-log tail, array shapes), the little-endian float64 parameter
-block, and a trailing SHA-256 checksum. Optimizer state is not kept: no
-run resumes from a checkpoint.
+best checkpoint. The checkpoint container and the logs are
+``artifacts``' formats.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-import struct
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -30,15 +22,14 @@ import numpy as np
 
 from . import encoder as enc
 from . import nn, perm
+from .artifacts import Checkpoint, StepRecord, TrainLog, check_params, write_val_log
+from .artifacts import save_checkpoint
+from .artifacts import load_checkpoint  # noqa: F401  (perfbench calls this name)
 from .augment import NoiseSpec, PretrainExample, RAcutConfig, make_pretrain_example
 from .corpus import PretrainDataset
 from .errors import CheckpointError, NumericError, ValidationError
 
 logger = logging.getLogger(__name__)
-
-CHECKPOINT_MAGIC = b"SRCK"
-CHECKPOINT_VERSION = 3
-LOG_TAIL_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -69,131 +60,12 @@ class PretrainConfig:
             )
 
 
-@dataclass
-class StepRecord:
-    epoch: int
-    step: int
-    loss: float
-    perm_acc: float
-    wall_ms: float
-
-
-@dataclass
-class TrainLog:
-    records: list[StepRecord] = field(default_factory=list)
-    acc_label: str = "perm_acc"
-
-    def append(self, rec: StepRecord) -> None:
-        if not np.isfinite(rec.loss):
-            raise NumericError(f"non-finite loss at epoch {rec.epoch} step {rec.step}")
-        if self.records:
-            last = self.records[-1]
-            if (rec.epoch, rec.step) <= (last.epoch, last.step):
-                raise ValidationError(
-                    f"log keys must increase: {(last.epoch, last.step)} then "
-                    f"{(rec.epoch, rec.step)}"
-                )
-        self.records.append(rec)
-
-    def write_csv(self, path: str | Path) -> None:
-        lines = [f"epoch,step,loss,{self.acc_label},wall_ms"]
-        for r in self.records:
-            lines.append(
-                f"{r.epoch},{r.step},{r.loss:.17g},{r.perm_acc:.17g},{r.wall_ms:.3f}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def tail(self) -> list[list]:
-        # The last LOG_TAIL_LIMIT records, deterministic fields only (no wall
-        # time), so identical runs write identical checkpoints.
-        return [
-            [r.epoch, r.step, r.loss, r.perm_acc] for r in self.records[-LOG_TAIL_LIMIT:]
-        ]
-
-
-def write_val_log(path: str | Path, label: str, history: Sequence[tuple[int, float]]) -> None:
-    """Per-epoch validation history as ``epoch,<label>`` rows (no wall-clock field)."""
-    lines = [f"epoch,{label}"] + [f"{epoch},{value:.17g}" for epoch, value in history]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-@dataclass
-class Checkpoint:
-    section: str
-    config: dict
-    params: dict[str, np.ndarray]
-    provenance: dict
-    log_tail: list[list]
-
-
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    header = {
-        "section": ckpt.section,
-        "config": ckpt.config,
-        "provenance": ckpt.provenance,
-        "log_tail": ckpt.log_tail,
-        "arrays": [
-            {"key": k, "shape": list(ckpt.params[k].shape)} for k in sorted(ckpt.params)
-        ],
-    }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
-    body += struct.pack("<I", CHECKPOINT_VERSION)
-    body += struct.pack("<Q", len(header_bytes))
-    body += header_bytes
-    for k in sorted(ckpt.params):
-        body += np.ascontiguousarray(ckpt.params[k], dtype="<f8").tobytes()
-    body += hashlib.sha256(body).digest()
-    Path(path).write_bytes(body)
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 + 4 + 8 + 32 or raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    digest = raw[-32:]
-    body = memoryview(raw)[:-32]
-    if hashlib.sha256(body).digest() != digest:
-        raise CheckpointError(f"{path}: checksum mismatch (corrupt or truncated)")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version} is not supported "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
-    header_len = struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    offset = 16 + header_len
-    params = {}
-    for spec in sorted(header["arrays"], key=lambda s: s["key"]):
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-        params[spec["key"]] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
-    if offset != len(body):
-        raise CheckpointError(f"{path}: trailing bytes after parameter blocks")
-    return Checkpoint(
-        section=header["section"],
-        config=header["config"],
-        params=params,
-        provenance=header["provenance"],
-        log_tail=header["log_tail"],
-    )
-
-
-def checkpoint_from_encoder(
-    state: enc.EncoderState,
-    provenance: dict,
-    log_tail: list[list],
-) -> Checkpoint:
+def checkpoint_from_encoder(state: enc.EncoderState, provenance: dict) -> Checkpoint:
     return Checkpoint(
         section="encoder",
         config=asdict(state.config),
         params={k: p.copy() for k, p in state.params.items()},
         provenance=dict(provenance),
-        log_tail=list(log_tail),
     )
 
 
@@ -205,20 +77,6 @@ def encoder_state_from_checkpoint(ckpt: Checkpoint) -> enc.EncoderState:
     config = enc.EncoderConfig(**ckpt.config)
     check_params(ckpt.params, enc.init(config).params)
     return enc.EncoderState(config=config, params=ckpt.params)
-
-
-def check_params(params: dict, built: dict, prefix: str = "") -> None:
-    """Fail unless a checkpoint's ``params`` have the names and shapes ``init`` builds.
-
-    The first name, in sorted order, that only one side has or whose shapes
-    differ is named, with its ``prefix`` in the file.
-    """
-    for key in sorted(set(params) | set(built)):
-        have, want = (p[key].shape if key in p else "no parameter" for p in (params, built))
-        if have != want:
-            raise CheckpointError(
-                f"checkpoint parameter {prefix + key!r}: {have} in the file, {want} in its config"
-            )
 
 
 def objective(
@@ -393,7 +251,7 @@ def pretrain_run(
         improved = val_acc > best_acc
         if out_path is not None or improved:
             provenance = {"global_seed": gs, "epoch": epoch, "step": global_step}
-            ckpt = checkpoint_from_encoder(state, provenance, log.tail())
+            ckpt = checkpoint_from_encoder(state, provenance)
             if out_path is not None:
                 save_checkpoint(ckpt, out_path / f"epoch_{epoch:04d}.ckpt")
             if improved:

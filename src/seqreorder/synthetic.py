@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_lines
 from .corpus import (
     CANONICAL_RESIDUES,
     InteractionRecord,
@@ -192,12 +193,6 @@ def corpus_records(corpus: InteractionCorpus) -> list[InteractionRecord]:
     ]
 
 
-def write_interaction_tsv(path: str | Path, corpus: InteractionCorpus) -> None:
-    lines = [f"{s}\t{q}\t{y}" for s, q, y in corpus.rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def write_sequence_tsv(path: str | Path, sequences: list[str]) -> None:
     """id<TAB>sequence rows for pretraining-only corpora."""
-    lines = [f"seq{i:05d}\t{s}" for i, s in enumerate(sequences)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, [f"seq{i:05d}\t{s}" for i, s in enumerate(sequences)])

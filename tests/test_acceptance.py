@@ -18,6 +18,7 @@ from math import fsum
 import numpy as np
 
 from seqreorder import encoder as enc
+from seqreorder.artifacts import write_predictions
 from seqreorder.augment import NoiseSpec, RAcutConfig
 from seqreorder.corpus import (
     InteractionRecord,
@@ -32,7 +33,6 @@ from seqreorder.cpi import (
     build_protein_cache,
     finetune_run,
     predict_pairs,
-    write_predictions,
 )
 from seqreorder.encoder import EncoderConfig
 from seqreorder.evaluation import auprc, auroc, emit_report, split_scenarios
@@ -251,7 +251,7 @@ def test_criterion_5_reordering_recovery():
 # ---------------------------------------------------------------------------
 
 CPI_CFG = CpiConfig(
-    embed_dim=32, comp_layers=1, comp_heads=4, comp_ffn_dim=64, fusion_dim=32, max_atoms=64
+    comp_layers=1, comp_heads=4, comp_ffn_dim=64, fusion_dim=32, max_atoms=64
 )
 
 

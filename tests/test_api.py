@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import seqreorder
+from seqreorder import artifacts, pretrain
 
 
 def _run_python(code, cwd, **env_vars):
@@ -62,10 +63,11 @@ def test_pretrain_runs_without_scipy(tmp_path):
 
 _TINY_FINETUNE = """
 from seqreorder.cli import main
-from seqreorder.synthetic import interaction_corpus, write_interaction_tsv
+from seqreorder.corpus import write_dataset
+from seqreorder.synthetic import interaction_corpus
 
 corpus = interaction_corpus(num_proteins=40, num_compounds=40, num_pairs=100, seed=7)
-write_interaction_tsv("pairs.tsv", corpus)
+write_dataset("pairs.tsv", corpus.rows)
 raise SystemExit(main([
     "finetune", "--train", "pairs.tsv", "--random-init", "--out", "run", "--seed", "0",
     "--epochs", "1", "--batch-size", "32", "--lr", "3e-3", "--n", "4", "--l-max", "48",
@@ -110,6 +112,26 @@ def _unused_imports(path):
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append((alias.lineno, name))
     return unused
+
+
+def test_only_artifacts_writes_files():
+    root = Path(__file__).resolve().parents[1]
+    calls = []
+    for path in sorted(root.glob("src/seqreorder/*.py")):
+        if path.name == "artifacts.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("write_text", "write_bytes", "open"):
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
+
+
+def test_pretrain_checkpoint_names_are_the_artifacts_functions():
+    # perfbench calls and traces these two names on pretrain
+    assert pretrain.save_checkpoint is artifacts.save_checkpoint
+    assert pretrain.load_checkpoint is artifacts.load_checkpoint
 
 
 def test_no_unused_imports():

@@ -12,8 +12,9 @@ from seqreorder import nn
 from seqreorder.cli import _GEOMETRY_FLAGS, _run_config, build_parser, main
 from seqreorder.config import RunConfig
 from seqreorder.gradcheck import run_gradcheck
-from seqreorder.pretrain import load_checkpoint, save_checkpoint
-from seqreorder.synthetic import interaction_corpus, motif_sequences, write_interaction_tsv, write_sequence_tsv
+from seqreorder.artifacts import load_checkpoint, save_checkpoint
+from seqreorder.corpus import write_dataset
+from seqreorder.synthetic import interaction_corpus, motif_sequences, write_sequence_tsv
 
 TINY_ENCODER = [
     "--n", "4", "--l-max", "48",
@@ -28,7 +29,7 @@ TINY_HEAD = [
 def corpus_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     pairs = interaction_corpus(num_proteins=40, num_compounds=40, num_pairs=120, seed=7)
-    write_interaction_tsv(root / "pairs.tsv", pairs)
+    write_dataset(root / "pairs.tsv", pairs.rows)
     write_sequence_tsv(root / "seqs.tsv", motif_sequences(num_sequences=30, seed=7))
     return root
 
@@ -192,6 +193,21 @@ def test_finetune_from_checkpoint(split_dir, pretrain_dir, tmp_path):
         for row in (tmp_path / "predictions_seen_both.csv").read_text().splitlines()[1:]
     ]
     assert all(0.0 < s < 1.0 for s in scores)
+
+
+@pytest.mark.parametrize("with_valid", [True, False], ids=["valid", "no-valid"])
+def test_cpi_checkpoint_records_the_last_step_of_the_selected_epoch(split_dir, tmp_path, with_valid):
+    valid = ["--valid", str(split_dir / "valid.tsv")] if with_valid else []
+    code = main(
+        ["finetune", "--train", str(split_dir / "train.tsv"), *valid, "--random-init",
+         "--out", str(tmp_path), "--seed", "7", "--epochs", "3", "--batch-size", "16"]
+        + TINY_HEAD + TINY_ENCODER
+    )
+    assert code == 0
+    provenance = load_checkpoint(tmp_path / "cpi.ckpt").provenance
+    rows = (tmp_path / "finetune_log.csv").read_text().splitlines()[1:]
+    last_step = {int(row.split(",")[0]): int(row.split(",")[1]) for row in rows}
+    assert provenance["step"] == last_step[provenance["epoch"]] > 0
 
 
 def test_finetune_rejects_mismatched_geometry(split_dir, pretrain_dir, tmp_path, capsys):

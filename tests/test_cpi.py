@@ -7,6 +7,7 @@ import padded_stack
 import pytest
 
 from seqreorder import cpi
+from seqreorder.artifacts import load_checkpoint, read_predictions, save_checkpoint, write_predictions
 from seqreorder import encoder as enc
 from seqreorder import nn
 from seqreorder.corpus import (
@@ -26,16 +27,13 @@ from seqreorder.cpi import (
     finetune_run,
     init_cpi,
     predict_pairs,
-    read_predictions,
-    write_predictions,
 )
 from seqreorder.encoder import EncoderConfig
 from seqreorder.errors import CheckpointError, ValidationError
-from seqreorder.pretrain import load_checkpoint, save_checkpoint
 
 TINY_ENC = EncoderConfig(embed_dim=8, layers=1, heads=2, ffn_dim=16, n=3, f_max=4)
 TINY_CPI = CpiConfig(
-    embed_dim=8, comp_layers=1, comp_heads=2, comp_ffn_dim=16, fusion_dim=6, max_atoms=32
+    comp_layers=1, comp_heads=2, comp_ffn_dim=16, fusion_dim=6, max_atoms=32
 )
 
 
@@ -62,12 +60,13 @@ def _pairs(count, length=12):
     return records
 
 
-def test_init_requires_matching_embed_dim():
-    wrong = CpiConfig(
-        embed_dim=16, comp_layers=1, comp_heads=2, comp_ffn_dim=16, fusion_dim=6, max_atoms=32
-    )
-    with pytest.raises(ValidationError):
-        init_cpi(wrong, enc.init(TINY_ENC, seed=0), seed=0)
+def test_init_takes_its_width_from_the_encoder():
+    model = _model()
+    assert model.params["comp.tok_embed"].shape[1] == TINY_ENC.embed_dim
+    assert model.params["fusion.w1"].shape[0] == 2 * TINY_ENC.embed_dim
+    three_heads = CpiConfig(comp_layers=1, comp_heads=3, comp_ffn_dim=16, fusion_dim=6)
+    with pytest.raises(ValidationError, match="embed_dim 8 must be divisible by comp_heads 3"):
+        init_cpi(three_heads, enc.init(TINY_ENC, seed=0), seed=0)
 
 
 def test_init_is_deterministic():
@@ -335,7 +334,7 @@ def _padded_compound_forward(model, token_rows):
 
 def _padded_compound_backward(model, cache, d_pooled):
     tokens, mask, lengths, stack_cache, ln_cache = cache
-    p, d = model.params, model.config.embed_dim
+    p, d = model.params, model.encoder_state.config.embed_dim
     dh, dgamma, dbeta = nn.layernorm_backward(
         ln_cache, (d_pooled / lengths)[:, None, :] * mask[..., None]
     )
@@ -418,7 +417,7 @@ def test_finetune_val_log_is_reproducible(tmp_path):
 
 def _undeduplicated_batch_grads(model, records, cache, lam):
     """Loss, probabilities and gradients with every pair's compound encoded on its own."""
-    p, d = model.params, model.config.embed_dim
+    p, d = model.params, model.encoder_state.config.embed_dim
     y = np.array([r.label for r in records], dtype=np.float64)
     z_comp, comp_cache = cpi._compound_forward(model, [r.compound.tokens for r in records])
     cat = np.concatenate([z_comp, np.stack([cache[r.protein.raw] for r in records])], axis=1)

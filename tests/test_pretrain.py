@@ -17,17 +17,14 @@ from seqreorder.encoder import EncoderConfig
 from seqreorder.errors import CheckpointError, NumericError, ValidationError
 from seqreorder import perm
 from seqreorder.perm import SinkhornConfig
+from seqreorder.artifacts import StepRecord, TrainLog, load_checkpoint, save_checkpoint
 from seqreorder.pretrain import (
     PretrainConfig,
-    StepRecord,
-    TrainLog,
     checkpoint_from_encoder,
     encoder_state_from_checkpoint,
     heldout_accuracy,
-    load_checkpoint,
     pretrain_run,
     pretrain_step,
-    save_checkpoint,
 )
 
 TINY = EncoderConfig(embed_dim=8, layers=1, heads=2, ffn_dim=16, n=3, f_max=4)
@@ -169,20 +166,17 @@ def test_train_log_rejects_disorder_and_nonfinite():
         log.append(StepRecord(1, 1, float("nan"), 0.0, 1.0))
 
 
-def test_train_log_tail_excludes_wall_time(tmp_path):
+def test_train_log_csv_names_its_columns(tmp_path):
     log = TrainLog()
     log.append(StepRecord(1, 0, 1.0, 0.25, 123.4))
-    assert log.tail() == [[1, 0, 1.0, 0.25]]
     log.write_csv(tmp_path / "log.csv")
-    header = (tmp_path / "log.csv").read_text().splitlines()[0]
-    assert header == "epoch,step,loss,perm_acc,wall_ms"
+    lines = (tmp_path / "log.csv").read_text().splitlines()
+    assert lines == ["epoch,step,loss,perm_acc,wall_ms", "1,0,1,0.25,123.400"]
 
 
 def test_checkpoint_roundtrip(tmp_path):
     state = enc.init(TINY, seed=3)
-    ckpt = checkpoint_from_encoder(
-        state, {"global_seed": 3, "epoch": 2, "step": 7}, [[1, 0, 0.5, 0.0]]
-    )
+    ckpt = checkpoint_from_encoder(state, {"global_seed": 3, "epoch": 2, "step": 7})
     path = tmp_path / "enc.ckpt"
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
@@ -201,7 +195,7 @@ def test_checkpoint_io_holds_the_file_at_most_twice(tmp_path):
     # a save holds the file's bytes once (plus one array's bytes), and a
     # load holds the file once plus the arrays it returns
     config = EncoderConfig(embed_dim=64, layers=2, heads=2, ffn_dim=128, n=3, f_max=4)
-    ckpt = checkpoint_from_encoder(enc.init(config, seed=0), {}, [])
+    ckpt = checkpoint_from_encoder(enc.init(config, seed=0), {})
     path = tmp_path / "enc.ckpt"
     tracemalloc.start()
     try:
@@ -223,7 +217,7 @@ def test_checkpoint_io_holds_the_file_at_most_twice(tmp_path):
 def test_checkpoint_detects_corruption(tmp_path):
     state = enc.init(TINY, seed=0)
     path = tmp_path / "enc.ckpt"
-    save_checkpoint(checkpoint_from_encoder(state, {}, []), path)
+    save_checkpoint(checkpoint_from_encoder(state, {}), path)
     blob = bytearray(path.read_bytes())
     blob[-40] ^= 0xFF  # flip a bit inside the parameter block
     path.write_bytes(bytes(blob))
@@ -234,21 +228,22 @@ def test_checkpoint_detects_corruption(tmp_path):
 def test_checkpoint_detects_truncation(tmp_path):
     state = enc.init(TINY, seed=0)
     path = tmp_path / "enc.ckpt"
-    save_checkpoint(checkpoint_from_encoder(state, {}, []), path)
+    save_checkpoint(checkpoint_from_encoder(state, {}), path)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
 def test_checkpoint_rejects_an_older_format_version(tmp_path):
-    # a file of format version 2 has a vocab_size key in its config, which
-    # would not build an EncoderConfig; it is refused by its version
+    # a file of format version 3 carries a log tail in its header, and a
+    # cpi file an embed_dim in its head config, which would not build a
+    # CpiConfig; it is refused by its version
     path = tmp_path / "enc.ckpt"
-    save_checkpoint(checkpoint_from_encoder(enc.init(TINY, seed=0), {}, []), path)
+    save_checkpoint(checkpoint_from_encoder(enc.init(TINY, seed=0), {}), path)
     body = bytearray(path.read_bytes()[:-32])
-    body[4:8] = struct.pack("<I", 2)
+    body[4:8] = struct.pack("<I", 3)
     path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
-    with pytest.raises(CheckpointError, match="version 2 is not supported \\(expected 3\\)"):
+    with pytest.raises(CheckpointError, match="version 3 is not supported \\(expected 4\\)"):
         load_checkpoint(path)
 
 
@@ -261,7 +256,7 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
 
 def test_encoder_state_from_checkpoint_config_guard(tmp_path):
     state = enc.init(TINY, seed=0)
-    ckpt = checkpoint_from_encoder(state, {}, [])
+    ckpt = checkpoint_from_encoder(state, {})
     restored = encoder_state_from_checkpoint(ckpt)
     assert restored.config == TINY
     # a config whose parameters are not the ones in the file is refused
@@ -311,9 +306,9 @@ def test_run_without_out_dir_copies_only_improving_epochs(tmp_path, monkeypatch)
     written = pretrain_run(dataset, TINY, CUT, config, out_dir=tmp_path)
     epochs = []
 
-    def spy(state, provenance, log_tail):
+    def spy(state, provenance):
         epochs.append(provenance["epoch"])
-        return checkpoint_from_encoder(state, provenance, log_tail)
+        return checkpoint_from_encoder(state, provenance)
 
     monkeypatch.setattr(pretrain_mod, "checkpoint_from_encoder", spy)
     result = pretrain_run(dataset, TINY, CUT, config)
@@ -326,7 +321,7 @@ def test_run_without_out_dir_copies_only_improving_epochs(tmp_path, monkeypatch)
     assert epochs == improving
     assert result.best_epoch == written.best_epoch == improving[-1]
     best_ckpt, want = result.best_checkpoint, written.best_checkpoint
-    assert (best_ckpt.provenance, best_ckpt.log_tail) == (want.provenance, want.log_tail)
+    assert best_ckpt.provenance == want.provenance
     assert sorted(best_ckpt.params) == sorted(want.params)
     for key in want.params:
         np.testing.assert_array_equal(best_ckpt.params[key], want.params[key])

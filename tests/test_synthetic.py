@@ -1,11 +1,10 @@
 """Bundled synthetic corpora used by the desk-scale experiments."""
 
-from seqreorder.corpus import parse_dataset
+from seqreorder.corpus import parse_dataset, write_dataset
 from seqreorder.synthetic import (
     corpus_records,
     interaction_corpus,
     motif_sequences,
-    write_interaction_tsv,
     write_sequence_tsv,
 )
 
@@ -55,7 +54,7 @@ def test_interaction_corpus_deterministic():
 def test_corpus_files_parse_back(tmp_path):
     corpus = interaction_corpus(num_proteins=15, num_compounds=15, num_pairs=40, seed=2)
     path = tmp_path / "pairs.tsv"
-    write_interaction_tsv(path, corpus)
+    write_dataset(path, corpus.rows)
     records = parse_dataset(path)
     assert len(records) == 40
     assert [r.label for r in records] == [row[2] for row in corpus.rows]

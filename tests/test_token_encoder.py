@@ -135,7 +135,7 @@ def test_protein_path_matches_the_encoder_copy_bit_for_bit(cfg, protein_lengths)
 
 def _compound_model(seed):
     config = CpiConfig(
-        embed_dim=8, comp_layers=2, comp_heads=2, comp_ffn_dim=16, fusion_dim=6, max_atoms=24
+        comp_layers=2, comp_heads=2, comp_ffn_dim=16, fusion_dim=6, max_atoms=24
     )
     frozen = enc.init(EncoderConfig(embed_dim=8, layers=1, heads=2, ffn_dim=16, n=3, f_max=4))
     return init_cpi(config, frozen, seed=seed)
@@ -151,7 +151,7 @@ def test_compound_path_matches_the_cpi_copy_bit_for_bit(lengths, monkeypatch):
     rng = np.random.default_rng(sum(lengths))
     smiles = ["".join(rng.choice(list(SMILES_CHARS), size=t)) for t in lengths]
     rows = [encode_smiles(s).tokens for s in smiles]
-    d_pooled = rng.normal(size=(len(rows), model.config.embed_dim))
+    d_pooled = rng.normal(size=(len(rows), model.encoder_state.config.embed_dim))
     pooled, cache = cpi._compound_forward(model, rows)
     ref_pooled, ref_cache = _reference_compound_forward(model, rows)
     np.testing.assert_array_equal(pooled, ref_pooled)
