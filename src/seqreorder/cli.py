@@ -74,6 +74,7 @@ def _out_dir(args: argparse.Namespace, command: str) -> Path:
 def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict) -> None:
     meta = {"command": command, "seed": rc.seed, "config": rc.to_dict(), "inputs": inputs}
     meta["blas_threads"] = nn.BLAS_THREADS
+    meta["workers"] = nn.WORKERS
     artifacts.write_json(out / "run_meta.json", meta)
 
 

@@ -79,6 +79,20 @@ def encoder_state_from_checkpoint(ckpt: Checkpoint) -> enc.EncoderState:
     return enc.EncoderState(config=config, params=ckpt.params)
 
 
+def _micro_batches(batch: Sequence[PretrainExample]) -> list[Sequence[PretrainExample]]:
+    """The batch as two consecutive runs of examples, or one for a single example.
+
+    The cut is the first example boundary where the running real-token
+    count reaches half the batch's total, leaving at least one example in
+    the second run. The data alone sets it.
+    """
+    if len(batch) < 2:
+        return [batch]
+    tokens = np.cumsum([int(ex.shuffled.true_lengths.sum()) for ex in batch])
+    cut = min(int(np.argmax(2 * tokens >= tokens[-1])) + 1, len(batch) - 1)
+    return [batch[:cut], batch[cut:]]
+
+
 def objective(
     state: enc.EncoderState,
     batch: Sequence[PretrainExample],
@@ -89,17 +103,33 @@ def objective(
     Returns the per-example reordering losses (B,), the log Q stack
     (B, n, n) and the parameter gradients of the batch-mean loss. Weight
     decay is not part of it: Adam adds that term.
+
+    A batch of two or more examples runs as two micro-batches
+    (``_micro_batches``) on ``nn.map_in_order``'s threads, each scaled by
+    1/B; the gradients are their sum, joined in micro-batch order (Ott et
+    al. 2018). Losses and log Q are those of one call over the batch, bit
+    for bit; the gradients differ from one call's only in rounding, and
+    not at all between worker counts.
     """
-    blocks = np.stack([ex.shuffled.blocks for ex in batch])
-    lengths = np.stack([ex.shuffled.true_lengths for ex in batch])
-    _, logits, cache = enc._forward_core(state, blocks, lengths)
-    log_q = perm.sinkhorn(logits, sinkhorn)
-    dlog_q = np.empty_like(log_q)
-    losses = np.empty(len(batch))
-    for i, ex in enumerate(batch):
-        losses[i], dlog_q[i] = perm.reorder_loss_grad(ex.target, log_q[i])
-    dlogits = perm.sinkhorn_backward(logits, sinkhorn, dlog_q) / len(batch)
-    return losses, log_q, enc._backward_core(state, cache, dlogits)
+
+    def micro(part: Sequence[PretrainExample]):
+        blocks = np.stack([ex.shuffled.blocks for ex in part])
+        lengths = np.stack([ex.shuffled.true_lengths for ex in part])
+        _, logits, cache = enc._forward_core(state, blocks, lengths)
+        log_q = perm.sinkhorn(logits, sinkhorn)
+        dlog_q = np.empty_like(log_q)
+        losses = np.empty(len(part))
+        for i, ex in enumerate(part):
+            losses[i], dlog_q[i] = perm.reorder_loss_grad(ex.target, log_q[i])
+        dlogits = perm.sinkhorn_backward(logits, sinkhorn, dlog_q) / len(batch)
+        return losses, log_q, enc._backward_core(state, cache, dlogits)
+
+    parts = nn.map_in_order(micro, _micro_batches(batch))
+    grads = parts[0][2]
+    for _, _, more in parts[1:]:
+        for key, g in more.items():
+            grads[key] += g
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), grads
 
 
 def pretrain_step(
@@ -179,7 +209,8 @@ def pretrain_run(
     instead, and the history is labelled ``train_acc``. When an output
     directory is given, a checkpoint is written per epoch, the best
     checkpoint is kept up to date, the step log lands in train_log.csv and
-    the per-epoch accuracy in val_log.csv.
+    the per-epoch accuracy in val_log.csv; both logs are written even when
+    the run raises, up to the last finished step and epoch.
     """
     if racut_config.n != encoder_config.n or racut_config.f_max != encoder_config.f_max:
         raise ValidationError(
@@ -225,46 +256,48 @@ def pretrain_run(
     best_epoch = 0
     global_step = 0
 
-    for epoch in range(1, config.epochs + 1):
-        epoch_order = np.random.default_rng((gs, epoch)).permutation(len(train_idx))
-        shuffled_idx = train_idx[epoch_order]
-        epoch_accs = []
-        for start in range(0, len(shuffled_idx), config.batch_size):
-            idxs = shuffled_idx[start : start + config.batch_size]
-            batch = [
-                make_pretrain_example(
-                    admissible[i], racut_config, config.noise, (gs, epoch, int(i))
-                )
-                for i in idxs
-            ]
-            global_step += 1
-            state, rec = pretrain_step(state, batch, config, adam, epoch, global_step)
-            log.append(rec)
-            epoch_accs.append(rec.perm_acc)
+    try:
+        for epoch in range(1, config.epochs + 1):
+            epoch_order = np.random.default_rng((gs, epoch)).permutation(len(train_idx))
+            shuffled_idx = train_idx[epoch_order]
+            epoch_accs = []
+            for start in range(0, len(shuffled_idx), config.batch_size):
+                idxs = shuffled_idx[start : start + config.batch_size]
+                batch = [
+                    make_pretrain_example(
+                        admissible[i], racut_config, config.noise, (gs, epoch, int(i))
+                    )
+                    for i in idxs
+                ]
+                global_step += 1
+                state, rec = pretrain_step(state, batch, config, adam, epoch, global_step)
+                log.append(rec)
+                epoch_accs.append(rec.perm_acc)
 
-        if val_examples:
-            val_acc = heldout_accuracy(state, val_examples, config.eval_m)
-        else:
-            val_acc = float(np.mean(epoch_accs))
-        val_history.append((epoch, val_acc))
+            if val_examples:
+                val_acc = heldout_accuracy(state, val_examples, config.eval_m)
+            else:
+                val_acc = float(np.mean(epoch_accs))
+            val_history.append((epoch, val_acc))
 
-        improved = val_acc > best_acc
-        if out_path is not None or improved:
-            provenance = {"global_seed": gs, "epoch": epoch, "step": global_step}
-            ckpt = checkpoint_from_encoder(state, provenance)
-            if out_path is not None:
-                save_checkpoint(ckpt, out_path / f"epoch_{epoch:04d}.ckpt")
-            if improved:
-                best_acc, best_ckpt, best_epoch = val_acc, ckpt, epoch
+            improved = val_acc > best_acc
+            if out_path is not None or improved:
+                provenance = {"global_seed": gs, "epoch": epoch, "step": global_step}
+                ckpt = checkpoint_from_encoder(state, provenance)
                 if out_path is not None:
-                    save_checkpoint(ckpt, out_path / "best.ckpt")
-        if config.stop_accuracy is not None and val_acc >= config.stop_accuracy:
-            logger.info("early stop at epoch %d: %s %.4f", epoch, val_label, val_acc)
-            break
-
-    if out_path is not None:
-        log.write_csv(out_path / "train_log.csv")
-        write_val_log(out_path / "val_log.csv", val_label, val_history)
+                    save_checkpoint(ckpt, out_path / f"epoch_{epoch:04d}.ckpt")
+                if improved:
+                    best_acc, best_ckpt, best_epoch = val_acc, ckpt, epoch
+                    if out_path is not None:
+                        save_checkpoint(ckpt, out_path / "best.ckpt")
+            if config.stop_accuracy is not None and val_acc >= config.stop_accuracy:
+                logger.info("early stop at epoch %d: %s %.4f", epoch, val_label, val_acc)
+                break
+    finally:
+        # a run that raises keeps the steps and epochs it finished
+        if out_path is not None:
+            log.write_csv(out_path / "train_log.csv")
+            write_val_log(out_path / "val_log.csv", val_label, val_history)
     assert best_ckpt is not None
     return PretrainResult(
         best_checkpoint=best_ckpt,

@@ -76,6 +76,25 @@ raise SystemExit(main([
 """
 
 
+_TINY_PRETRAIN = """
+import json
+from pathlib import Path
+from seqreorder.cli import main
+from seqreorder.synthetic import motif_sequences, write_sequence_tsv
+
+write_sequence_tsv("seqs.tsv", motif_sequences(num_sequences=24, seed=3))
+code = main([
+    "pretrain", "--proteins", "seqs.tsv", "--out", "run", "--seed", "3",
+    "--epochs", "2", "--batch-size", "5", "--n", "4", "--l-max", "48",
+    "--embed-dim", "8", "--layers", "1", "--heads", "2", "--ffn-dim", "16",
+])
+print(code, json.loads(Path("run/run_meta.json").read_text())["workers"])
+"""
+
+# the process may then run on one CPU only, so the library runs one worker
+_ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+
+
 def test_blas_thread_count_does_not_change_the_bits(tmp_path):
     # At this size the compound head's products give different bits on
     # two OpenBLAS threads than on one, unless importing the library pins
@@ -87,6 +106,17 @@ def test_blas_thread_count_does_not_change_the_bits(tmp_path):
         done = _run_python(_TINY_FINETUNE, cwd, OPENBLAS_NUM_THREADS=threads)
         assert done.returncode == 0, done.stderr
         ckpts.append((cwd / "run" / "cpi.ckpt").read_bytes())
+    assert ckpts[0] == ckpts[1]
+    # nor does the worker count that pretraining's micro-batches run on
+    ckpts, workers = [], []
+    for name, code in (("one-cpu", _ONE_CPU + _TINY_PRETRAIN), ("any-cpu", _TINY_PRETRAIN)):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        done = _run_python(code, cwd)
+        assert done.returncode == 0, done.stderr
+        workers.append(done.stdout.splitlines()[-1])
+        ckpts.append((cwd / "run" / "best.ckpt").read_bytes())
+    assert workers[0] == "0 1"
     assert ckpts[0] == ckpts[1]
 
 
@@ -126,6 +156,25 @@ def test_only_artifacts_writes_files():
                 if name in ("write_text", "write_bytes", "open"):
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+def test_only_nn_starts_threads():
+    root = Path(__file__).resolve().parents[1]
+    imports = []
+    for path in sorted(root.glob("src/seqreorder/*.py")):
+        if path.name == "nn.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in ("threading", "concurrent"):
+                    imports.append(f"{path.name}:{node.lineno} {name}")
+    assert imports == []
 
 
 def test_pretrain_checkpoint_names_are_the_artifacts_functions():

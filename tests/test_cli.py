@@ -353,6 +353,8 @@ def test_run_meta_records_the_blas_thread_count(split_dir):
     assert nn.BLAS_THREADS in (1, None)  # the pin took wherever the count is known
     meta = json.loads((split_dir / "run_meta.json").read_text())
     assert meta["blas_threads"] == nn.BLAS_THREADS
+    assert nn.WORKERS in (1, 2)
+    assert meta["workers"] == nn.WORKERS
 
 
 @pytest.mark.parametrize("command", ["finetune", "export-embeddings"])

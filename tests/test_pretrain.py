@@ -99,7 +99,9 @@ def test_step_is_deterministic():
 
 
 def test_step_matches_a_per_example_projection():
-    # reference: Sinkhorn, loss and VJP one score matrix at a time
+    # reference: Sinkhorn, loss and VJP one score matrix at a time, in the
+    # step's two micro-batches (12 + 5 of 33 tokens reach half), gradients
+    # summed in order
     config = _config(lr=1e-2, weight_decay=1e-3)
     batch = [
         make_pretrain_example(_protein(length, offset=i), CUT, NOISE, seed=(0, 1, i))
@@ -107,19 +109,21 @@ def test_step_matches_a_per_example_projection():
     ]
     ref = enc.init(TINY, seed=0)
     ref_adam = nn.adam_init(ref.params)
-    blocks = np.stack([ex.shuffled.blocks for ex in batch])
-    lengths = np.stack([ex.shuffled.true_lengths for ex in batch])
-    _, logits, cache = enc._forward_core(ref, blocks, lengths)
-    dlogits = np.empty_like(logits)
-    losses, accs = [], []
-    for i, ex in enumerate(batch):
-        log_q = perm.sinkhorn(logits[i], config.sinkhorn)
-        loss, dlog_q = perm.reorder_loss_grad(ex.target, log_q)
-        dlogits[i] = perm.sinkhorn_backward(logits[i], config.sinkhorn, dlog_q) / len(batch)
-        losses.append(loss)
-        accs.append(perm.permutation_accuracy(perm.round_to_permutation(np.exp(log_q)), ex.target))
+    losses, accs, grads = [], [], {}
+    for part in (batch[:2], batch[2:]):
+        blocks = np.stack([ex.shuffled.blocks for ex in part])
+        lengths = np.stack([ex.shuffled.true_lengths for ex in part])
+        _, logits, cache = enc._forward_core(ref, blocks, lengths)
+        dlogits = np.empty_like(logits)
+        for i, ex in enumerate(part):
+            log_q = perm.sinkhorn(logits[i], config.sinkhorn)
+            loss, dlog_q = perm.reorder_loss_grad(ex.target, log_q)
+            dlogits[i] = perm.sinkhorn_backward(logits[i], config.sinkhorn, dlog_q) / len(batch)
+            losses.append(loss)
+            accs.append(perm.permutation_accuracy(perm.round_to_permutation(np.exp(log_q)), ex.target))
+        for key, g in enc._backward_core(ref, cache, dlogits).items():
+            grads[key] = grads[key] + g if key in grads else g
     want_loss = float(np.mean(losses) + nn.l2_penalty(ref.params, config.weight_decay))
-    grads = enc._backward_core(ref, cache, dlogits)
     nn.adam_step(
         ref.params, grads, ref_adam, lr=config.lr, weight_decay=config.weight_decay
     )
@@ -130,6 +134,68 @@ def test_step_matches_a_per_example_projection():
     assert rec.perm_acc == float(np.mean(accs))
     for key in ref.params:
         np.testing.assert_array_equal(state.params[key], ref.params[key])
+
+
+def _one_call_objective(state, batch, sinkhorn):
+    """The objective as one forward and backward over the whole batch."""
+    blocks = np.stack([ex.shuffled.blocks for ex in batch])
+    lengths = np.stack([ex.shuffled.true_lengths for ex in batch])
+    _, logits, cache = enc._forward_core(state, blocks, lengths)
+    log_q = perm.sinkhorn(logits, sinkhorn)
+    dlog_q = np.empty_like(log_q)
+    losses = np.empty(len(batch))
+    for i, ex in enumerate(batch):
+        losses[i], dlog_q[i] = perm.reorder_loss_grad(ex.target, log_q[i])
+    dlogits = perm.sinkhorn_backward(logits, sinkhorn, dlog_q) / len(batch)
+    return losses, log_q, enc._backward_core(state, cache, dlogits)
+
+
+def _ragged(lengths):
+    return [
+        make_pretrain_example(_protein(length, offset=i), CUT, NOISE, seed=(0, 1, i))
+        for i, length in enumerate(lengths)
+    ]
+
+
+@pytest.mark.parametrize(
+    "lengths,cut",
+    [((12, 5, 9, 7), 2), ((12,) * 5, 3), ((3, 12), 1), ((12, 3), 1), ((4, 4, 4, 12), 3)],
+)
+def test_micro_batches_cut_where_the_tokens_reach_half(lengths, cut):
+    batch = _ragged(lengths)
+    assert pretrain_mod._micro_batches(batch) == [batch[:cut], batch[cut:]]
+    assert pretrain_mod._micro_batches(batch[:1]) == [batch[:1]]
+
+
+@pytest.mark.parametrize("lengths", [(12, 5, 9, 7), (12, 7, 12, 9, 3), (9,)])
+def test_objective_matches_one_call_over_the_batch(lengths):
+    state = enc.init(TINY, seed=0)
+    batch = _ragged(lengths)
+    sk = SinkhornConfig(m=3)
+    losses, log_q, grads = pretrain_mod.objective(state, batch, sk)
+    want_losses, want_log_q, want_grads = _one_call_objective(state, batch, sk)
+    np.testing.assert_array_equal(losses, want_losses)
+    np.testing.assert_array_equal(log_q, want_log_q)
+    assert sorted(grads) == sorted(want_grads)
+    # a one-example batch is one call; two micro-batches' sum rounds apart
+    tol = 0.0 if len(batch) == 1 else 1e-12
+    for key, want in want_grads.items():
+        assert np.abs(grads[key] - want).max() <= tol * np.abs(want).max(), key
+
+
+def test_objective_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    state = enc.init(TINY, seed=0)
+    batch = _ragged((12, 7, 12, 9, 3))
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(nn, "WORKERS", workers)
+        results.append(pretrain_mod.objective(state, batch, SinkhornConfig(m=3)))
+    (losses, log_q, grads), (more_losses, more_log_q, more_grads) = results
+    np.testing.assert_array_equal(losses, more_losses)
+    np.testing.assert_array_equal(log_q, more_log_q)
+    assert sorted(grads) == sorted(more_grads)
+    for key in grads:
+        np.testing.assert_array_equal(grads[key], more_grads[key])
 
 
 def test_batched_heldout_accuracy_matches_one_at_a_time(monkeypatch):
@@ -354,6 +420,24 @@ def test_run_writes_reproducible_val_log(tmp_path):
     assert [(int(e), float(v)) for e, v in (line.split(",") for line in lines[1:])] == (
         result.val_history
     )
+
+
+def test_logs_survive_a_run_that_raises(tmp_path, monkeypatch):
+    dataset = PretrainDataset(proteins=[_protein(12, offset=i) for i in range(8)])
+    step = pretrain_mod.pretrain_step
+
+    def fails_at_epoch_3(state, batch, config, adam, epoch=0, step_no=0):
+        if epoch == 3:
+            raise NumericError(f"non-finite loss at epoch {epoch}")
+        return step(state, batch, config, adam, epoch, step_no)
+
+    monkeypatch.setattr(pretrain_mod, "pretrain_step", fails_at_epoch_3)
+    with pytest.raises(NumericError):
+        pretrain_run(dataset, TINY, CUT, _config(epochs=5, batch_size=4), out_dir=tmp_path)
+    steps = (tmp_path / "train_log.csv").read_text().splitlines()[1:]
+    assert sorted({int(line.split(",")[0]) for line in steps}) == [1, 2]
+    epochs = (tmp_path / "val_log.csv").read_text().splitlines()[1:]
+    assert [int(line.split(",")[0]) for line in epochs] == [1, 2]
 
 
 @pytest.mark.parametrize(
