@@ -24,9 +24,9 @@ process (see ``_keep_freed_memory``), so each training step reuses the
 pages the previous step freed instead of faulting them in again, and pins
 BLAS to one thread (see ``_pin_blas_threads``); ``BLAS_THREADS`` is the
 count the library reports after the pin, or None where none reports one.
-``map_in_order`` runs independent pieces of work on ``WORKERS`` threads
+``run_pair`` runs two independent pieces of work on ``WORKERS`` threads
 (2 where the process may run on two CPUs, else 1): the calling thread and
-at most one pool thread for the whole process, started on first use.
+one started for the call.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import ctypes
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,50 +112,39 @@ def _pin_blas_threads() -> int | None:
 # the BLAS thread count every product in this process runs on, where known
 BLAS_THREADS = _pin_blas_threads()
 
-# threads ``map_in_order`` runs on: the caller's, plus one where a second CPU is ours
+# threads ``run_pair`` runs on: the caller's, plus one where a second CPU is ours
 WORKERS = 2 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else 1
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
+def run_pair(fn, first, second) -> tuple:
+    """(fn(first), fn(second)), the two at once where ``WORKERS`` is 2.
 
-def _worker_pool() -> ThreadPoolExecutor:
-    """The process's pool of ``WORKERS`` - 1 threads, created on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=WORKERS - 1)
-        return _pool
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: it starts a pool of its own."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def map_in_order(fn, items: list) -> list:
-    """[fn(item) for item in items], the first on the calling thread.
-
-    With ``WORKERS`` > 1 the other items run on the pool at the same time;
-    results come back in item order, never in completion order, and every
-    item is finished before this returns or raises. ``fn`` must depend on
-    its item alone: then neither the thread nor the worker count changes
-    a bit of the results, since BLAS runs on one thread. ``fn`` must not
-    call ``map_in_order`` itself: the pool's thread would wait on itself.
+    The calling thread runs ``first`` and a thread started for this call
+    runs ``second``; both are finished before this returns or raises, and
+    an error from ``first`` is raised before one from ``second``. ``fn``
+    must depend on its argument alone: then neither the thread nor the
+    worker count changes a bit of the results, since BLAS runs on one
+    thread.
     """
-    if WORKERS < 2 or len(items) < 2:
-        return [fn(item) for item in items]
-    futures = [_worker_pool().submit(fn, item) for item in items[1:]]
+    if WORKERS < 2:
+        return fn(first), fn(second)
+    out = {}
+
+    def run_second():
+        try:
+            out["result"] = fn(second)
+        except BaseException as exc:
+            out["error"] = exc
+
+    worker = threading.Thread(target=run_second)
+    worker.start()
     try:
-        first = fn(items[0])
+        head = fn(first)
     finally:
-        wait(futures)
-    return [first] + [f.result() for f in futures]
+        worker.join()
+    if "error" in out:
+        raise out["error"]
+    return head, out["result"]
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:

@@ -79,20 +79,6 @@ def encoder_state_from_checkpoint(ckpt: Checkpoint) -> enc.EncoderState:
     return enc.EncoderState(config=config, params=ckpt.params)
 
 
-def _micro_batches(batch: Sequence[PretrainExample]) -> list[Sequence[PretrainExample]]:
-    """The batch as two consecutive runs of examples, or one for a single example.
-
-    The cut is the first example boundary where the running real-token
-    count reaches half the batch's total, leaving at least one example in
-    the second run. The data alone sets it.
-    """
-    if len(batch) < 2:
-        return [batch]
-    tokens = np.cumsum([int(ex.shuffled.true_lengths.sum()) for ex in batch])
-    cut = min(int(np.argmax(2 * tokens >= tokens[-1])) + 1, len(batch) - 1)
-    return [batch[:cut], batch[cut:]]
-
-
 def objective(
     state: enc.EncoderState,
     batch: Sequence[PretrainExample],
@@ -104,12 +90,12 @@ def objective(
     (B, n, n) and the parameter gradients of the batch-mean loss. Weight
     decay is not part of it: Adam adds that term.
 
-    A batch of two or more examples runs as two micro-batches
-    (``_micro_batches``) on ``nn.map_in_order``'s threads, each scaled by
-    1/B; the gradients are their sum, joined in micro-batch order (Ott et
-    al. 2018). Losses and log Q are those of one call over the batch, bit
-    for bit; the gradients differ from one call's only in rounding, and
-    not at all between worker counts.
+    A batch of two or more examples runs as two micro-batches, its first
+    ceil(B/2) examples and the rest, on ``nn.run_pair``'s threads, each
+    scaled by 1/B; the gradients are their sum, joined in micro-batch order
+    (Ott et al. 2018). Losses and log Q are those of one call over the
+    batch, bit for bit; the gradients differ from one call's only in
+    rounding, and not at all between worker counts.
     """
 
     def micro(part: Sequence[PretrainExample]):
@@ -124,12 +110,15 @@ def objective(
         dlogits = perm.sinkhorn_backward(logits, sinkhorn, dlog_q) / len(batch)
         return losses, log_q, enc._backward_core(state, cache, dlogits)
 
-    parts = nn.map_in_order(micro, _micro_batches(batch))
-    grads = parts[0][2]
-    for _, _, more in parts[1:]:
-        for key, g in more.items():
-            grads[key] += g
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), grads
+    if len(batch) < 2:
+        return micro(batch)
+    cut = (len(batch) + 1) // 2
+    (losses, log_q, grads), (more_losses, more_log_q, more) = nn.run_pair(
+        micro, batch[:cut], batch[cut:]
+    )
+    for key, g in more.items():
+        grads[key] += g
+    return np.concatenate([losses, more_losses]), np.concatenate([log_q, more_log_q]), grads
 
 
 def pretrain_step(

@@ -14,14 +14,11 @@ replaced, and row by row against itself.
 
 import ctypes
 import math
-import os
 import platform
-import subprocess
 import sys
 import time
 import tracemalloc
 import types
-from pathlib import Path
 
 import numpy as np
 import padded_stack
@@ -597,17 +594,17 @@ def _fake_libc(result, calls):
     return types.SimpleNamespace(mallopt=mallopt)
 
 
-def test_map_in_order_returns_in_item_order_after_every_item(monkeypatch):
+def test_run_pair_returns_in_argument_order_after_both_finish(monkeypatch):
     monkeypatch.setattr(nn, "WORKERS", 2)
     finished = []
 
     def record(item):
         if item == 0:
-            time.sleep(0.05)  # the pool's item finishes first
+            time.sleep(0.05)  # the other thread's item finishes first
         finished.append(item)
         return 10 * item
 
-    assert nn.map_in_order(record, [0, 1]) == [0, 10]
+    assert nn.run_pair(record, 0, 1) == (0, 10)
     assert finished == [1, 0]
 
     def first_fails(item):
@@ -618,31 +615,16 @@ def test_map_in_order_returns_in_item_order_after_every_item(monkeypatch):
 
     finished.clear()
     with pytest.raises(ValueError, match="first item"):
-        nn.map_in_order(first_fails, [0, 1])
-    assert finished == [1]  # the pool's item ran to its end before the error surfaced
+        nn.run_pair(first_fails, 0, 1)
+    assert finished == [1]  # the second item ran to its end before the error surfaced
 
+    def second_fails(item):
+        if item == 1:
+            raise ValueError("second item")
+        return item
 
-_FORKED_CHILD = """
-import os, signal
-from seqreorder import nn
-nn.WORKERS = 2
-assert nn.map_in_order(abs, [-1, -2]) == [1, 2]
-pid = os.fork()
-if pid == 0:
-    signal.alarm(20)  # a child waiting on its parent's pool thread dies, not hangs
-    os._exit(0 if nn.map_in_order(abs, [-3, -4]) == [3, 4] else 1)
-raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
-def test_map_in_order_runs_in_a_forked_child():
-    src = str(Path(nn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", _FORKED_CHILD], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
+    with pytest.raises(ValueError, match="second item"):
+        nn.run_pair(second_fails, 0, 1)
 
 
 def test_malloc_setup_does_nothing_without_glibc_mallopt(monkeypatch):

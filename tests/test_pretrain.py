@@ -100,8 +100,8 @@ def test_step_is_deterministic():
 
 def test_step_matches_a_per_example_projection():
     # reference: Sinkhorn, loss and VJP one score matrix at a time, in the
-    # step's two micro-batches (12 + 5 of 33 tokens reach half), gradients
-    # summed in order
+    # step's two micro-batches (the first two examples and the last two),
+    # gradients summed in order
     config = _config(lr=1e-2, weight_decay=1e-3)
     batch = [
         make_pretrain_example(_protein(length, offset=i), CUT, NOISE, seed=(0, 1, i))
@@ -155,16 +155,6 @@ def _ragged(lengths):
         make_pretrain_example(_protein(length, offset=i), CUT, NOISE, seed=(0, 1, i))
         for i, length in enumerate(lengths)
     ]
-
-
-@pytest.mark.parametrize(
-    "lengths,cut",
-    [((12, 5, 9, 7), 2), ((12,) * 5, 3), ((3, 12), 1), ((12, 3), 1), ((4, 4, 4, 12), 3)],
-)
-def test_micro_batches_cut_where_the_tokens_reach_half(lengths, cut):
-    batch = _ragged(lengths)
-    assert pretrain_mod._micro_batches(batch) == [batch[:cut], batch[cut:]]
-    assert pretrain_mod._micro_batches(batch[:1]) == [batch[:1]]
 
 
 @pytest.mark.parametrize("lengths", [(12, 5, 9, 7), (12, 7, 12, 9, 3), (9,)])
