@@ -13,7 +13,8 @@ two-layer MLP, and decoded to an interaction probability by a single
 sigmoid unit. The training loss is the summed (not averaged) binary
 cross-entropy plus an L2 penalty (lambda / 2) * ||theta||^2 over the
 trainable parameters; the encoder parameters are frozen and receive no
-gradient.
+gradient. Fine-tuning supplies a step and a validation-AUROC score to
+``pretrain.train_epochs``, the epoch loop pretraining runs through too.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .artifacts import Checkpoint, StepRecord, TrainLog, check_params, write_val_log
+from .artifacts import Checkpoint, StepRecord, check_params
 from .corpus import DEFAULT_MAX_ATOMS, SMILES_VOCAB_SIZE, InteractionRecord, ProteinRecord
 from .encoder import EncoderConfig, EncoderState, protein_embeddings
 from .encoder import init as init_encoder
 from .encoder import protein_embedding  # noqa: F401  (perfbench traces this name)
 from .errors import CheckpointError, NumericError, ValidationError
 from .evaluation import auroc
-from .pretrain import PretrainConfig
+from .pretrain import PretrainConfig, check_schedule, train_epochs
 
 logger = logging.getLogger(__name__)
 
@@ -64,12 +65,7 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0:
-            raise ValidationError(f"lr must be >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_schedule(self)
         if self.lam < 0:
             raise ValidationError(f"lam must be >= 0, got {self.lam}")
 
@@ -270,67 +266,43 @@ def finetune_run(
     """Train the CPI head on frozen protein embeddings.
 
     The returned model carries the parameters of the epoch with the best
-    validation AUROC, or of the final epoch when there are no validation
-    pairs. The encoder is never updated: no gradient path reaches it and
-    the protein embeddings are computed once up front.
-    With ``out_dir`` the step log lands in finetune_log.csv and the
-    per-epoch validation AUROC in val_log.csv.
+    validation AUROC (validation pairs of one label are refused), or of
+    the final epoch when there are no validation pairs. The encoder is
+    never updated: no gradient path reaches it and the protein embeddings
+    are computed once up front. With ``out_dir`` the step log lands in
+    finetune_log.csv and the per-epoch validation AUROC in val_log.csv.
     """
     if not train:
         raise ValidationError("training set is empty")
+    if len({r.label for r in valid}) == 1:
+        raise ValidationError(f"every validation pair has label {valid[0].label}: no AUROC")
+    if not valid:
+        logger.warning("no validation pairs: keeping the final epoch")
     model = init_cpi(config, frozen, seed=ft.seed)
     cache = build_protein_cache(model, list(train) + list(valid))
     adam = nn.adam_init(model.params)
-    log = TrainLog(acc_label="acc")
-    val_history: list[tuple[int, float]] = []
-    best_auc = -np.inf
-    best_epoch = ft.epochs
-    global_step = 0
-    train = list(train)
+    val_labels = np.array([r.label for r in valid])
 
-    for epoch in range(1, ft.epochs + 1):
-        order = np.random.default_rng((ft.seed, epoch)).permutation(len(train))
-        for start in range(0, len(order), ft.batch_size):
-            t0 = time.perf_counter()
-            chunk = [train[i] for i in order[start : start + ft.batch_size]]
-            y = np.array([r.label for r in chunk], dtype=np.float64)
-            loss, probs, grads = _batch_grads(model, chunk, cache, ft.lam)
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"non-finite fine-tune loss at epoch {epoch} step {global_step}"
-                )
-            nn.adam_step(model.params, grads, adam, lr=ft.lr)
-            global_step += 1
-            acc = float(((probs > 0.5) == (y > 0.5)).mean())
-            log.append(
-                StepRecord(
-                    epoch, global_step, loss, acc, (time.perf_counter() - t0) * 1000.0
-                )
-            )
+    def train_step(idx: np.ndarray, epoch: int, global_step: int) -> StepRecord:
+        chunk = [train[i] for i in idx]
+        start = time.perf_counter()
+        loss, probs, grads = _batch_grads(model, chunk, cache, ft.lam)
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite fine-tune loss at epoch {epoch} step {global_step}")
+        nn.adam_step(model.params, grads, adam, lr=ft.lr)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        y = np.array([r.label for r in chunk], dtype=np.float64)
+        acc = float(((probs > 0.5) == (y > 0.5)).mean())
+        return StepRecord(epoch, global_step, loss, acc, wall_ms)
 
-        if valid:
-            val_scores = predict_pairs(model, valid, cache)
-            val_labels = np.array([r.label for r in valid])
-            val_auc = auroc(val_scores, val_labels)
-            val_history.append((epoch, val_auc))
-            if val_auc > best_auc:
-                best_auc = val_auc
-                best_params = {k: q.copy() for k, q in model.params.items()}
-                best_epoch, best_step = epoch, global_step
+    def score(records: list[StepRecord]) -> float | None:
+        return auroc(predict_pairs(model, valid, cache), val_labels) if valid else None
 
-    if valid:
-        model.params = best_params
-    else:
-        best_step = global_step
-        logger.warning("no validation pairs: keeping the final epoch")
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        log.write_csv(out_path / "finetune_log.csv")
-        write_val_log(out_path / "val_log.csv", "val_auroc", val_history)
-    return FinetuneResult(
-        model=model, selected_epoch=best_epoch, selected_step=best_step, val_history=val_history
+    model.params, epoch, step, history = train_epochs(
+        model.params, len(train), ft.seed, ft.epochs, ft.batch_size, train_step, score,
+        out_dir, ("finetune_log.csv", "acc", "val_auroc"),
     )
+    return FinetuneResult(model, epoch, step, history)
 
 
 # ---------------------------------------------------------------------------

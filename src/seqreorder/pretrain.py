@@ -1,13 +1,16 @@
-"""Pretraining loop: minimize the reordering loss over shuffled proteins.
+"""Pretraining by reordering shuffled proteins, and the epoch loop of both phases.
 
-Each epoch regenerates every example from a per-example seed derived as
-(global_seed, epoch, protein_index), so two runs with the same config and
-seed produce bit-identical parameter trajectories. A 5% slice of the
-admissible proteins is held out; its examples use the reserved epoch
-namespace 0 and stay fixed for the whole run. Held-out permutation
-accuracy (scored with the deeper evaluation-time projection) selects the
-best checkpoint. The checkpoint container and the logs are
-``artifacts``' formats.
+``train_epochs`` is the one epoch loop: it owns the per-epoch order, the
+batching, the global step count, the logs and the selection of the best
+epoch's parameters, and fine-tuning (``cpi.finetune_run``) runs through it
+as ``pretrain_run`` does. Each pretraining epoch regenerates every
+example from a per-example seed derived as (global_seed, epoch,
+protein_index), so two runs with the same config and seed produce
+bit-identical parameter trajectories. A 5% slice of the admissible
+proteins is held out; its examples use the reserved epoch namespace 0 and
+stay fixed for the whole run. Held-out permutation accuracy (scored with
+the deeper evaluation-time projection) selects the best checkpoint. The
+checkpoint container and the logs are ``artifacts``' formats.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import logging
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +33,13 @@ from .corpus import PretrainDataset
 from .errors import CheckpointError, NumericError, ValidationError
 
 logger = logging.getLogger(__name__)
+
+
+def check_schedule(config) -> None:
+    """Refuse an epoch count, learning rate or batch size ``train_epochs`` cannot run."""
+    for name, low in (("epochs", 1), ("lr", 0), ("batch_size", 1)):
+        if getattr(config, name) < low:
+            raise ValidationError(f"{name} must be >= {low}, got {getattr(config, name)}")
 
 
 @dataclass(frozen=True)
@@ -46,12 +56,7 @@ class PretrainConfig:
     stop_accuracy: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0:
-            raise ValidationError(f"lr must be >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_schedule(self)
         if self.weight_decay < 0:
             raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.valid_fraction < 1.0:
@@ -61,10 +66,11 @@ class PretrainConfig:
 
 
 def checkpoint_from_encoder(state: enc.EncoderState, provenance: dict) -> Checkpoint:
+    """A checkpoint that holds the state's own arrays, not copies of them."""
     return Checkpoint(
         section="encoder",
         config=asdict(state.config),
-        params={k: p.copy() for k, p in state.params.items()},
+        params=dict(state.params),
         provenance=dict(provenance),
     )
 
@@ -173,6 +179,57 @@ def heldout_accuracy(
     return total / len(examples)
 
 
+def train_epochs(
+    params: dict[str, np.ndarray],
+    count: int,
+    seed: int,
+    epochs: int,
+    batch_size: int,
+    step: Callable[[np.ndarray, int, int], StepRecord],
+    score: Callable[[list[StepRecord]], float | None],
+    out_dir: str | Path | None,
+    log_names: tuple[str, str, str],
+    end_epoch: Callable[[int, int, float | None, bool], bool] = lambda *_: False,
+) -> tuple[dict[str, np.ndarray], int, int, list[tuple[int, float]]]:
+    """The epoch loop of both training phases; ``step`` trains ``params`` in place.
+
+    Epoch e steps through 0..count-1 in the order ``default_rng((seed, e))``
+    permutes them, and ``score`` rates it from its step records, or is
+    None. The parameters are copied only after an epoch that scores above
+    every earlier one, else the final epoch's are kept; ``end_epoch``
+    returns True to stop. With ``out_dir``, the step log (``log_names``:
+    file, accuracy column, score column) and val_log.csv are written there
+    even when a step raises. Returns the kept parameters, their epoch and
+    global step, and the history.
+    """
+    log = TrainLog(acc_label=log_names[1])
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    history: list[tuple[int, float]] = []
+    best, kept, global_step = -np.inf, None, 0
+    try:
+        for epoch in range(1, epochs + 1):
+            order = np.random.default_rng((seed, epoch)).permutation(count)
+            records: list[StepRecord] = []
+            for start in range(0, count, batch_size):
+                global_step += 1
+                records.append(step(order[start : start + batch_size], epoch, global_step))
+                log.append(records[-1])
+            value = score(records)
+            improved = value is not None and value > best
+            if value is not None:
+                history.append((epoch, value))
+            if improved:
+                best, kept = value, ({k: p.copy() for k, p in params.items()}, epoch, global_step)
+            if end_epoch(epoch, global_step, value, improved):
+                break
+    finally:
+        if out_dir is not None:
+            log.write_csv(Path(out_dir) / log_names[0])
+            write_val_log(Path(out_dir) / "val_log.csv", log_names[2], history)
+    return *(kept or (params, epoch, global_step)), history
+
+
 @dataclass
 class PretrainResult:
     best_checkpoint: Checkpoint
@@ -198,8 +255,7 @@ def pretrain_run(
     instead, and the history is labelled ``train_acc``. When an output
     directory is given, a checkpoint is written per epoch, the best
     checkpoint is kept up to date, the step log lands in train_log.csv and
-    the per-epoch accuracy in val_log.csv; both logs are written even when
-    the run raises, up to the last finished step and epoch.
+    the per-epoch accuracy in val_log.csv.
     """
     if racut_config.n != encoder_config.n or racut_config.f_max != encoder_config.f_max:
         raise ValidationError(
@@ -231,66 +287,36 @@ def pretrain_run(
         make_pretrain_example(admissible[i], racut_config, config.noise, (gs, 0, int(i)))
         for i in val_idx
     ]
-
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-
     state = enc.init(encoder_config, seed=gs)
     adam = nn.adam_init(state.params)
-    log = TrainLog()
-    val_history: list[tuple[int, float]] = []
-    best_acc = -np.inf
-    best_ckpt: Checkpoint | None = None
-    best_epoch = 0
-    global_step = 0
 
-    try:
-        for epoch in range(1, config.epochs + 1):
-            epoch_order = np.random.default_rng((gs, epoch)).permutation(len(train_idx))
-            shuffled_idx = train_idx[epoch_order]
-            epoch_accs = []
-            for start in range(0, len(shuffled_idx), config.batch_size):
-                idxs = shuffled_idx[start : start + config.batch_size]
-                batch = [
-                    make_pretrain_example(
-                        admissible[i], racut_config, config.noise, (gs, epoch, int(i))
-                    )
-                    for i in idxs
-                ]
-                global_step += 1
-                state, rec = pretrain_step(state, batch, config, adam, epoch, global_step)
-                log.append(rec)
-                epoch_accs.append(rec.perm_acc)
+    def train_step(idx: np.ndarray, epoch: int, step: int) -> StepRecord:
+        batch = [
+            make_pretrain_example(admissible[i], racut_config, config.noise, (gs, epoch, int(i)))
+            for i in train_idx[idx]
+        ]
+        return pretrain_step(state, batch, config, adam, epoch, step)[1]
 
-            if val_examples:
-                val_acc = heldout_accuracy(state, val_examples, config.eval_m)
-            else:
-                val_acc = float(np.mean(epoch_accs))
-            val_history.append((epoch, val_acc))
+    def score(records: list[StepRecord]) -> float:
+        if val_examples:
+            return heldout_accuracy(state, val_examples, config.eval_m)
+        return float(np.mean([r.perm_acc for r in records]))
 
-            improved = val_acc > best_acc
-            if out_path is not None or improved:
-                provenance = {"global_seed": gs, "epoch": epoch, "step": global_step}
-                ckpt = checkpoint_from_encoder(state, provenance)
-                if out_path is not None:
-                    save_checkpoint(ckpt, out_path / f"epoch_{epoch:04d}.ckpt")
-                if improved:
-                    best_acc, best_ckpt, best_epoch = val_acc, ckpt, epoch
-                    if out_path is not None:
-                        save_checkpoint(ckpt, out_path / "best.ckpt")
-            if config.stop_accuracy is not None and val_acc >= config.stop_accuracy:
-                logger.info("early stop at epoch %d: %s %.4f", epoch, val_label, val_acc)
-                break
-    finally:
-        # a run that raises keeps the steps and epochs it finished
-        if out_path is not None:
-            log.write_csv(out_path / "train_log.csv")
-            write_val_log(out_path / "val_log.csv", val_label, val_history)
-    assert best_ckpt is not None
-    return PretrainResult(
-        best_checkpoint=best_ckpt,
-        val_history=val_history,
-        best_epoch=best_epoch,
-        val_label=val_label,
+    def end_epoch(epoch: int, step: int, acc: float, improved: bool) -> bool:
+        if out_dir is not None:
+            ckpt = checkpoint_from_encoder(state, {"global_seed": gs, "epoch": epoch, "step": step})
+            save_checkpoint(ckpt, Path(out_dir) / f"epoch_{epoch:04d}.ckpt")
+            if improved:
+                save_checkpoint(ckpt, Path(out_dir) / "best.ckpt")
+        if config.stop_accuracy is None or acc < config.stop_accuracy:
+            return False
+        logger.info("early stop at epoch %d: %s %.4f", epoch, val_label, acc)
+        return True
+
+    params, epoch, step, history = train_epochs(
+        state.params, len(train_idx), gs, config.epochs, config.batch_size, train_step, score,
+        out_dir, ("train_log.csv", "perm_acc", val_label), end_epoch,
     )
+    best = enc.EncoderState(encoder_config, params)
+    provenance = {"global_seed": gs, "epoch": epoch, "step": step}
+    return PretrainResult(checkpoint_from_encoder(best, provenance), history, epoch, val_label)

@@ -177,6 +177,34 @@ def test_only_nn_starts_threads():
     assert imports == []
 
 
+def _reads_epoch(node):
+    return any(
+        "epoch" in getattr(n, "id", getattr(n, "attr", "")) for n in ast.walk(node)
+    )
+
+
+def test_only_the_shared_loop_runs_epochs():
+    # both training phases run their epochs through pretrain.train_epochs
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for path in sorted(root.glob("src/seqreorder/*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                epoch_loop = isinstance(node, ast.For) and (
+                    _reads_epoch(node.target) or _reads_epoch(node.iter)
+                )
+                epoch_draw = (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"
+                    and any(_reads_epoch(arg) for arg in node.args)
+                )
+                if epoch_loop or epoch_draw:
+                    found.add(f"{path.name} {func.name}")
+    assert found == {"pretrain.py train_epochs"}
+
+
 def test_pretrain_checkpoint_names_are_the_artifacts_functions():
     # perfbench calls and traces these two names on pretrain
     assert pretrain.save_checkpoint is artifacts.save_checkpoint

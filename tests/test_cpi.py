@@ -211,6 +211,19 @@ def test_finetune_without_validation_keeps_the_final_epoch():
     assert all(not np.array_equal(result.model.params[k], p) for k, p in untrained.items())
 
 
+def test_finetune_rejects_one_label_validation_pairs_before_training(tmp_path, monkeypatch):
+    def trains(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(cpi, "_batch_grads", trains)
+    valid = [r for r in _pairs(6) if r.label == 1]
+    with pytest.raises(ValidationError, match="every validation pair has label 1: no AUROC"):
+        finetune_run(
+            _pairs(8), valid, enc.init(TINY_ENC, seed=0), TINY_CPI, out_dir=tmp_path / "ft"
+        )
+    assert not (tmp_path / "ft").exists()
+
+
 def test_finetune_never_touches_encoder(tmp_path):
     frozen = enc.init(TINY_ENC, seed=0)
     before = {k: v.copy() for k, v in frozen.params.items()}

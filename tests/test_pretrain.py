@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 
 from seqreorder import encoder as enc
-from seqreorder import nn
+from seqreorder import cpi, nn
 from seqreorder import pretrain as pretrain_mod
 from seqreorder.augment import NoiseSpec, RAcutConfig, make_pretrain_example
-from seqreorder.corpus import CANONICAL_RESIDUES, PretrainDataset, encode_protein
+from seqreorder.corpus import (
+    CANONICAL_RESIDUES,
+    InteractionRecord,
+    PretrainDataset,
+    encode_protein,
+    encode_smiles,
+)
 from seqreorder.encoder import EncoderConfig
 from seqreorder.errors import CheckpointError, NumericError, ValidationError
 from seqreorder import perm
@@ -356,17 +362,36 @@ def test_run_checkpoints_hold_only_the_parameters(tmp_path):
     assert len(blob) == 16 + header_len + 8 * param_count + 32
 
 
-def test_run_without_out_dir_copies_only_improving_epochs(tmp_path, monkeypatch):
+def test_run_without_out_dir_copies_only_improving_epochs(tmp_path):
+    # the loop copies the parameters after an improving epoch only, so a
+    # run holds at most one copy beside the parameters it trains
+    epoch_of_step, copied = [], []
+
+    class CountsCopies(np.ndarray):
+        def copy(self, order="C"):
+            copied.append(epoch_of_step[-1])
+            return super().copy(order)
+
+    params = {"w": np.zeros(3).view(CountsCopies)}
+    scores = iter([0.2, 0.5, 0.5, 0.4, 0.7, 0.1])
+
+    def step(idx, epoch, global_step):
+        epoch_of_step.append(epoch)
+        params["w"] += 1.0
+        return StepRecord(epoch, global_step, 0.0, 1.0, 0.0)
+
+    kept, epoch, step_no, history = pretrain_mod.train_epochs(
+        params, 4, 0, 6, 2, step, lambda records: next(scores), None, ("", "", "")
+    )
+    assert copied == [1, 2, 5]
+    assert (epoch, step_no) == (5, 10)
+    assert [value for _, value in history] == [0.2, 0.5, 0.5, 0.4, 0.7, 0.1]
+    np.testing.assert_array_equal(kept["w"], np.full(3, 10.0))
+
+    # a run without an output directory selects what the run that writes files does
     dataset = PretrainDataset(proteins=[_protein(12, offset=i) for i in range(12)])
     config = _config(epochs=6, lr=1e-2)
     written = pretrain_run(dataset, TINY, CUT, config, out_dir=tmp_path)
-    epochs = []
-
-    def spy(state, provenance):
-        epochs.append(provenance["epoch"])
-        return checkpoint_from_encoder(state, provenance)
-
-    monkeypatch.setattr(pretrain_mod, "checkpoint_from_encoder", spy)
     result = pretrain_run(dataset, TINY, CUT, config)
     best, improving = -np.inf, []
     for epoch, acc in result.val_history:
@@ -374,7 +399,7 @@ def test_run_without_out_dir_copies_only_improving_epochs(tmp_path, monkeypatch)
             best = acc
             improving.append(epoch)
     assert 1 < len(improving) < config.epochs  # some epochs improve and some do not
-    assert epochs == improving
+    assert result.val_history == written.val_history
     assert result.best_epoch == written.best_epoch == improving[-1]
     best_ckpt, want = result.best_checkpoint, written.best_checkpoint
     assert best_ckpt.provenance == want.provenance
@@ -412,7 +437,7 @@ def test_run_writes_reproducible_val_log(tmp_path):
     )
 
 
-def test_logs_survive_a_run_that_raises(tmp_path, monkeypatch):
+def _pretrain_failing_at_epoch_3(tmp_path, monkeypatch):
     dataset = PretrainDataset(proteins=[_protein(12, offset=i) for i in range(8)])
     step = pretrain_mod.pretrain_step
 
@@ -422,9 +447,40 @@ def test_logs_survive_a_run_that_raises(tmp_path, monkeypatch):
         return step(state, batch, config, adam, epoch, step_no)
 
     monkeypatch.setattr(pretrain_mod, "pretrain_step", fails_at_epoch_3)
+    pretrain_run(dataset, TINY, CUT, _config(epochs=5, batch_size=4), out_dir=tmp_path)
+
+
+def _finetune_failing_at_epoch_3(tmp_path, monkeypatch):
+    pairs = [
+        InteractionRecord(encode_smiles("CCO" if i % 3 else "CCN"), _protein(12, offset=i), i % 2)
+        for i in range(12)
+    ]
+    batch_grads, calls = cpi._batch_grads, []
+
+    def fails_at_epoch_3(model, chunk, cache, lam):
+        calls.append(len(chunk))
+        if len(calls) > 4:  # 8 pairs in batches of 4: epoch 3 begins at step 5
+            raise NumericError("non-finite fine-tune loss at epoch 3")
+        return batch_grads(model, chunk, cache, lam)
+
+    monkeypatch.setattr(cpi, "_batch_grads", fails_at_epoch_3)
+    config = cpi.CpiConfig(comp_layers=1, comp_heads=2, comp_ffn_dim=16, fusion_dim=6)
+    ft = cpi.FinetuneConfig(epochs=5, lr=1e-3, batch_size=4)
+    cpi.finetune_run(pairs[:8], pairs[8:], enc.init(TINY), config, ft, out_dir=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "run,step_log",
+    [
+        (_pretrain_failing_at_epoch_3, "train_log.csv"),
+        (_finetune_failing_at_epoch_3, "finetune_log.csv"),
+    ],
+    ids=["pretrain", "finetune"],
+)
+def test_logs_survive_a_run_that_raises(tmp_path, monkeypatch, run, step_log):
     with pytest.raises(NumericError):
-        pretrain_run(dataset, TINY, CUT, _config(epochs=5, batch_size=4), out_dir=tmp_path)
-    steps = (tmp_path / "train_log.csv").read_text().splitlines()[1:]
+        run(tmp_path, monkeypatch)
+    steps = (tmp_path / step_log).read_text().splitlines()[1:]
     assert sorted({int(line.split(",")[0]) for line in steps}) == [1, 2]
     epochs = (tmp_path / "val_log.csv").read_text().splitlines()[1:]
     assert [int(line.split(",")[0]) for line in epochs] == [1, 2]
