@@ -155,17 +155,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
-def check_params(params: dict, built: dict, prefix: str = "") -> None:
-    """Fail unless a checkpoint's ``params`` have the names and shapes ``init`` builds.
+def check_params(params: dict, table: Sequence[tuple]) -> None:
+    """Fail unless a checkpoint's ``params`` have the names and shapes of a parameter table.
 
-    The first name, in sorted order, that only one side has or whose shapes
-    differ is named, with its ``prefix`` in the file.
+    The first name, in sorted order, that only one side has or whose shapes differ is named.
     """
+    built = {name: shape for name, shape, _ in table}
     for key in sorted(set(params) | set(built)):
-        have, want = (p[key].shape if key in p else "no parameter" for p in (params, built))
+        have = params[key].shape if key in params else "no parameter"
+        want = built.get(key, "no parameter")
         if have != want:
             raise CheckpointError(
-                f"checkpoint parameter {prefix + key!r}: {have} in the file, {want} in its config"
+                f"checkpoint parameter {key!r}: {have} in the file, {want} in its config"
             )
 
 

@@ -31,7 +31,7 @@ from . import nn
 from .artifacts import Checkpoint, StepRecord, check_params
 from .corpus import DEFAULT_MAX_ATOMS, SMILES_VOCAB_SIZE, InteractionRecord, ProteinRecord
 from .encoder import EncoderConfig, EncoderState, protein_embeddings
-from .encoder import init as init_encoder
+from .encoder import param_table as encoder_table
 from .encoder import protein_embedding  # noqa: F401  (perfbench traces this name)
 from .errors import CheckpointError, NumericError, ValidationError
 from .evaluation import auroc
@@ -77,25 +77,24 @@ class CpiModel:
     encoder_state: EncoderState  # frozen; never updated here
 
 
-def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> CpiModel:
-    d = encoder_state.config.embed_dim
+def param_table(config: CpiConfig, d: int) -> list:
+    """The head's parameters over a d-wide encoder, as ``nn.draw_params`` rows."""
     if d % config.comp_heads != 0:
         raise ValidationError(f"embed_dim {d} must be divisible by comp_heads {config.comp_heads}")
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    params["comp.tok_embed"] = nn.uniform_init(rng, (SMILES_VOCAB_SIZE, d), d)
-    params["comp.pos_embed"] = nn.uniform_init(rng, (config.max_atoms, d), d)
-    nn.init_stack_params(rng, params, "comp.", config.comp_layers, d, config.comp_ffn_dim)
-    params["comp.ln_f.gamma"] = np.ones(d)
-    params["comp.ln_f.beta"] = np.zeros(d)
-    params["fusion.w1"] = nn.uniform_init(rng, (2 * d, config.fusion_dim), 2 * d)
-    params["fusion.b1"] = nn.uniform_init(rng, (config.fusion_dim,), 2 * d)
-    params["fusion.w2"] = nn.uniform_init(
-        rng, (config.fusion_dim, config.fusion_dim), config.fusion_dim
-    )
-    params["fusion.b2"] = nn.uniform_init(rng, (config.fusion_dim,), config.fusion_dim)
-    params["dec.w"] = nn.uniform_init(rng, (config.fusion_dim,), config.fusion_dim)
-    params["dec.b"] = nn.uniform_init(rng, (), config.fusion_dim)
+    f = config.fusion_dim
+    return [
+        ("comp.tok_embed", (SMILES_VOCAB_SIZE, d), d),
+        ("comp.pos_embed", (config.max_atoms, d), d),
+        *nn.stack_table("comp.", config.comp_layers, d, config.comp_ffn_dim),
+        ("comp.ln_f.gamma", (d,), "ones"), ("comp.ln_f.beta", (d,), "zeros"),
+        ("fusion.w1", (2 * d, f), 2 * d), ("fusion.b1", (f,), 2 * d),
+        ("fusion.w2", (f, f), f), ("fusion.b2", (f,), f),
+        ("dec.w", (f,), f), ("dec.b", (), f),
+    ]
+
+
+def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> CpiModel:
+    params = nn.draw_params(param_table(config, encoder_state.config.embed_dim), seed)
     return CpiModel(config=config, params=params, encoder_state=encoder_state)
 
 
@@ -311,9 +310,9 @@ def finetune_run(
 
 
 def checkpoint_from_cpi(model: CpiModel, provenance: dict) -> Checkpoint:
-    """Self-contained container: head parameters plus the frozen encoder."""
-    params = {f"cpi.{k}": p.copy() for k, p in model.params.items()}
-    params.update({f"enc.{k}": p.copy() for k, p in model.encoder_state.params.items()})
+    """The model's own arrays, not copies: head under ``cpi.``, frozen encoder under ``enc.``."""
+    params = {f"cpi.{k}": p for k, p in model.params.items()}
+    params.update({f"enc.{k}": p for k, p in model.encoder_state.params.items()})
     return Checkpoint(
         section="cpi",
         config={
@@ -330,13 +329,9 @@ def cpi_model_from_checkpoint(ckpt: Checkpoint) -> CpiModel:
         raise CheckpointError(f"checkpoint section is {ckpt.section!r}, expected 'cpi'")
     config = CpiConfig(**ckpt.config["cpi"])
     enc_config = EncoderConfig(**ckpt.config["encoder"])
-    enc_params = {
-        k[len("enc.") :]: v for k, v in ckpt.params.items() if k.startswith("enc.")
-    }
-    cpi_params = {
-        k[len("cpi.") :]: v for k, v in ckpt.params.items() if k.startswith("cpi.")
-    }
-    check_params(enc_params, init_encoder(enc_config).params, "enc.")
-    encoder_state = EncoderState(config=enc_config, params=enc_params)
-    check_params(cpi_params, init_cpi(config, encoder_state).params, "cpi.")
-    return CpiModel(config=config, params=cpi_params, encoder_state=encoder_state)
+    tables = {"enc.": encoder_table(enc_config), "cpi.": param_table(config, enc_config.embed_dim)}
+    check_params(ckpt.params, [(pre + row[0], *row[1:]) for pre, t in tables.items() for row in t])
+    enc_params, cpi_params = (
+        {k[len(pre) :]: v for k, v in ckpt.params.items() if k.startswith(pre)} for pre in tables
+    )
+    return CpiModel(config, cpi_params, EncoderState(enc_config, enc_params))

@@ -68,18 +68,22 @@ class EncoderState:
     params: dict[str, np.ndarray]
 
 
+def param_table(config: EncoderConfig) -> list:
+    """The encoder's parameters as ``nn.draw_params`` rows, in draw order."""
+    d = config.embed_dim
+    return [
+        ("tok_embed", (RESIDUE_VOCAB_SIZE, d), d),
+        ("pos_embed", (config.f_max, d), d),
+        ("slot_embed", (config.n, d), d),
+        *nn.stack_table("", config.layers, d, config.ffn_dim),
+        ("ln_f.gamma", (d,), "ones"),
+        ("head.w", (d, config.n), d),
+    ]
+
+
 def init(config: EncoderConfig, seed: int = 0) -> EncoderState:
     """Build a fresh encoder, deterministically from the seed."""
-    rng = np.random.default_rng(seed)
-    d = config.embed_dim
-    params: dict[str, np.ndarray] = {}
-    params["tok_embed"] = nn.uniform_init(rng, (RESIDUE_VOCAB_SIZE, d), d)
-    params["pos_embed"] = nn.uniform_init(rng, (config.f_max, d), d)
-    params["slot_embed"] = nn.uniform_init(rng, (config.n, d), d)
-    nn.init_stack_params(rng, params, "", config.layers, d, config.ffn_dim)
-    params["ln_f.gamma"] = np.ones(d)
-    params["head.w"] = nn.uniform_init(rng, (d, config.n), d)
-    return EncoderState(config=config, params=params)
+    return EncoderState(config=config, params=nn.draw_params(param_table(config), seed))
 
 
 def _forward_core(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):

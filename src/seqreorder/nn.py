@@ -395,32 +395,31 @@ def layer_backward(cache, dout: Array):
     return dx, grads
 
 
-def init_stack_params(
-    rng: np.random.Generator,
-    params: dict,
-    prefix: str,
-    layers: int,
-    d: int,
-    ffn_dim: int,
-) -> None:
-    """Append the layers' parameters under ``prefix`` (in place).
+def stack_table(prefix: str, layers: int, d: int, ffn_dim: int) -> list:
+    """The layers' rows of a parameter table, under ``prefix``.
 
     The final layernorm is the caller's: the encoder's has no beta.
     """
+    rows = []
     for layer in range(layers):
         base = f"{prefix}layers.{layer}."
-        params[base + "ln1.gamma"] = np.ones(d)
-        params[base + "ln1.beta"] = np.zeros(d)
-        for name in ("wq", "wk", "wv", "wo"):
-            params[base + f"attn.{name}"] = uniform_init(rng, (d, d), d)
-        for name in ("bq", "bv", "bo"):
-            params[base + f"attn.{name}"] = uniform_init(rng, (d,), d)
-        params[base + "ln2.gamma"] = np.ones(d)
-        params[base + "ln2.beta"] = np.zeros(d)
-        params[base + "ffn.w1"] = uniform_init(rng, (d, ffn_dim), d)
-        params[base + "ffn.b1"] = uniform_init(rng, (ffn_dim,), d)
-        params[base + "ffn.w2"] = uniform_init(rng, (ffn_dim, d), ffn_dim)
-        params[base + "ffn.b2"] = uniform_init(rng, (d,), ffn_dim)
+        rows += [(base + "ln1.gamma", (d,), "ones"), (base + "ln1.beta", (d,), "zeros")]
+        rows += [(base + f"attn.{name}", (d, d), d) for name in ("wq", "wk", "wv", "wo")]
+        rows += [(base + f"attn.{name}", (d,), d) for name in ("bq", "bv", "bo")]
+        rows += [(base + "ln2.gamma", (d,), "ones"), (base + "ln2.beta", (d,), "zeros")]
+        rows += [(base + "ffn.w1", (d, ffn_dim), d), (base + "ffn.b1", (ffn_dim,), d)]
+        rows += [(base + "ffn.w2", (ffn_dim, d), ffn_dim), (base + "ffn.b2", (d,), ffn_dim)]
+    return rows
+
+
+def draw_params(table: list, seed: int) -> dict:
+    """The table's parameters, drawn in order: each init is "ones", "zeros" or a fan-in."""
+    rng = np.random.default_rng(seed)
+    constants = {"ones": np.ones, "zeros": np.zeros}
+    return {
+        name: constants[init](shape) if init in constants else uniform_init(rng, shape, init)
+        for name, shape, init in table
+    }
 
 
 def stack_forward(x: Array, p: dict, prefix: str, layers: int, lengths: Array, heads: int):

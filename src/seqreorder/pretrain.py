@@ -81,7 +81,7 @@ def encoder_state_from_checkpoint(ckpt: Checkpoint) -> enc.EncoderState:
             f"checkpoint section is {ckpt.section!r}, expected 'encoder'"
         )
     config = enc.EncoderConfig(**ckpt.config)
-    check_params(ckpt.params, enc.init(config).params)
+    check_params(ckpt.params, enc.param_table(config))
     return enc.EncoderState(config=config, params=ckpt.params)
 
 

@@ -205,6 +205,24 @@ def test_only_the_shared_loop_runs_epochs():
     assert found == {"pretrain.py train_epochs"}
 
 
+def test_only_the_table_draw_calls_uniform_init():
+    # every init draws its parameter table through nn.draw_params, so
+    # nothing else, a checkpoint load included, draws a parameter
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for path in sorted(root.glob("src/seqreorder/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # ast.walk reaches an outer function first, so the innermost owner wins
+                owners.update({node: func.name for node in ast.walk(func)})
+        for node in ast.walk(tree):
+            if getattr(node, "id", getattr(node, "attr", None)) == "uniform_init":
+                found.add(f"{path.name} {owners.get(node, f'line {node.lineno}')}")
+    assert found == {"nn.py draw_params"}
+
+
 def test_pretrain_checkpoint_names_are_the_artifacts_functions():
     # perfbench calls and traces these two names on pretrain
     assert pretrain.save_checkpoint is artifacts.save_checkpoint

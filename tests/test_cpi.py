@@ -7,7 +7,13 @@ import padded_stack
 import pytest
 
 from seqreorder import cpi
-from seqreorder.artifacts import load_checkpoint, read_predictions, save_checkpoint, write_predictions
+from seqreorder.artifacts import (
+    Checkpoint,
+    load_checkpoint,
+    read_predictions,
+    save_checkpoint,
+    write_predictions,
+)
 from seqreorder import encoder as enc
 from seqreorder import nn
 from seqreorder.corpus import (
@@ -289,6 +295,35 @@ def test_cpi_checkpoint_must_hold_the_parameters_its_config_builds(key, present)
         del ckpt.params[key]
     with pytest.raises(CheckpointError, match=repr(key)):
         cpi_model_from_checkpoint(ckpt)
+
+
+def test_cpi_checkpoint_rejects_a_key_outside_enc_and_cpi():
+    ckpt = checkpoint_from_cpi(_model(seed=2), {})
+    ckpt.params["stray"] = np.zeros(3)
+    with pytest.raises(
+        CheckpointError,
+        match=r"^checkpoint parameter 'stray': \(3,\) in the file, no parameter in its config$",
+    ):
+        cpi_model_from_checkpoint(ckpt)
+
+
+def test_cpi_checkpoint_holds_the_models_own_arrays(tmp_path):
+    model = _model(seed=2)
+    ckpt = checkpoint_from_cpi(model, {"global_seed": 2, "epoch": 1, "step": 0})
+    assert ckpt.params.keys() == {f"cpi.{k}" for k in model.params} | {
+        f"enc.{k}" for k in model.encoder_state.params
+    }
+    for key, p in model.params.items():
+        assert ckpt.params[f"cpi.{key}"] is p
+    for key, p in model.encoder_state.params.items():
+        assert ckpt.params[f"enc.{key}"] is p
+    # the file holds the bytes that a checkpoint of copies writes
+    copies = Checkpoint(
+        ckpt.section, ckpt.config, {k: v.copy() for k, v in ckpt.params.items()}, ckpt.provenance
+    )
+    save_checkpoint(ckpt, tmp_path / "own.ckpt")
+    save_checkpoint(copies, tmp_path / "copies.ckpt")
+    assert (tmp_path / "own.ckpt").read_bytes() == (tmp_path / "copies.ckpt").read_bytes()
 
 
 def test_predict_pairs_uses_cache_consistently(monkeypatch):

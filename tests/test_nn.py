@@ -35,9 +35,7 @@ D, HEADS, FFN, LAYERS = 8, 2, 16, 2
 
 
 def _params(seed):
-    params = {}
-    nn.init_stack_params(np.random.default_rng(seed), params, "s.", LAYERS, D, FFN)
-    return params
+    return nn.draw_params(nn.stack_table("s.", LAYERS, D, FFN), seed)
 
 
 def _rel_err(actual, expected):
@@ -96,8 +94,8 @@ def test_all_real_stack_is_bit_identical_to_padded(lengths, t):
 
 
 def _attention_params(rng, d):
-    p = {}
-    nn.init_stack_params(rng, p, "s.", 1, d, 2 * d)
+    # default_rng passes a Generator through, so the layer draws from rng's stream
+    p = nn.draw_params(nn.stack_table("s.", 1, d, 2 * d), rng)
     return {k[len("s.layers.0."):]: v for k, v in p.items() if ".attn." in k}
 
 
