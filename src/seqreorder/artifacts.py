@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -121,6 +122,9 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     Path(path).write_bytes(body)
 
 
+_HEADER_FIELDS = {"section": str, "config": dict, "provenance": dict, "arrays": list}
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if len(raw) < 4 + 4 + 8 + 32 or raw[:4] != CHECKPOINT_MAGIC:
@@ -135,15 +139,35 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: format version {version} is not supported "
             f"(expected {CHECKPOINT_VERSION})"
         )
+    # the checksum holds, so what follows checks the header's own form
     header_len = struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
     offset = 16 + header_len
+    if offset > len(body):
+        raise CheckpointError(f"{path}: header length {header_len} runs past the end of the file")
+    try:
+        header = json.loads(raw[16:offset].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict) or any(
+        not isinstance(header.get(k), t) for k, t in _HEADER_FIELDS.items()
+    ):
+        fields = ", ".join(f"{k} ({t.__name__})" for k, t in _HEADER_FIELDS.items())
+        raise CheckpointError(f"{path}: header is not an object with {fields}")
+    for spec in header["arrays"]:
+        if not (
+            isinstance(spec, dict)
+            and isinstance(spec.get("key"), str)
+            and isinstance(spec.get("shape"), list)
+            and all(type(s) is int and s >= 0 for s in spec["shape"])
+        ):
+            raise CheckpointError(f"{path}: malformed array entry {spec!r}")
     params = {}
     for spec in sorted(header["arrays"], key=lambda s: s["key"]):
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(spec["shape"])  # exact, where np.prod can wrap
+        if offset + count * 8 > len(body):
+            raise CheckpointError(f"{path}: array {spec['key']!r} runs past the end of the file")
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-        params[spec["key"]] = arr.reshape(shape).astype(np.float64)
+        params[spec["key"]] = arr.reshape(spec["shape"]).astype(np.float64)
         offset += count * 8
     if offset != len(body):
         raise CheckpointError(f"{path}: trailing bytes after parameter blocks")
@@ -153,6 +177,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         params=params,
         provenance=header["provenance"],
     )
+
+
+def config_from_checkpoint(cls: type, fields: object):
+    """``cls(**fields)`` from a checkpoint's config; a misfit raises CheckpointError."""
+    if not isinstance(fields, dict):
+        raise CheckpointError(f"checkpoint {cls.__name__} is not a JSON object")
+    try:
+        return cls(**fields)
+    except TypeError as exc:
+        raise CheckpointError(f"checkpoint {cls.__name__} does not fit: {exc}") from None
 
 
 def check_params(params: dict, table: Sequence[tuple]) -> None:

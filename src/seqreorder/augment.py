@@ -1,11 +1,11 @@
-"""Training-time augmentation: random cuts, block shuffles, token noise.
+"""Training-time augmentation: random cuts, block shuffles, token masking.
 
 A protein is cut into ``n`` contiguous blocks of random lengths (each
 between 1 and ``f_max`` residues, padded up to ``f_max``), the blocks are
-shuffled by a uniform random permutation, and token-level noise may then
-mask residues. The example records which permutation was applied, which is
-the recovery target. Given the same (protein, config, noise spec, seed)
-the pipeline is a pure function.
+shuffled by a uniform random permutation, and residues may then be
+masked. The example records which permutation was applied, which is the
+recovery target. ``make_pretrain_example`` builds it in one pass; given
+the same (protein, config, noise spec, seed) it is a pure function.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class SubsequenceSet:
     def f_max(self) -> int:
         return self.blocks.shape[1]
 
-    def copy(self) -> "SubsequenceSet":
-        return SubsequenceSet(self.blocks.copy(), self.true_lengths.copy())
-
 
 @dataclass
 class ShuffleMatrix:
@@ -104,25 +101,14 @@ class PretrainExample:
     target: ShuffleMatrix
 
 
-def racut(
-    protein: ProteinRecord,
-    config: RAcutConfig,
-    rng: np.random.Generator,
-) -> SubsequenceSet:
-    """Cut a protein into n contiguous blocks of random lengths.
+def _cut_lengths(total: int, config: RAcutConfig, rng: np.random.Generator) -> np.ndarray:
+    """The n block lengths of a cut of the first min(total, n*f_max) tokens.
 
     Lengths are drawn left to right, each uniform over the feasible range
     that still lets every later block receive between 1 and f_max tokens;
-    the last block takes the remainder. Tokens beyond n*f_max are dropped.
-    Proteins shorter than n tokens cannot be cut and raise
-    AugmentationError.
+    the last block takes the remainder.
     """
     n, f_max = config.n, config.f_max
-    total = len(protein.tokens)
-    if total < n:
-        raise AugmentationError(
-            f"protein has {total} tokens but n={n} blocks were requested"
-        )
     rem = min(total, n * f_max)
     lengths = np.empty(n, dtype=np.int64)
     for i in range(1, n):
@@ -132,45 +118,7 @@ def racut(
         lengths[i - 1] = int(rng.integers(lo, hi + 1))
         rem -= lengths[i - 1]
     lengths[n - 1] = rem
-
-    blocks = np.full((n, f_max), RESIDUE_PAD_ID, dtype=np.int64)
-    offset = 0
-    for i in range(n):
-        li = int(lengths[i])
-        blocks[i, :li] = protein.tokens[offset : offset + li]
-        offset += li
-    return SubsequenceSet(blocks=blocks, true_lengths=lengths)
-
-
-def sample_shuffle(n: int, rng: np.random.Generator) -> ShuffleMatrix:
-    """Draw a uniform random permutation of n slots."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return ShuffleMatrix(rng.permutation(n))
-
-
-def shuffle_apply(sset: SubsequenceSet, p: ShuffleMatrix) -> SubsequenceSet:
-    """Reorder blocks: output slot i holds input block p.perm[i]."""
-    if p.n != sset.n:
-        raise ValidationError(
-            f"permutation is over {p.n} slots but the set has {sset.n} blocks"
-        )
-    return SubsequenceSet(
-        blocks=sset.blocks[p.perm].copy(),
-        true_lengths=sset.true_lengths[p.perm].copy(),
-    )
-
-
-def apply_noise(
-    sset: SubsequenceSet, spec: NoiseSpec, rng: np.random.Generator
-) -> SubsequenceSet:
-    """Mask each real token with probability ``spec.mask_prob``; pads and lengths never change."""
-    out = sset.copy()
-    draws = rng.random(out.blocks.shape)
-    nonpad = np.arange(out.f_max)[None, :] < out.true_lengths[:, None]
-    masked = (draws < spec.mask_prob) & nonpad
-    out.blocks[masked] = RESIDUE_MASK_ID
-    return out
+    return lengths
 
 
 def make_pretrain_example(
@@ -179,14 +127,27 @@ def make_pretrain_example(
     spec: NoiseSpec,
     seed: int | Sequence[int],
 ) -> PretrainExample:
-    """Cut, permute, then noise — in that order, from one seeded generator.
+    """Cut, permute, then mask — in that order, from one seeded generator.
 
-    The same (protein, config, spec, seed) always yields the same example.
+    Slot i holds cut block ``target.perm[i]``; tokens beyond n*f_max are
+    dropped, and a protein shorter than n tokens raises AugmentationError.
     """
+    n, f_max = config.n, config.f_max
+    total = len(protein.tokens)
+    if total < n:
+        raise AugmentationError(
+            f"protein has {total} tokens but n={n} blocks were requested"
+        )
     seed_key = (seed,) if isinstance(seed, int) else tuple(int(s) for s in seed)
     rng = np.random.default_rng(seed_key)
-    sset = racut(protein, config, rng)
-    target = sample_shuffle(config.n, rng)
-    shuffled = shuffle_apply(sset, target)
-    noisy = apply_noise(shuffled, spec, rng)
-    return PretrainExample(shuffled=noisy, target=target)
+    lengths = _cut_lengths(total, config, rng)
+    perm = rng.permutation(n)
+    starts = np.cumsum(lengths) - lengths
+    lengths = lengths[perm]
+    cols = np.arange(f_max)
+    tokens = np.asarray(protein.tokens[: n * f_max], dtype=np.int64)
+    real = cols < lengths[:, None]
+    # a pad position may index past the protein's end: it is clipped, then replaced
+    blocks = np.where(real, tokens.take(starts[perm][:, None] + cols, mode="clip"), RESIDUE_PAD_ID)
+    blocks[(rng.random((n, f_max)) < spec.mask_prob) & real] = RESIDUE_MASK_ID
+    return PretrainExample(SubsequenceSet(blocks, lengths), ShuffleMatrix(perm))

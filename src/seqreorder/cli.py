@@ -156,14 +156,9 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     else:
         dataset = _load_proteins_file(args.proteins, rc.l_max)
         source = str(args.proteins)
+    configs = rc.encoder(), rc.racut(), rc.pretrain(stop_accuracy=args.stop_accuracy)
     out = _out_dir(args, "pretrain")
-    result = pretrain.pretrain_run(
-        dataset,
-        rc.encoder(),
-        rc.racut(),
-        rc.pretrain(stop_accuracy=args.stop_accuracy),
-        out_dir=out,
-    )
+    result = pretrain.pretrain_run(dataset, *configs, out_dir=out)
     write_vocab_table(out / "vocab.tsv")
     _write_meta(out, "pretrain", rc, {"source": source, "proteins": len(dataset)})
     last_epoch, last_acc = result.val_history[-1]

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .artifacts import Checkpoint, StepRecord, check_params
+from .artifacts import Checkpoint, StepRecord, check_params, config_from_checkpoint
 from .corpus import DEFAULT_MAX_ATOMS, SMILES_VOCAB_SIZE, InteractionRecord, ProteinRecord
 from .encoder import EncoderConfig, EncoderState, protein_embeddings
 from .encoder import param_table as encoder_table
@@ -327,8 +327,8 @@ def checkpoint_from_cpi(model: CpiModel, provenance: dict) -> Checkpoint:
 def cpi_model_from_checkpoint(ckpt: Checkpoint) -> CpiModel:
     if ckpt.section != "cpi":
         raise CheckpointError(f"checkpoint section is {ckpt.section!r}, expected 'cpi'")
-    config = CpiConfig(**ckpt.config["cpi"])
-    enc_config = EncoderConfig(**ckpt.config["encoder"])
+    config = config_from_checkpoint(CpiConfig, ckpt.config.get("cpi"))
+    enc_config = config_from_checkpoint(EncoderConfig, ckpt.config.get("encoder"))
     tables = {"enc.": encoder_table(enc_config), "cpi.": param_table(config, enc_config.embed_dim)}
     check_params(ckpt.params, [(pre + row[0], *row[1:]) for pre, t in tables.items() for row in t])
     enc_params, cpi_params = (

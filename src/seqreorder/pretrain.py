@@ -26,7 +26,7 @@ import numpy as np
 from . import encoder as enc
 from . import nn, perm
 from .artifacts import Checkpoint, StepRecord, TrainLog, check_params, write_val_log
-from .artifacts import save_checkpoint
+from .artifacts import config_from_checkpoint, save_checkpoint
 from .artifacts import load_checkpoint  # noqa: F401  (perfbench calls this name)
 from .augment import NoiseSpec, PretrainExample, RAcutConfig, make_pretrain_example
 from .corpus import PretrainDataset
@@ -63,6 +63,8 @@ class PretrainConfig:
             raise ValidationError(
                 f"valid_fraction must be in [0, 1), got {self.valid_fraction}"
             )
+        if self.eval_m < 0:
+            raise ValidationError(f"eval_m must be >= 0, got {self.eval_m}")
 
 
 def checkpoint_from_encoder(state: enc.EncoderState, provenance: dict) -> Checkpoint:
@@ -80,7 +82,7 @@ def encoder_state_from_checkpoint(ckpt: Checkpoint) -> enc.EncoderState:
         raise CheckpointError(
             f"checkpoint section is {ckpt.section!r}, expected 'encoder'"
         )
-    config = enc.EncoderConfig(**ckpt.config)
+    config = config_from_checkpoint(enc.EncoderConfig, ckpt.config)
     check_params(ckpt.params, enc.param_table(config))
     return enc.EncoderState(config=config, params=ckpt.params)
 

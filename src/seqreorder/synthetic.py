@@ -32,6 +32,12 @@ from .corpus import (
 from .errors import ValidationError
 
 
+def _check_sizes(low: int, **sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < low:
+            raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
 def _family_alphabets(n_families: int) -> list[str]:
     if not 1 <= n_families <= len(CANONICAL_RESIDUES):
         raise ValidationError(
@@ -52,8 +58,7 @@ def motif_sequences(
 
     Every block is exactly block_len residues.
     """
-    if num_sequences < 1:
-        raise ValidationError("num_sequences must be >= 1")
+    _check_sizes(1, num_sequences=num_sequences, block_len=block_len)
     families = _family_alphabets(n_families)
     rng = np.random.default_rng(seed)
     out = []
@@ -143,6 +148,8 @@ def interaction_corpus(
 
     label = 1 iff (variant_a == variant_b) matches (compound is aromatic).
     """
+    _check_sizes(1, num_proteins=num_proteins, num_compounds=num_compounds)
+    _check_sizes(0, num_pairs=num_pairs)  # zero pairs make an empty corpus file
     if num_pairs > num_proteins * num_compounds:
         raise ValidationError("more pairs requested than distinct (compound, protein) combos")
     rng = np.random.default_rng(seed)

@@ -205,9 +205,8 @@ def test_only_the_shared_loop_runs_epochs():
     assert found == {"pretrain.py train_epochs"}
 
 
-def test_only_the_table_draw_calls_uniform_init():
-    # every init draws its parameter table through nn.draw_params, so
-    # nothing else, a checkpoint load included, draws a parameter
+def _referrers(name):
+    """Each "file function" in src whose code names ``name``; module level counts as "<module>"."""
     root = Path(__file__).resolve().parents[1]
     found = set()
     for path in sorted(root.glob("src/seqreorder/*.py")):
@@ -218,9 +217,20 @@ def test_only_the_table_draw_calls_uniform_init():
                 # ast.walk reaches an outer function first, so the innermost owner wins
                 owners.update({node: func.name for node in ast.walk(func)})
         for node in ast.walk(tree):
-            if getattr(node, "id", getattr(node, "attr", None)) == "uniform_init":
-                found.add(f"{path.name} {owners.get(node, f'line {node.lineno}')}")
-    assert found == {"nn.py draw_params"}
+            if getattr(node, "id", getattr(node, "attr", None)) == name:
+                found.add(f"{path.name} {owners.get(node, '<module>')}")
+    return found
+
+
+def test_only_the_table_draw_calls_uniform_init():
+    # every init draws its parameter table through nn.draw_params, so
+    # nothing else, a checkpoint load included, draws a parameter
+    assert _referrers("uniform_init") == {"nn.py draw_params"}
+
+
+def test_only_the_pretext_example_masks_residues():
+    # masking is a train-time step of the pretext example, made in one place
+    assert _referrers("RESIDUE_MASK_ID") == {"corpus.py <module>", "augment.py make_pretrain_example"}
 
 
 def test_pretrain_checkpoint_names_are_the_artifacts_functions():

@@ -1,7 +1,10 @@
 """End-to-end command-line behavior on tiny corpora."""
 
+import hashlib
 import json
+import re
 import shlex
+import struct
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,8 +15,10 @@ from seqreorder import nn
 from seqreorder.cli import _GEOMETRY_FLAGS, _run_config, build_parser, main
 from seqreorder.config import RunConfig
 from seqreorder.gradcheck import run_gradcheck
-from seqreorder.artifacts import load_checkpoint, save_checkpoint
+from seqreorder.artifacts import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 from seqreorder.corpus import write_dataset
+from seqreorder.errors import CheckpointError
+from seqreorder.pretrain import encoder_state_from_checkpoint
 from seqreorder.synthetic import interaction_corpus, motif_sequences, write_sequence_tsv
 
 TINY_ENCODER = [
@@ -254,6 +259,66 @@ def test_checkpoint_whose_parameters_do_not_match_its_config_is_an_error_line(
     assert err.startswith("error: ") and repr(key) in err
 
 
+def _sealed(header, body=b"", header_len=None):
+    """Checkpoint bytes with a valid SHA-256 trailer around any header bytes."""
+    raw = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+    raw += struct.pack("<Q", len(header) if header_len is None else header_len) + header + body
+    return raw + hashlib.sha256(raw).digest()
+
+
+def _header(**fields):
+    """A header of one (2,) array as JSON bytes; a field given as None is left out."""
+    base = {"section": "encoder", "config": {}, "provenance": {}, "arrays": [{"key": "a", "shape": [2]}]}
+    return json.dumps({k: v for k, v in {**base, **fields}.items() if v is not None}).encode()
+
+
+def _unknown_config_key(pretrain_dir):
+    ckpt = load_checkpoint(pretrain_dir / "best.ckpt")
+    return replace(ckpt, config={**ckpt.config, "bogus": 1})
+
+
+# each file's checksum holds, so only the header's own checks can refuse it
+MALFORMED_CHECKPOINTS = {
+    "header-past-end": (lambda d: _sealed(_header(), bytes(16), header_len=10**6), "runs past the end"),
+    "not-utf8": (lambda d: _sealed(b"\xff\xfe{}", bytes(16)), "not UTF-8 JSON"),
+    "not-json": (lambda d: _sealed(b"{section: encoder}", bytes(16)), "not UTF-8 JSON"),
+    "json-list": (lambda d: _sealed(b"[1, 2]", bytes(16)), "not an object"),
+    "no-arrays": (lambda d: _sealed(_header(arrays=None), bytes(16)), "not an object"),
+    "array-past-body": (lambda d: _sealed(_header(), bytes(8)), "array 'a' runs past the end"),
+    "unknown-config-key": (_unknown_config_key, "EncoderConfig does not fit: .*'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_is_an_error_line(
+    case, split_dir, pretrain_dir, corpus_dir, tmp_path, capsys
+):
+    make, match = MALFORMED_CHECKPOINTS[case]
+    path = tmp_path / "bad.ckpt"
+    made = make(pretrain_dir)
+    if isinstance(made, bytes):
+        path.write_bytes(made)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*{match}"):
+            load_checkpoint(path)
+    else:
+        save_checkpoint(made, path)
+        with pytest.raises(CheckpointError, match=match):
+            encoder_state_from_checkpoint(load_checkpoint(path))
+    for command in ["finetune", "export-embeddings"]:
+        out = tmp_path / command
+        if command == "finetune":
+            code = _finetune(split_dir, out, ["--checkpoint", str(path)])
+        else:
+            argv = ["export-embeddings", "--checkpoint", str(path),
+                    "--proteins", str(corpus_dir / "seqs.tsv"), "--out", str(out)]
+            code = main(argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(match, err)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["finetune", "export-embeddings"])
 def test_run_meta_records_the_checkpoint_geometry(
     command, split_dir, pretrain_dir, corpus_dir, tmp_path
@@ -470,8 +535,12 @@ def test_evaluate_rejects_empty_run_dir(tmp_path):
         ["finetune", "--random-init", "--train", "{corpus}/pairs.tsv", "--test", "={corpus}/pairs.tsv"],
         ["evaluate", "--run", "{tmp}"],
         ["export-embeddings", "--checkpoint", "{tmp}/nope.ckpt", "--proteins", "{corpus}/seqs.tsv"],
+        ["pretrain", "--proteins", "{corpus}/seqs.tsv", "--eval-m", "-1"] + TINY_ENCODER,
     ],
-    ids=["split", "pretrain-no-source", "pretrain-two-sources", "finetune", "evaluate", "export"],
+    ids=[
+        "split", "pretrain-no-source", "pretrain-two-sources", "finetune", "evaluate", "export",
+        "pretrain-eval-m",
+    ],
 )
 def test_rejected_command_leaves_no_out_dir(argv, corpus_dir, tmp_path, capsys):
     out = tmp_path / "out"
@@ -543,6 +612,23 @@ def test_synth_commands(tmp_path):
     rows = cpi_out.read_text().splitlines()
     assert len(rows) == 25
     assert all(len(r.split("\t")) == 3 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["motif", "--block-len", "0"], "block_len"),
+        (["motif", "--block-len", "-3"], "block_len"),
+        (["cpi", "--num-pairs", "-1"], "num_pairs"),
+    ],
+    ids=["block-len-0", "block-len-negative", "num-pairs-negative"],
+)
+def test_synth_size_out_of_range_is_an_error_line(argv, name, tmp_path, capsys):
+    out_file = tmp_path / "out.tsv"
+    assert main(["synth", argv[0], "--out-file", str(out_file)] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {name} must be >= [01], got {argv[-1]}\n", err)
+    assert not out_file.exists()
 
 
 def _parse_config(argv):

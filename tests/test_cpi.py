@@ -307,6 +307,22 @@ def test_cpi_checkpoint_rejects_a_key_outside_enc_and_cpi():
         cpi_model_from_checkpoint(ckpt)
 
 
+@pytest.mark.parametrize(
+    "edit,match",
+    [
+        (lambda c: c["cpi"].update(bogus=1), "CpiConfig does not fit: .*'bogus'"),
+        (lambda c: c["encoder"].update(bogus=1), "EncoderConfig does not fit: .*'bogus'"),
+        (lambda c: c.pop("encoder"), "EncoderConfig is not a JSON object"),
+    ],
+    ids=["cpi-key", "encoder-key", "no-encoder"],
+)
+def test_cpi_checkpoint_config_that_does_not_fit_is_a_checkpoint_error(edit, match):
+    ckpt = checkpoint_from_cpi(_model(seed=2), {})
+    edit(ckpt.config)
+    with pytest.raises(CheckpointError, match=match):
+        cpi_model_from_checkpoint(ckpt)
+
+
 def test_cpi_checkpoint_holds_the_models_own_arrays(tmp_path):
     model = _model(seed=2)
     ckpt = checkpoint_from_cpi(model, {"global_seed": 2, "epoch": 1, "step": 0})

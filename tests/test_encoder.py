@@ -8,14 +8,7 @@ import pytest
 
 from seqreorder import encoder as enc
 from seqreorder import nn
-from seqreorder.augment import (
-    NoiseSpec,
-    RAcutConfig,
-    make_pretrain_example,
-    racut,
-    sample_shuffle,
-    shuffle_apply,
-)
+from seqreorder.augment import NoiseSpec, RAcutConfig, SubsequenceSet, make_pretrain_example
 from seqreorder.corpus import (
     CANONICAL_RESIDUES,
     DEFAULT_MAX_RESIDUES,
@@ -114,17 +107,14 @@ def test_forward_deterministic(tiny_config):
 
 def test_pad_tokens_do_not_affect_scores(tiny_config):
     state = enc.init(tiny_config, seed=0)
-    rng = np.random.default_rng(2)
-    sset = racut(_protein(6), RAcutConfig(n=3, l_max=12), rng)
+    cut, clean = RAcutConfig(n=3, l_max=12), NoiseSpec(mask_prob=0.0)
+    sset = make_pretrain_example(_protein(6), cut, clean, 2).shuffled
     assert (sset.true_lengths < sset.f_max).any()
     before = _logits(state, sset)
-    corrupted = sset.copy()
+    corrupted = SubsequenceSet(sset.blocks.copy(), sset.true_lengths.copy())
     for i in range(corrupted.n):
         li = int(corrupted.true_lengths[i])
         corrupted.blocks[i, li:] = RESIDUE_TO_ID["W"]  # overwrite pads
-    corrupted.blocks[
-        np.arange(corrupted.f_max)[None, :] >= corrupted.true_lengths[:, None]
-    ] = RESIDUE_PAD_ID
     after = _logits(state, corrupted)
     np.testing.assert_array_equal(before, after)
 
@@ -215,14 +205,16 @@ def test_scores_respond_to_shuffle(tiny_config):
     # the same protein under two different shuffles must produce different
     # score matrices, otherwise the pretext task would be unlearnable
     state = enc.init(tiny_config, seed=0)
-    rng = np.random.default_rng(7)
-    sset = racut(_protein(12), RAcutConfig(n=3, l_max=12), rng)
-    p1 = sample_shuffle(3, rng)
-    p2 = sample_shuffle(3, np.random.default_rng(99))
-    if np.array_equal(p1.perm, p2.perm):
-        p2 = sample_shuffle(3, np.random.default_rng(100))
-    s1 = _logits(state, shuffle_apply(sset, p1))
-    s2 = _logits(state, shuffle_apply(sset, p2))
+    # 12 residues at n=3, f_max=4 force the cut [4, 4, 4], so two seeds
+    # differ only in the shuffle
+    cut, clean = RAcutConfig(n=3, l_max=12), NoiseSpec(mask_prob=0.0)
+    e1 = make_pretrain_example(_protein(12), cut, clean, 7)
+    e2 = make_pretrain_example(_protein(12), cut, clean, 99)
+    if np.array_equal(e1.target.perm, e2.target.perm):
+        e2 = make_pretrain_example(_protein(12), cut, clean, 100)
+    assert not np.array_equal(e1.target.perm, e2.target.perm)
+    s1 = _logits(state, e1.shuffled)
+    s2 = _logits(state, e2.shuffled)
     assert not np.array_equal(s1, s2)
 
 

@@ -334,6 +334,8 @@ def test_config_validation():
         PretrainConfig(batch_size=0)
     with pytest.raises(ValidationError):
         PretrainConfig(valid_fraction=1.0)
+    with pytest.raises(ValidationError, match="^eval_m must be >= 0, got -1$"):
+        PretrainConfig(eval_m=-1)
 
 
 def test_run_is_deterministic(tmp_path):
