@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -179,12 +179,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
-def config_from_checkpoint(cls: type, fields: object):
-    """``cls(**fields)`` from a checkpoint's config; a misfit raises CheckpointError."""
-    if not isinstance(fields, dict):
+def config_from_checkpoint(cls: type, values: object):
+    """``cls(**values)`` from a checkpoint's config; a misfit raises CheckpointError.
+
+    The config must hold every field: a missing key does not take its default.
+    """
+    if not isinstance(values, dict):
         raise CheckpointError(f"checkpoint {cls.__name__} is not a JSON object")
+    missing = [f.name for f in dataclass_fields(cls) if f.name not in values]
+    if missing:
+        raise CheckpointError(f"checkpoint {cls.__name__} lacks keys {missing}")
     try:
-        return cls(**fields)
+        return cls(**values)
     except TypeError as exc:
         raise CheckpointError(f"checkpoint {cls.__name__} does not fit: {exc}") from None
 

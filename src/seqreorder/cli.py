@@ -14,13 +14,13 @@ import logging
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 
 from . import cpi as cpi_mod
 from . import encoder as enc
 from . import artifacts, evaluation, nn, pretrain, synthetic
-from .config import RunConfig, read_config_file
+from .config import FIELD_TYPES, RunConfig, read_config_file, shared_fields
 from .corpus import (
     PretrainDataset,
     encode_protein,
@@ -36,23 +36,21 @@ logger = logging.getLogger(__name__)
 
 OUT_ROOT_ENV = "SEQREORDER_OUT"
 
-# Every RunConfig field is a --kebab-case flag typed by its default value.
-_FLAG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
-
-_GEOMETRY_FLAGS = ("embed_dim", "layers", "heads", "ffn_dim", "n")
+_GEOMETRY_FLAGS = shared_fields(enc.EncoderConfig)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
-    for name, typ in _FLAG_TYPES.items():
+    # every RunConfig field is a --kebab-case flag typed by its default value
+    for name, typ in FIELD_TYPES.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
 
 
 def _given(args: argparse.Namespace) -> dict:
     """The config values this run sets: the --config file's, with flags over them."""
     given = read_config_file(args.config) if args.config else {}
-    flags = {name: getattr(args, name) for name in _FLAG_TYPES}
+    flags = {name: getattr(args, name) for name in FIELD_TYPES}
     given.update({k: v for k, v in flags.items() if v is not None})
     return given
 
@@ -72,7 +70,7 @@ def _out_dir(args: argparse.Namespace, command: str) -> Path:
 
 
 def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict) -> None:
-    meta = {"command": command, "seed": rc.seed, "config": rc.to_dict(), "inputs": inputs}
+    meta = {"command": command, "seed": rc.seed, "config": asdict(rc), "inputs": inputs}
     meta["blas_threads"] = nn.BLAS_THREADS
     meta["workers"] = nn.WORKERS
     artifacts.write_json(out / "run_meta.json", meta)
@@ -315,7 +313,6 @@ def cmd_export_embeddings(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     out_path = Path(args.out_file)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "motif":
         seqs = synthetic.motif_sequences(
             num_sequences=args.num,
@@ -323,6 +320,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             block_len=args.block_len,
             seed=args.seed,
         )
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         synthetic.write_sequence_tsv(out_path, seqs)
         print(f"wrote {len(seqs)} sequences to {out_path}")
     else:
@@ -332,6 +330,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             num_pairs=args.num_pairs,
             seed=args.seed,
         )
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         write_dataset(out_path, corpus.rows)
         positives = sum(y for _, _, y in corpus.rows)
         print(f"wrote {len(corpus.rows)} pairs ({positives} positive) to {out_path}")

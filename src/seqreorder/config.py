@@ -4,15 +4,18 @@ Each default is read from the module config or constant that owns it
 (``EncoderConfig``, ``CpiConfig``, ``PretrainConfig``, ``FinetuneConfig``,
 ``NoiseSpec``, ``corpus.DEFAULT_MAX_RESIDUES``,
 ``evaluation.DEFAULT_RATIOS``), so the defaults are the full-scale
-training settings and are stated once. Desk-scale runs override the
-handful of fields they need via flags or a JSON config file. Flags always
-win over the file, which wins over defaults.
+training settings and are stated once. Each module config takes the
+fields it shares with RunConfig by name; only ``f_max``, ``sinkhorn``,
+``noise``, ``global_seed`` and ``stop_accuracy`` are passed by hand.
+Desk-scale runs override the handful of fields they need via flags or a
+JSON config file. Flags always win over the file, which wins over defaults.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, fields, replace
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .artifacts import read_text
@@ -61,85 +64,67 @@ class RunConfig:
         """A copy with some fields replaced; each value must have its field's type.
 
         An int given for a float field is stored as a float; a bool is
-        never taken for an int.
+        never taken for an int, and a float must be finite.
         """
-        types = {f.name: type(f.default) for f in fields(self)}
-        unknown = set(overrides) - set(types)
+        unknown = set(overrides) - set(FIELD_TYPES)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         values = {}
         for name, value in overrides.items():
-            if types[name] is float and type(value) is int:
+            typ = FIELD_TYPES[name]
+            if typ is float and type(value) is int:
                 value = float(value)
-            if type(value) is not types[name]:
-                raise ValidationError(
-                    f"config key {name!r} must be {types[name].__name__}, got {value!r}"
-                )
+            if type(value) is not typ:
+                raise ValidationError(f"config key {name!r} must be {typ.__name__}, got {value!r}")
+            if typ is float and not math.isfinite(value):
+                raise ValidationError(f"config key {name!r} must be finite, got {value!r}")
             values[name] = value
         return replace(self, **values)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    # ---- builders for the per-module configs ----
+    def _build(self, cls: type, **explicit):
+        """``cls`` with each field it shares with RunConfig copied by name, plus ``explicit``."""
+        return cls(**{name: getattr(self, name) for name in shared_fields(cls)}, **explicit)
 
     def racut(self) -> RAcutConfig:
-        return RAcutConfig(n=self.n, l_max=self.l_max)
-
-    def noise(self) -> NoiseSpec:
-        return NoiseSpec(mask_prob=self.mask_prob)
+        return self._build(RAcutConfig)
 
     def encoder(self) -> EncoderConfig:
-        rc = self.racut()
-        return EncoderConfig(
-            embed_dim=self.embed_dim,
-            layers=self.layers,
-            heads=self.heads,
-            ffn_dim=self.ffn_dim,
-            n=rc.n,
-            f_max=rc.f_max,
-        )
+        return self._build(EncoderConfig, f_max=self.racut().f_max)
 
     def pretrain(self, stop_accuracy: float | None = None) -> PretrainConfig:
-        return PretrainConfig(
-            epochs=self.epochs,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            weight_decay=self.weight_decay,
+        return self._build(
+            PretrainConfig,
             sinkhorn=SinkhornConfig(m=self.sinkhorn_m),
-            noise=self.noise(),
+            noise=NoiseSpec(mask_prob=self.mask_prob),
             global_seed=self.seed,
-            eval_m=self.eval_m,
             stop_accuracy=stop_accuracy,
         )
 
     def cpi(self) -> CpiConfig:
-        return CpiConfig(
-            comp_layers=self.comp_layers,
-            comp_heads=self.comp_heads,
-            comp_ffn_dim=self.comp_ffn_dim,
-            fusion_dim=self.fusion_dim,
-            max_atoms=self.max_atoms,
-        )
+        return self._build(CpiConfig)
 
     def finetune(self) -> FinetuneConfig:
-        return FinetuneConfig(
-            epochs=self.epochs,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            lam=self.lam,
-            seed=self.seed,
-        )
+        return self._build(FinetuneConfig)
 
     def ratios(self) -> tuple[float, float, float]:
         return (self.train_ratio, self.valid_ratio, self.test_ratio)
 
 
+# each field's type, its default's: with_overrides and the CLI flags use it
+FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
+def shared_fields(cls: type) -> list[str]:
+    """The fields of dataclass ``cls`` that RunConfig also has, in ``cls``'s order."""
+    return [f.name for f in fields(cls) if f.name in FIELD_TYPES]
+
+
 def read_config_file(path: str | Path) -> dict:
     """The RunConfig field values a JSON config file sets.
 
-    Malformed JSON, a document that is not an object, an unknown key
-    and a value of the wrong type raise ValidationError naming the file.
+    Malformed JSON, a document that is not an object, an unknown key, a
+    value of the wrong type and a non-finite float raise ValidationError
+    naming the file.
     """
     try:
         data = json.loads(read_text(path))

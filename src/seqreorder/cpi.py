@@ -329,6 +329,10 @@ def cpi_model_from_checkpoint(ckpt: Checkpoint) -> CpiModel:
         raise CheckpointError(f"checkpoint section is {ckpt.section!r}, expected 'cpi'")
     config = config_from_checkpoint(CpiConfig, ckpt.config.get("cpi"))
     enc_config = config_from_checkpoint(EncoderConfig, ckpt.config.get("encoder"))
+    if ckpt.config.keys() != {"cpi", "encoder"}:
+        raise CheckpointError(
+            f"checkpoint config keys {sorted(ckpt.config)} are not exactly cpi and encoder"
+        )
     tables = {"enc.": encoder_table(enc_config), "cpi.": param_table(config, enc_config.embed_dim)}
     check_params(ckpt.params, [(pre + row[0], *row[1:]) for pre, t in tables.items() for row in t])
     enc_params, cpi_params = (

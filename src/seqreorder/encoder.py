@@ -56,11 +56,6 @@ class EncoderConfig:
                 f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
             )
 
-    @property
-    def segmentation(self) -> RAcutConfig:
-        """The cut geometry of this encoder's input: n blocks of at most f_max."""
-        return RAcutConfig(n=self.n, l_max=self.n * self.f_max)
-
 
 @dataclass
 class EncoderState:

@@ -59,6 +59,8 @@ def split_scenarios(
     """
     if not records:
         raise ValidationError("cannot split an empty record list")
+    if not np.isfinite(ratios).all():
+        raise ValidationError(f"ratios must be finite, got {ratios}")
     if any(r < 0 for r in ratios):
         raise ValidationError(f"ratios must be non-negative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:

@@ -239,6 +239,46 @@ def test_pretrain_checkpoint_names_are_the_artifacts_functions():
     assert pretrain.load_checkpoint is artifacts.load_checkpoint
 
 
+def _private_definitions(tree):
+    """(line, name) of each module-level private function, class or constant in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_no_unused_private_helpers():
+    # a private name must be read somewhere in src besides its own definition
+    root = Path(__file__).resolve().parents[1]
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(root.glob("src/seqreorder/*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unused = [
+        f"{name}:{line} {private}"
+        for name, tree in trees.items()
+        for line, private in _private_definitions(tree)
+        if private not in read
+    ]
+    assert unused == []
+
+
 def test_no_unused_imports():
     root = Path(__file__).resolve().parents[1]
     files = sorted(root.glob("src/seqreorder/*.py")) + sorted(root.glob("tests/*.py"))

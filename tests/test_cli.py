@@ -277,6 +277,12 @@ def _unknown_config_key(pretrain_dir):
     return replace(ckpt, config={**ckpt.config, "bogus": 1})
 
 
+def _missing_config_key(pretrain_dir):
+    # the default head count gives every parameter the same shape
+    ckpt = load_checkpoint(pretrain_dir / "best.ckpt")
+    return replace(ckpt, config={k: v for k, v in ckpt.config.items() if k != "heads"})
+
+
 # each file's checksum holds, so only the header's own checks can refuse it
 MALFORMED_CHECKPOINTS = {
     "header-past-end": (lambda d: _sealed(_header(), bytes(16), header_len=10**6), "runs past the end"),
@@ -286,6 +292,7 @@ MALFORMED_CHECKPOINTS = {
     "no-arrays": (lambda d: _sealed(_header(arrays=None), bytes(16)), "not an object"),
     "array-past-body": (lambda d: _sealed(_header(), bytes(8)), "array 'a' runs past the end"),
     "unknown-config-key": (_unknown_config_key, "EncoderConfig does not fit: .*'bogus'"),
+    "missing-config-key": (_missing_config_key, r"EncoderConfig lacks keys \['heads'\]"),
 }
 
 
@@ -624,11 +631,11 @@ def test_synth_commands(tmp_path):
     ids=["block-len-0", "block-len-negative", "num-pairs-negative"],
 )
 def test_synth_size_out_of_range_is_an_error_line(argv, name, tmp_path, capsys):
-    out_file = tmp_path / "out.tsv"
+    out_file = tmp_path / "new" / "sub" / "out.tsv"
     assert main(["synth", argv[0], "--out-file", str(out_file)] + argv[1:]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: {name} must be >= [01], got {argv[-1]}\n", err)
-    assert not out_file.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def _parse_config(argv):
@@ -641,6 +648,31 @@ def test_every_run_config_field_has_a_typed_flag(field):
     rc = _parse_config([f"--{field.name.replace('_', '-')}", str(value)])
     assert getattr(rc, field.name) == value
     assert type(getattr(rc, field.name)) is type(field.default)
+
+
+FLOAT_FIELDS = [f.name for f in fields(RunConfig) if type(f.default) is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_flag_is_an_error_line(name, value, corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["split", "--data", str(corpus_dir / "pairs.tsv"), "--out", str(out),
+                 f"--{name.replace('_', '-')}", value])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: config key {name!r} must be finite, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+def test_every_run_config_field_reaches_a_module_config(field):
+    # a field that no module config takes by name any more changes nothing here
+    def built(rc):
+        return rc.encoder(), rc.pretrain(), rc.cpi(), rc.finetune(), rc.racut(), rc.ratios()
+
+    rc = RunConfig()
+    changed = rc.with_overrides({field.name: field.default * 2 or 1})
+    assert built(changed) != built(rc)
 
 
 def test_config_file_seed_holds_without_a_seed_flag(corpus_dir, tmp_path):
@@ -667,10 +699,11 @@ def test_explicit_flag_beats_config_file(tmp_path):
         ('{"epochs": "3"}', "'epochs' must be int"),
         ('{"epochs": true}', "'epochs' must be int"),
         ('{"lr": "fast"}', "'lr' must be float"),
+        ('{"lr": NaN}', "'lr' must be finite, got nan"),
         ('{"epoch": 3}', "unknown config keys"),
     ],
     ids=["bad-json", "not-an-object", "str-for-int", "bool-for-int", "str-for-float",
-         "unknown-key"],
+         "nan-for-float", "unknown-key"],
 )
 def test_bad_config_file_is_an_error_line(corpus_dir, tmp_path, capsys, text, message):
     path = tmp_path / "config.json"

@@ -313,8 +313,11 @@ def test_cpi_checkpoint_rejects_a_key_outside_enc_and_cpi():
         (lambda c: c["cpi"].update(bogus=1), "CpiConfig does not fit: .*'bogus'"),
         (lambda c: c["encoder"].update(bogus=1), "EncoderConfig does not fit: .*'bogus'"),
         (lambda c: c.pop("encoder"), "EncoderConfig is not a JSON object"),
+        (lambda c: c["cpi"].pop("comp_heads"), r"CpiConfig lacks keys \['comp_heads'\]"),
+        (lambda c: c["encoder"].pop("heads"), r"EncoderConfig lacks keys \['heads'\]"),
+        (lambda c: c.update(bogus={}), r"config keys \['bogus', 'cpi', 'encoder'\]"),
     ],
-    ids=["cpi-key", "encoder-key", "no-encoder"],
+    ids=["cpi-key", "encoder-key", "no-encoder", "no-cpi-field", "no-encoder-field", "third-key"],
 )
 def test_cpi_checkpoint_config_that_does_not_fit_is_a_checkpoint_error(edit, match):
     ckpt = checkpoint_from_cpi(_model(seed=2), {})

@@ -11,7 +11,6 @@ from seqreorder import nn
 from seqreorder.augment import NoiseSpec, RAcutConfig, SubsequenceSet, make_pretrain_example
 from seqreorder.corpus import (
     CANONICAL_RESIDUES,
-    DEFAULT_MAX_RESIDUES,
     RESIDUE_PAD_ID,
     RESIDUE_TO_ID,
     RESIDUE_VOCAB_SIZE,
@@ -48,13 +47,6 @@ def _grads(state, sset, dlogits):
 def test_config_validates_head_divisibility():
     with pytest.raises(ValidationError):
         EncoderConfig(embed_dim=10, layers=1, heads=3, ffn_dim=16, n=3, f_max=4)
-
-
-def test_segmentation_is_the_encoder_geometry(tiny_config):
-    # the default f_max is the cut of the default residue budget
-    assert EncoderConfig().segmentation == RAcutConfig(n=EncoderConfig.n, l_max=DEFAULT_MAX_RESIDUES)
-    seg = tiny_config.segmentation
-    assert (seg.n, seg.f_max) == (tiny_config.n, tiny_config.f_max)
 
 
 def test_init_is_deterministic(tiny_config):

@@ -94,6 +94,12 @@ def test_split_validates_ratios():
         split_scenarios([], (0.7, 0.1, 0.2))
 
 
+def test_split_refuses_a_non_finite_ratio():
+    # a NaN passes both the sign and the sum check
+    with pytest.raises(ValidationError, match="ratios must be finite"):
+        split_scenarios(_corpus(), (float("nan"), 0.1, 0.2))
+
+
 def _auroc_by_pair_counting(scores, labels):
     """Probability a random positive outranks a random negative (ties 1/2)."""
     pos = [s for s, y in zip(scores, labels) if y == 1]
