@@ -69,8 +69,9 @@ def _out_dir(args: argparse.Namespace, command: str) -> Path:
     return out
 
 
-def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict) -> None:
-    meta = {"command": command, "seed": rc.seed, "config": asdict(rc), "inputs": inputs}
+def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict, **settings) -> None:
+    """run_meta.json; ``settings`` are the command's own, outside RunConfig."""
+    meta = {"command": command, "seed": rc.seed, "config": asdict(rc), "inputs": inputs, **settings}
     meta["blas_threads"] = nn.BLAS_THREADS
     meta["workers"] = nn.WORKERS
     artifacts.write_json(out / "run_meta.json", meta)
@@ -158,7 +159,10 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     out = _out_dir(args, "pretrain")
     result = pretrain.pretrain_run(dataset, *configs, out_dir=out)
     write_vocab_table(out / "vocab.tsv")
-    _write_meta(out, "pretrain", rc, {"source": source, "proteins": len(dataset)})
+    _write_meta(
+        out, "pretrain", rc, {"source": source, "proteins": len(dataset)},
+        stop_accuracy=args.stop_accuracy,
+    )
     last_epoch, last_acc = result.val_history[-1]
     if result.val_label == "heldout_acc":
         acc_name = "held-out accuracy"

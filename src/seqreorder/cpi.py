@@ -14,7 +14,8 @@ sigmoid unit. The training loss is the summed (not averaged) binary
 cross-entropy plus an L2 penalty (lambda / 2) * ||theta||^2 over the
 trainable parameters; the encoder parameters are frozen and receive no
 gradient. Fine-tuning supplies a step and a validation-AUROC score to
-``pretrain.train_epochs``, the epoch loop pretraining runs through too.
+``pretrain.train_epochs``, the epoch loop pretraining runs through too;
+each step runs the two halves of its batch through ``nn.run_halves``.
 """
 
 from __future__ import annotations
@@ -254,6 +255,49 @@ def _batch_grads(
     return loss, _sigmoid(logits), grads
 
 
+def _half_grads(params: dict[str, np.ndarray], part: tuple):
+    """((loss, probabilities), head gradients) of part of a batch, without the L2 term.
+
+    ``part`` is (head config, encoder config, the pairs, their proteins'
+    cached embeddings): it needs neither the encoder nor the whole cache.
+    """
+    config, encoder_config, chunk, proteins = part
+    model = CpiModel(config, params, EncoderState(encoder_config, {}))
+    loss, probs, grads = _batch_grads(model, chunk, proteins, 0.0)
+    return (loss, probs), grads
+
+
+def _step_grads(
+    model: CpiModel,
+    chunk: Sequence[InteractionRecord],
+    cache: dict[str, np.ndarray],
+    lam: float,
+) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
+    """``_batch_grads`` of a training batch, as two halves where it holds two or more pairs.
+
+    The halves, its first ceil(B/2) pairs and the rest, run through
+    ``nn.run_halves`` (the second in its worker process where there are 2
+    workers); their losses and gradients are summed in that order, and the
+    L2 term is added once, to both. The bits differ from one call's in
+    rounding only, and not at all between worker counts.
+    """
+    if len(chunk) < 2:
+        return _batch_grads(model, chunk, cache, lam)
+
+    def part(pairs: Sequence[InteractionRecord]) -> tuple:
+        proteins = {r.protein.raw: cache[r.protein.raw] for r in pairs}
+        return model.config, model.encoder_state.config, pairs, proteins
+
+    (loss, probs), (more_loss, more_probs), grads = nn.run_halves(
+        _half_grads, model.params, chunk, part
+    )
+    if lam > 0:
+        for key, g in grads.items():
+            g += lam * model.params[key]
+    loss = loss + more_loss + nn.l2_penalty(model.params, lam)
+    return loss, np.concatenate([probs, more_probs]), grads
+
+
 def finetune_run(
     train: Sequence[InteractionRecord],
     valid: Sequence[InteractionRecord],
@@ -285,7 +329,7 @@ def finetune_run(
     def train_step(idx: np.ndarray, epoch: int, global_step: int) -> StepRecord:
         chunk = [train[i] for i in idx]
         start = time.perf_counter()
-        loss, probs, grads = _batch_grads(model, chunk, cache, ft.lam)
+        loss, probs, grads = _step_grads(model, chunk, cache, ft.lam)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite fine-tune loss at epoch {epoch} step {global_step}")
         nn.adam_step(model.params, grads, adam, lr=ft.lr)

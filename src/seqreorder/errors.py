@@ -27,3 +27,7 @@ class CheckpointError(SeqReorderError):
 
 class MetricError(SeqReorderError):
     """A metric is undefined for the given inputs (e.g. single-class labels)."""
+
+
+class WorkerError(SeqReorderError):
+    """The worker process that runs half of each training step died."""

@@ -83,7 +83,7 @@ def _model_component(rng: np.random.Generator, perturb: float) -> ComponentRepor
     def loss_value() -> float:
         return float(objective(state, examples, sk)[0].mean())
 
-    _, _, grads = objective(state, examples, sk)
+    _, _, grads, _ = objective(state, examples, sk)
     if perturb:
         grads[sorted(grads)[0]].reshape(-1)[0] += perturb
 

@@ -24,21 +24,32 @@ process (see ``_keep_freed_memory``), so each training step reuses the
 pages the previous step freed instead of faulting them in again, and pins
 BLAS to one thread (see ``_pin_blas_threads``); ``BLAS_THREADS`` is the
 count the library reports after the pin, or None where none reports one.
-``run_pair`` runs two independent pieces of work on ``WORKERS`` threads
-(2 where the process may run on two CPUs, else 1): the calling thread and
-one started for the call.
+``run_halves`` cuts a training batch in two, in pretraining and in
+fine-tuning, and ``run_pair`` runs the halves on ``WORKERS`` processes (2
+where the process may run on two CPUs, else 1): this one, and one forked
+worker process that lives as long as the process. Parameters and
+gradients cross through shared memory, and only the small inputs and
+outputs through a pipe. Adam runs each large key in blocks that stay in
+cache.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import ctypes
 import math
+import mmap
 import os
-import threading
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .errors import WorkerError
 
 Array = np.ndarray
 LN_EPS = 1e-5
@@ -112,39 +123,224 @@ def _pin_blas_threads() -> int | None:
 # the BLAS thread count every product in this process runs on, where known
 BLAS_THREADS = _pin_blas_threads()
 
-# threads ``run_pair`` runs on: the caller's, plus one where a second CPU is ours
+# processes ``run_pair`` runs on: this one, plus a worker where a second CPU is ours
 WORKERS = 2 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else 1
 
+# the smallest shared region a worker maps: room for the parameters and
+# gradients of every model the README trains, so one fork serves a process;
+# pages nobody touches take no memory
+_MIN_SHARED_BYTES = 16 * 1024 * 1024
+# each array in the shared region starts on a cache line
+_SHARED_ALIGN = 64
 
-def run_pair(fn, first, second) -> tuple:
-    """(fn(first), fn(second)), the two at once where ``WORKERS`` is 2.
 
-    The calling thread runs ``first`` and a thread started for this call
-    runs ``second``; both are finished before this returns or raises, and
-    an error from ``first`` is raised before one from ``second``. ``fn``
-    must depend on its argument alone: then neither the thread nor the
-    worker count changes a bit of the results, since BLAS runs on one
-    thread.
+def _shared_layout(params: dict) -> tuple[list, int]:
+    """(key, shape, offset) of each parameter in a shared region, and the bytes they span."""
+    layout, end = [], 0
+    for key, p in params.items():
+        layout.append((key, p.shape, end))
+        end += -(-p.nbytes // _SHARED_ALIGN) * _SHARED_ALIGN
+    return layout, end
+
+
+def _shared_arrays(region: mmap.mmap, layout: list, base: int) -> dict:
+    """float64 arrays over ``region`` at ``layout``'s offsets past ``base``."""
+    return {key: np.ndarray(shape, np.float64, region, base + at) for key, shape, at in layout}
+
+
+def _send(pipe, message) -> None:
+    # One pickled bytes object per message: one that fails to unpickle
+    # leaves the stream in step.
+    pickle.dump(pickle.dumps(message, pickle.HIGHEST_PROTOCOL), pipe, pickle.HIGHEST_PROTOCOL)
+    pipe.flush()
+
+
+class _Worker:
+    """A forked process that runs the second part of each ``run_pair`` call.
+
+    The parameters and the gradients cross through ``region``, an anonymous
+    mapping both processes share: the parameters from offset 0, their
+    gradients past them in the same layout. Only the work function, the
+    part, the layout and the part's other results go through the pipes.
+    The worker ignores SIGINT, which the parent handles, and exits when
+    its request pipe reaches EOF: on ``stop``, or when the parent dies.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.region = mmap.mmap(-1, size)
+        request_read, request_write = os.pipe()
+        reply_read, reply_write = os.pipe()
+        sys.stdout.flush()  # else the worker holds a copy of what is unwritten
+        sys.stderr.flush()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(request_write)  # the parent's end: its death is our EOF
+                os.close(reply_read)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                self._serve(os.fdopen(request_read, "rb"), os.fdopen(reply_write, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(request_read)
+        os.close(reply_write)
+        self.requests = os.fdopen(request_write, "wb")
+        self.replies = os.fdopen(reply_read, "rb")
+
+    def _serve(self, requests, replies) -> None:
+        while True:
+            try:
+                message = pickle.load(requests)
+            except EOFError:
+                return
+            try:
+                fn, layout, base, part = pickle.loads(message)
+                value, grads = fn(_shared_arrays(self.region, layout, 0), part)
+                out = _shared_arrays(self.region, layout, base)
+                for key, g in grads.items():
+                    out[key][...] = g
+                reply = (True, (value, list(grads)))
+            except Exception as exc:  # the parent raises it in this part's place
+                reply = (False, exc)
+            try:
+                _send(replies, reply)
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:
+                error = WorkerError(f"the worker cannot send back its result: {exc}")
+                _send(replies, (False, error))
+
+    def submit(self, fn, params: dict, part, layout: list, base: int) -> None:
+        """Start ``fn(params, part)`` on ``params`` copied into the region at ``layout``."""
+        self.layout, self.base = layout, base
+        for key, a in _shared_arrays(self.region, layout, 0).items():
+            a[...] = params[key]
+        try:
+            _send(self.requests, (fn, layout, base, part))
+        except BrokenPipeError:
+            raise self._died() from None
+
+    def reply(self) -> tuple[bool, object]:
+        """(True, the submitted call's result) or (False, the error to raise in its place).
+
+        The result's gradients are read-only arrays in the region, valid
+        until the next ``submit``.
+        """
+        try:
+            message = pickle.load(self.replies)
+        except EOFError:
+            return False, self._died()
+        except BaseException:  # an interrupt leaves the pipes out of step
+            self.stop()
+            raise
+        try:
+            ok, result = pickle.loads(message)
+        except Exception as exc:  # say so in the part's place, the stream still in step
+            return False, WorkerError(f"the worker's result cannot be read: {exc!r}")
+        if not ok:
+            return False, result
+        value, keys = result
+        keys = set(keys)
+        grads = _shared_arrays(self.region, [e for e in self.layout if e[0] in keys], self.base)
+        for g in grads.values():
+            g.flags.writeable = False
+        return True, (value, grads)
+
+    def _died(self) -> WorkerError:
+        return WorkerError(f"the training worker process exited with code {self.stop()}")
+
+    def stop(self) -> int | None:
+        """Close the pipes and wait for the worker to exit: its exit code, or None if stopped."""
+        if self.pid is None:
+            return None
+        with contextlib.suppress(BrokenPipeError):  # a request left unsent to a dead worker
+            self.requests.close()
+        self.replies.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+
+_worker: _Worker | None = None
+
+
+def stop_worker() -> None:
+    """Stop the worker process, if one runs; the next ``run_pair`` at 2 workers forks another."""
+    global _worker
+    if _worker is not None:
+        _worker.stop()
+        _worker = None
+
+
+def _drop_inherited_worker() -> None:
+    """In a process forked from one that holds a worker, close its pipes here.
+
+    Else this process would hold the worker's request pipe open: the
+    worker would not see its parent exit, and the parent's ``stop_worker``
+    would wait for it as long as this process lives.
+    """
+    global _worker
+    if _worker is not None and _worker.pid is not None:
+        _worker.requests.close()
+        _worker.replies.close()
+    _worker = None
+
+
+atexit.register(stop_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_inherited_worker)
+
+
+def _live_worker(size: int) -> _Worker:
+    """The worker, forked first where none runs or its region is smaller than ``size`` bytes."""
+    global _worker
+    if _worker is None or _worker.pid is None or _worker.size < size:
+        stop_worker()
+        _worker = _Worker(max(size, _MIN_SHARED_BYTES))
+    return _worker
+
+
+def run_pair(fn, params: dict, first, second) -> tuple:
+    """(fn(params, first), fn(params, second)), the two at once where ``WORKERS`` is 2.
+
+    ``fn`` is a module-level function that returns (value, grads), grads
+    being a dict of arrays shaped like some of the float64 ``params``. At
+    2 workers this process runs ``first`` and the worker process runs
+    ``second``, on a copy of ``params``; the second result's gradients are
+    then read-only views valid until the next call. Both parts finish
+    before this returns or raises, and an error from ``first`` is raised
+    before one from ``second``; a worker that dies is a ``WorkerError``
+    naming its exit code. ``fn`` must depend on its arguments alone: then
+    the worker count changes no bit of the results, since BLAS runs on
+    one thread.
     """
     if WORKERS < 2:
-        return fn(first), fn(second)
-    out = {}
-
-    def run_second():
-        try:
-            out["result"] = fn(second)
-        except BaseException as exc:
-            out["error"] = exc
-
-    worker = threading.Thread(target=run_second)
-    worker.start()
+        return fn(params, first), fn(params, second)
+    layout, base = _shared_layout(params)
+    worker = _live_worker(2 * base)
+    worker.submit(fn, params, second, layout, base)
     try:
-        head = fn(first)
+        head = fn(params, first)
     finally:
-        worker.join()
-    if "error" in out:
-        raise out["error"]
-    return head, out["result"]
+        ok, tail = worker.reply()
+    if not ok:
+        raise tail
+    return head, tail
+
+
+def run_halves(fn, params: dict, items, part) -> tuple:
+    """``run_pair`` of ``fn`` on the first ceil(B/2) of ``items`` and on the rest.
+
+    ``part`` makes each half's argument from its items. Returns (the first
+    half's value, the second's, the gradients): the second half's gradients
+    are added into the first's arrays, in that order. The data alone sets
+    the cut, so the worker count changes no bit.
+    """
+    cut = (len(items) + 1) // 2
+    (value, grads), (more_value, more) = run_pair(fn, params, part(items[:cut]), part(items[cut:]))
+    for key, g in more.items():
+        grads[key] += g
+    return value, more_value, grads
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
@@ -495,6 +691,23 @@ def token_encoder_backward(cache, dpooled: Array) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the most entries one block of an Adam update spans: the block's six
+# arrays (parameter, gradient, two moments, two scratch) take 1.5 MiB, so
+# its 13 passes stay in L2; smaller blocks pay more per-call overhead
+_ADAM_BLOCK = 32 * 1024
+
+
+def _adam_blocks(shape: tuple) -> list:
+    """Index runs of leading rows spanning at most ``_ADAM_BLOCK`` entries, never less than a row.
+
+    A 0-d or small array is one block, indexed by ``...``.
+    """
+    if math.prod(shape) <= _ADAM_BLOCK:
+        return [...]
+    step = max(1, _ADAM_BLOCK // math.prod(shape[1:]))
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
+
+
 @dataclass
 class AdamState:
     m: dict = field(default_factory=dict)
@@ -521,7 +734,9 @@ def adam_step(
 
     beta1, beta2 and eps are ``ADAM_BETA1``, ``ADAM_BETA2`` and
     ``ADAM_EPS``. Parameters and both moments are updated in their own
-    arrays, through two scratch arrays per key. Every rounding step is
+    arrays, one block of rows at a time (``_adam_blocks``) so that a large
+    key's passes run in cache, through two scratch arrays per block. Every
+    entry takes the same operations in any block, and every rounding step is
     that of
         m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
         p -= lr*(m/bc1) / (sqrt(v/bc2) + eps);  p -= (lr*weight_decay)*p
@@ -533,23 +748,25 @@ def adam_step(
     bc2 = 1.0 - beta2**state.t
     for key in sorted(params):
         g, m, v, p = grads[key], state.m[key], state.v[key], params[key]
-        # explicit out= arrays keep 0-d parameters 0-d arrays, not scalars
-        tmp, step = np.empty_like(p), np.empty_like(p)
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=tmp)
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - beta2
-        v *= beta2
-        v += tmp
-        np.divide(m, bc1, out=step)
-        step *= lr
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        step /= tmp
-        p -= step
-        if weight_decay > 0.0:
-            p -= np.multiply(p, lr * weight_decay, out=step)
+        for rows in _adam_blocks(p.shape):
+            g_b, m_b, v_b, p_b = g[rows], m[rows], v[rows], p[rows]
+            # explicit out= arrays keep 0-d parameters 0-d arrays, not scalars
+            tmp, step = np.empty_like(p_b), np.empty_like(p_b)
+            m_b *= beta1
+            m_b += np.multiply(g_b, 1.0 - beta1, out=tmp)
+            np.multiply(g_b, g_b, out=tmp)
+            tmp *= 1.0 - beta2
+            v_b *= beta2
+            v_b += tmp
+            np.divide(m_b, bc1, out=step)
+            step *= lr
+            np.divide(v_b, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            step /= tmp
+            p_b -= step
+            if weight_decay > 0.0:
+                p_b -= np.multiply(p_b, lr * weight_decay, out=step)
 
 
 def l2_penalty(params: dict, coef: float) -> float:

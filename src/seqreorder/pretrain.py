@@ -65,6 +65,8 @@ class PretrainConfig:
             )
         if self.eval_m < 0:
             raise ValidationError(f"eval_m must be >= 0, got {self.eval_m}")
+        if self.stop_accuracy is not None and not 0.0 <= self.stop_accuracy <= 1.0:
+            raise ValidationError(f"stop_accuracy must be in [0, 1], got {self.stop_accuracy}")
 
 
 def checkpoint_from_encoder(state: enc.EncoderState, provenance: dict) -> Checkpoint:
@@ -87,46 +89,65 @@ def encoder_state_from_checkpoint(ckpt: Checkpoint) -> enc.EncoderState:
     return enc.EncoderState(config=config, params=ckpt.params)
 
 
+def _micro(params: dict[str, np.ndarray], part: tuple):
+    """((losses, log Q, slot accuracies), parameter gradients) of one micro-batch.
+
+    ``part`` is (encoder config, Sinkhorn config, the examples' stacked
+    blocks and lengths, their targets, B): the gradients are those of the
+    micro-batch's summed loss over B, and each accuracy is that of the
+    example's rounded Q.
+    """
+    config, sinkhorn, blocks, lengths, targets, batch_size = part
+    state = enc.EncoderState(config, params)
+    _, logits, cache = enc._forward_core(state, blocks, lengths)
+    log_q = perm.sinkhorn(logits, sinkhorn)
+    dlog_q = np.empty_like(log_q)
+    losses = np.empty(len(targets))
+    for i, target in enumerate(targets):
+        losses[i], dlog_q[i] = perm.reorder_loss_grad(target, log_q[i])
+    dlogits = perm.sinkhorn_backward(logits, sinkhorn, dlog_q) / batch_size
+    grads = enc._backward_core(state, cache, dlogits)
+    accs = [
+        perm.permutation_accuracy(perm.round_to_permutation(q), target)
+        for target, q in zip(targets, np.exp(log_q))
+    ]
+    return (losses, log_q, accs), grads
+
+
 def objective(
     state: enc.EncoderState,
     batch: Sequence[PretrainExample],
     sinkhorn: perm.SinkhornConfig,
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray], list[float]]:
     """The pretraining objective on one batch and its exact gradient.
 
     Returns the per-example reordering losses (B,), the log Q stack
-    (B, n, n) and the parameter gradients of the batch-mean loss. Weight
+    (B, n, n), the parameter gradients of the batch-mean loss, and each
+    example's slot accuracy once its Q is rounded to a permutation. Weight
     decay is not part of it: Adam adds that term.
 
     A batch of two or more examples runs as two micro-batches, its first
-    ceil(B/2) examples and the rest, on ``nn.run_pair``'s threads, each
-    scaled by 1/B; the gradients are their sum, joined in micro-batch order
-    (Ott et al. 2018). Losses and log Q are those of one call over the
+    ceil(B/2) examples and the rest, through ``nn.run_halves`` (the second
+    in its worker process where there are 2 workers), each scaled by 1/B;
+    the gradients are their sum, joined in micro-batch order (Ott et al.
+    2018). Losses, log Q and accuracies are those of one call over the
     batch, bit for bit; the gradients differ from one call's only in
     rounding, and not at all between worker counts.
     """
 
-    def micro(part: Sequence[PretrainExample]):
-        blocks = np.stack([ex.shuffled.blocks for ex in part])
-        lengths = np.stack([ex.shuffled.true_lengths for ex in part])
-        _, logits, cache = enc._forward_core(state, blocks, lengths)
-        log_q = perm.sinkhorn(logits, sinkhorn)
-        dlog_q = np.empty_like(log_q)
-        losses = np.empty(len(part))
-        for i, ex in enumerate(part):
-            losses[i], dlog_q[i] = perm.reorder_loss_grad(ex.target, log_q[i])
-        dlogits = perm.sinkhorn_backward(logits, sinkhorn, dlog_q) / len(batch)
-        return losses, log_q, enc._backward_core(state, cache, dlogits)
+    def part(examples: Sequence[PretrainExample]) -> tuple:
+        blocks = np.stack([ex.shuffled.blocks for ex in examples])
+        lengths = np.stack([ex.shuffled.true_lengths for ex in examples])
+        return state.config, sinkhorn, blocks, lengths, [ex.target for ex in examples], len(batch)
 
     if len(batch) < 2:
-        return micro(batch)
-    cut = (len(batch) + 1) // 2
-    (losses, log_q, grads), (more_losses, more_log_q, more) = nn.run_pair(
-        micro, batch[:cut], batch[cut:]
+        (losses, log_q, accs), grads = _micro(state.params, part(batch))
+        return losses, log_q, grads, accs
+    (losses, log_q, accs), (more_losses, more_log_q, more_accs), grads = nn.run_halves(
+        _micro, state.params, batch, part
     )
-    for key, g in more.items():
-        grads[key] += g
-    return np.concatenate([losses, more_losses]), np.concatenate([log_q, more_log_q]), grads
+    losses, log_q = np.concatenate([losses, more_losses]), np.concatenate([log_q, more_log_q])
+    return losses, log_q, grads, accs + more_accs
 
 
 def pretrain_step(
@@ -146,11 +167,7 @@ def pretrain_step(
     if not batch:
         raise ValidationError("batch is empty")
     start = time.perf_counter()
-    losses, log_q, grads = objective(state, batch, config.sinkhorn)
-    accs = [
-        perm.permutation_accuracy(perm.round_to_permutation(q), ex.target)
-        for ex, q in zip(batch, np.exp(log_q))
-    ]
+    losses, _, grads, accs = objective(state, batch, config.sinkhorn)
     penalty = nn.l2_penalty(state.params, config.weight_decay)
     loss = float(losses.mean() + penalty)
     if not np.isfinite(loss):

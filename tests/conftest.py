@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
+from seqreorder import nn
 from seqreorder.augment import NoiseSpec, RAcutConfig
 from seqreorder.corpus import encode_protein
 from seqreorder.encoder import EncoderConfig
+
+
+@pytest.fixture(autouse=True)
+def _stop_the_worker():
+    # A worker keeps the module state of the moment it was forked, so a
+    # monkeypatch made after the fork would never reach it: each test forks
+    # its own, and none outlives the test.
+    yield
+    nn.stop_worker()
 
 
 @pytest.fixture

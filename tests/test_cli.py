@@ -115,6 +115,23 @@ def test_pretrain_writes_checkpoints_and_log(pretrain_dir):
     assert meta["config"]["n"] == 4
 
 
+@pytest.mark.parametrize("value", ["nan", "1.5", "-0.5"])
+def test_stop_accuracy_outside_the_unit_interval_is_an_error_line(value, corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["pretrain", "--proteins", str(corpus_dir / "seqs.tsv"), "--out", str(out),
+                 "--epochs", "2", "--stop-accuracy", value] + TINY_ENCODER)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: stop_accuracy must be in [0, 1], got {float(value)}\n"
+    assert not out.exists()
+
+
+def test_run_meta_records_the_stop_accuracy(corpus_dir, tmp_path):
+    out = tmp_path / "out"
+    assert main(["pretrain", "--proteins", str(corpus_dir / "seqs.tsv"), "--out", str(out),
+                 "--epochs", "2", "--batch-size", "8", "--stop-accuracy", "0.25"] + TINY_ENCODER) == 0
+    assert json.loads((out / "run_meta.json").read_text())["stop_accuracy"] == 0.25
+
+
 def test_pretrain_names_the_source_of_its_accuracy(corpus_dir, tmp_path, capsys):
     held_out = tmp_path / "held_out"
     args = ["--seed", "7", "--epochs", "1", "--batch-size", "8"] + TINY_ENCODER

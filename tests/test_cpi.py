@@ -593,3 +593,44 @@ def test_fine_tune_gradient_is_exact_at_saturated_logits(label, bias):
     assert abs(float(grads["dec.b"]) - want) <= 1e-12 * abs(want)
     # reported probabilities keep their clip
     assert np.all((probs > 0.0) & (probs < 1.0))
+
+
+# ---------------------------------------------------------------------------
+# a training step's two halves
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lengths,lam", [((5, 17, 3, 9, 3), 0.01), ((5, 17, 3, 9), 0.0), ((6, 6), 0.01), ((6,), 0.01)]
+)
+def test_step_grads_match_one_batch_grads_call(lengths, lam, monkeypatch):
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    model = _model(seed=6)
+    records = _ragged_pairs(lengths, seed=len(lengths))
+    cache = build_protein_cache(model, records)
+    loss, probs, grads = cpi._step_grads(model, records, cache, lam)
+    want_loss, want_probs, want_grads = cpi._batch_grads(model, records, cache, lam)
+    # a one-pair batch is one call; two halves' sums round apart
+    tol = 0.0 if len(records) == 1 else 1e-12
+    assert abs(loss - want_loss) <= tol * abs(want_loss)
+    assert _rel_err(probs, want_probs) <= tol
+    assert sorted(grads) == sorted(want_grads) == sorted(model.params)
+    for key, want in want_grads.items():
+        assert np.abs(grads[key] - want).max() <= tol * np.abs(want).max(), key
+
+
+def test_finetune_bits_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    records = _ragged_pairs((5, 17, 3, 9, 3, 12, 7, 5, 20, 4, 8, 6), seed=9)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(nn, "WORKERS", workers)
+        out = tmp_path / str(workers)
+        result = finetune_run(
+            records[:9], records[9:], enc.init(TINY_ENC, seed=0), TINY_CPI,
+            FinetuneConfig(epochs=2, lr=1e-2, batch_size=5, lam=0.01, seed=3), out_dir=out,
+        )
+        save_checkpoint(checkpoint_from_cpi(result.model, {}), out / "cpi.ckpt")
+        steps = [line.rsplit(",", 1)[0] for line in (out / "finetune_log.csv").read_text().splitlines()]
+        outputs.append(((out / "cpi.ckpt").read_bytes(), (out / "val_log.csv").read_bytes(), steps))
+        nn.stop_worker()
+    assert outputs[0] == outputs[1]

@@ -549,6 +549,55 @@ def test_adam_step_in_place_is_bit_identical_to_reference(weight_decay):
         assert p.shape == m.shape == v.shape == shapes[key]
 
 
+def _whole_array_adam_step(params, grads, state, lr, weight_decay=0.0):
+    """``nn.adam_step`` as it was before it ran in blocks: each pass over a whole key."""
+    beta1, beta2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
+    state.t += 1
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    for key in sorted(params):
+        g, m, v, p = grads[key], state.m[key], state.v[key], params[key]
+        tmp, step = np.empty_like(p), np.empty_like(p)
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=tmp)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        v *= beta2
+        v += tmp
+        np.divide(m, bc1, out=step)
+        step *= lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step /= tmp
+        p -= step
+        if weight_decay > 0.0:
+            p -= np.multiply(p, lr * weight_decay, out=step)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_blocked_adam_step_is_bit_identical_to_whole_array_passes(weight_decay):
+    rng = np.random.default_rng(1)
+    block = nn._ADAM_BLOCK
+    # 0-d; under a block; rows of several blocks with a ragged last one; a
+    # row longer than a block; a 1-d key longer than a block
+    shapes = {"dec.b": (), "b": (7,), "w": (3 * block // 64 + 5, 64), "wide": (2, block + 3),
+              "long": (2 * block + 1,)}
+    params = {k: np.asarray(rng.normal(size=s)) for k, s in shapes.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    state, ref_state = nn.adam_init(params), nn.adam_init(ref)
+    assert [len(nn._adam_blocks(s)) for s in shapes.values()] == [1, 1, 4, 2, 3]
+    for _ in range(3):
+        grads = {k: np.asarray(rng.normal(size=s)) for k, s in shapes.items()}
+        nn.adam_step(params, grads, state, lr=1e-2, weight_decay=weight_decay)
+        _whole_array_adam_step(ref, grads, ref_state, lr=1e-2, weight_decay=weight_decay)
+        for key in shapes:
+            np.testing.assert_array_equal(params[key], ref[key])
+            np.testing.assert_array_equal(state.m[key], ref_state.m[key])
+            np.testing.assert_array_equal(state.v[key], ref_state.v[key])
+    assert params["dec.b"].shape == ()
+
+
 @pytest.mark.skipif(
     sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
     reason="malloc thresholds are set through glibc's mallopt",
@@ -592,37 +641,44 @@ def _fake_libc(result, calls):
     return types.SimpleNamespace(mallopt=mallopt)
 
 
+# run_pair's work functions: module-level, so that they reach the worker by name
+
+
+def _finish_time(params, part):
+    """(part, when it finished): part 0 sleeps first, so the other part finishes first."""
+    if part == 0:
+        time.sleep(0.2)
+    return (part, time.monotonic()), {}
+
+
+def _fails_on(params, part):
+    """Raise for a part named "fail..."; a "slow" part sleeps first."""
+    if part.startswith("fail"):
+        raise ValueError(f"part {part} failed")
+    if part == "slow":
+        time.sleep(0.2)
+    return part, {}
+
+
 def test_run_pair_returns_in_argument_order_after_both_finish(monkeypatch):
     monkeypatch.setattr(nn, "WORKERS", 2)
-    finished = []
+    ((first, first_done), _), ((second, second_done), _) = nn.run_pair(_finish_time, {}, 0, 1)
+    returned = time.monotonic()
+    assert (first, second) == (0, 1)
+    assert second_done < first_done <= returned  # the parts overlapped; both finished first
 
-    def record(item):
-        if item == 0:
-            time.sleep(0.05)  # the other thread's item finishes first
-        finished.append(item)
-        return 10 * item
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="part fail failed"):
+        nn.run_pair(_fails_on, {}, "fail", "slow")
+    assert time.monotonic() - start >= 0.2  # the second part ran to its end before the error
 
-    assert nn.run_pair(record, 0, 1) == (0, 10)
-    assert finished == [1, 0]
-
-    def first_fails(item):
-        if item == 0:
-            raise ValueError("first item")
-        time.sleep(0.05)
-        finished.append(item)
-
-    finished.clear()
-    with pytest.raises(ValueError, match="first item"):
-        nn.run_pair(first_fails, 0, 1)
-    assert finished == [1]  # the second item ran to its end before the error surfaced
-
-    def second_fails(item):
-        if item == 1:
-            raise ValueError("second item")
-        return item
-
-    with pytest.raises(ValueError, match="second item"):
-        nn.run_pair(second_fails, 0, 1)
+    with pytest.raises(ValueError, match="part fail failed"):
+        nn.run_pair(_fails_on, {}, "ok", "fail")
+    # an error from the first part is raised before one from the second
+    with pytest.raises(ValueError, match="part fail-1 failed"):
+        nn.run_pair(_fails_on, {}, "fail-1", "fail-2")
+    # the worker keeps serving after its part raised
+    assert nn.run_pair(_fails_on, {}, "ok", "ok") == (("ok", {}), ("ok", {}))
 
 
 def test_malloc_setup_does_nothing_without_glibc_mallopt(monkeypatch):

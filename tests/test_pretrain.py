@@ -168,10 +168,14 @@ def test_objective_matches_one_call_over_the_batch(lengths):
     state = enc.init(TINY, seed=0)
     batch = _ragged(lengths)
     sk = SinkhornConfig(m=3)
-    losses, log_q, grads = pretrain_mod.objective(state, batch, sk)
+    losses, log_q, grads, accs = pretrain_mod.objective(state, batch, sk)
     want_losses, want_log_q, want_grads = _one_call_objective(state, batch, sk)
     np.testing.assert_array_equal(losses, want_losses)
     np.testing.assert_array_equal(log_q, want_log_q)
+    assert accs == [
+        perm.permutation_accuracy(perm.round_to_permutation(q), ex.target)
+        for ex, q in zip(batch, np.exp(want_log_q))
+    ]
     assert sorted(grads) == sorted(want_grads)
     # a one-example batch is one call; two micro-batches' sum rounds apart
     tol = 0.0 if len(batch) == 1 else 1e-12
@@ -186,9 +190,10 @@ def test_objective_bits_do_not_depend_on_the_worker_count(monkeypatch):
     for workers in (1, 2):
         monkeypatch.setattr(nn, "WORKERS", workers)
         results.append(pretrain_mod.objective(state, batch, SinkhornConfig(m=3)))
-    (losses, log_q, grads), (more_losses, more_log_q, more_grads) = results
+    (losses, log_q, grads, accs), (more_losses, more_log_q, more_grads, more_accs) = results
     np.testing.assert_array_equal(losses, more_losses)
     np.testing.assert_array_equal(log_q, more_log_q)
+    assert accs == more_accs
     assert sorted(grads) == sorted(more_grads)
     for key in grads:
         np.testing.assert_array_equal(grads[key], more_grads[key])
@@ -336,6 +341,10 @@ def test_config_validation():
         PretrainConfig(valid_fraction=1.0)
     with pytest.raises(ValidationError, match="^eval_m must be >= 0, got -1$"):
         PretrainConfig(eval_m=-1)
+    for outside in (float("nan"), 1.5, -0.1):
+        with pytest.raises(ValidationError, match=r"^stop_accuracy must be in \[0, 1\]"):
+            PretrainConfig(stop_accuracy=outside)
+    assert [PretrainConfig(stop_accuracy=a).stop_accuracy for a in (0.0, 1.0)] == [0.0, 1.0]
 
 
 def test_run_is_deterministic(tmp_path):
