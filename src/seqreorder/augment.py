@@ -77,9 +77,8 @@ class ShuffleMatrix:
 
     def __post_init__(self) -> None:
         self.perm = np.asarray(self.perm, dtype=np.int64)
-        if self.perm.ndim != 1 or not np.array_equal(
-            np.sort(self.perm), np.arange(self.perm.size)
-        ):
+        # over Python ints: at n <= 24 numpy's per-call overhead would cost ~4x the check
+        if self.perm.ndim != 1 or sorted(self.perm.tolist()) != list(range(self.perm.size)):
             raise ValidationError("perm must be a permutation of 0..n-1")
 
     @property

@@ -32,6 +32,11 @@ from .corpus import (
 from .errors import CheckpointError, SeqReorderError, ValidationError
 from .gradcheck import run_gradcheck
 
+try:
+    import resource
+except ImportError:  # Windows has no getrusage
+    resource = None
+
 logger = logging.getLogger(__name__)
 
 OUT_ROOT_ENV = "SEQREORDER_OUT"
@@ -75,6 +80,20 @@ def _write_meta(out: Path, command: str, rc: RunConfig, inputs: dict, **settings
     meta["blas_threads"] = nn.BLAS_THREADS
     meta["workers"] = nn.WORKERS
     artifacts.write_json(out / "run_meta.json", meta)
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident memory so far, in MB (1e6 bytes), or None without getrusage.
+
+    A worker process's memory is not in it. The commands that run a model
+    record it in run_meta.json; the others leave it out, so that a rerun
+    of them writes the same bytes.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    return round(peak * (1 if sys.platform == "darwin" else 1024) / 1e6, 1)
 
 
 def _checkpoint_encoder(args: argparse.Namespace):
@@ -161,7 +180,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     write_vocab_table(out / "vocab.tsv")
     _write_meta(
         out, "pretrain", rc, {"source": source, "proteins": len(dataset)},
-        stop_accuracy=args.stop_accuracy,
+        stop_accuracy=args.stop_accuracy, peak_rss_mb=_peak_rss_mb(),
     )
     last_epoch, last_acc = result.val_history[-1]
     if result.val_label == "heldout_acc":
@@ -241,6 +260,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
             "valid": str(args.valid) if args.valid else None,
             "encoder": str(args.checkpoint) if args.checkpoint else "random-init",
         },
+        peak_rss_mb=_peak_rss_mb(),
     )
     if result.val_history:
         best = max(a for _, a in result.val_history)
@@ -294,23 +314,25 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_export_embeddings(args: argparse.Namespace) -> int:
     state, rc = _checkpoint_encoder(args)
-    pids, proteins, skipped = [], [], []
+    pids, segments, skipped = [], [], []
     for _, pid, seq in read_protein_list(args.proteins):
         try:
             protein = encode_protein(seq, l_max=rc.l_max)
-            enc.segment_protein(state.config, protein)  # too short to segment raises
+            segments.append(enc.segment_protein(state.config, protein))  # too short raises
         except (ValidationError, SeqReorderError) as exc:
             logger.warning("skipping %s: %s", pid, exc)
             skipped.append(f"{pid}\t{exc}")
             continue
         pids.append(pid)
-        proteins.append(protein)
-    vectors = enc.protein_embeddings(state, proteins)
+    vectors = enc.segment_embeddings(state, segments)
     out = _out_dir(args, "export-embeddings")
     rows = [pid + "\t" + "\t".join(f"{v:.17g}" for v in vec) for pid, vec in zip(pids, vectors)]
     artifacts.write_lines(out / "embeddings.tsv", rows)
     artifacts.write_lines(out / "skipped.log", skipped)
-    _write_meta(out, "export-embeddings", rc, {"checkpoint": str(args.checkpoint)})
+    _write_meta(
+        out, "export-embeddings", rc, {"checkpoint": str(args.checkpoint)},
+        peak_rss_mb=_peak_rss_mb(),
+    )
     print(f"wrote {len(rows)} embeddings ({len(skipped)} skipped) to {out / 'embeddings.tsv'}")
     return 0
 

@@ -15,7 +15,9 @@ cross-entropy plus an L2 penalty (lambda / 2) * ||theta||^2 over the
 trainable parameters; the encoder parameters are frozen and receive no
 gradient. Fine-tuning supplies a step and a validation-AUROC score to
 ``pretrain.train_epochs``, the epoch loop pretraining runs through too;
-each step runs the two halves of its batch through ``nn.run_halves``.
+each step runs the two halves of its batch through ``nn.run_halves``, as
+micro-batches of at most ``nn.TRAIN_TOKENS`` compound tokens. Prediction
+runs the compound stack without keeping its layer caches.
 """
 
 from __future__ import annotations
@@ -104,8 +106,14 @@ def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> C
 # ---------------------------------------------------------------------------
 
 
-def _compound_forward(model: CpiModel, token_rows: Sequence[Sequence[int]]):
-    """Pooled compound vectors (B, embed_dim); the stack runs on real tokens only."""
+def _compound_forward(
+    model: CpiModel, token_rows: Sequence[Sequence[int]], keep_caches: bool = True
+):
+    """Pooled compound vectors (B, embed_dim) and the cache; the stack runs on real tokens only.
+
+    Without ``keep_caches`` (inference) it keeps one layer's cache at a time
+    and returns None for the cache.
+    """
     cfg = model.config
     if not token_rows:
         raise ValidationError("no compounds in batch")
@@ -120,7 +128,8 @@ def _compound_forward(model: CpiModel, token_rows: Sequence[Sequence[int]]):
     pos = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     lookups = (("tok_embed", ids), ("pos_embed", pos))
     return nn.token_encoder_forward(
-        model.params, "comp.", lookups, lengths, lengths, cfg.comp_layers, cfg.comp_heads
+        model.params, "comp.", lookups, lengths, lengths, cfg.comp_layers, cfg.comp_heads,
+        keep_caches,
     )
 
 
@@ -178,17 +187,19 @@ def _pair_logits(
     model: CpiModel,
     records: Sequence[InteractionRecord],
     cache: dict[str, np.ndarray],
+    keep_caches: bool = True,
 ):
     """Logits of the pairs; each distinct compound token list is encoded once.
 
     The distinct lists keep their order of first appearance, and
-    ``inverse`` maps each pair to its list.
+    ``inverse`` maps each pair to its list. Without ``keep_caches`` the
+    compound forward keeps no cache.
     """
     distinct: dict[tuple[int, ...], int] = {}
     inverse = np.array(
         [distinct.setdefault(tuple(r.compound.tokens), len(distinct)) for r in records]
     )
-    pooled, comp_cache = _compound_forward(model, list(distinct))
+    pooled, comp_cache = _compound_forward(model, list(distinct), keep_caches=keep_caches)
     z_prot = np.stack([cache[r.protein.raw] for r in records])
     joint, fuse_cache = _fuse_batch(model, pooled[inverse], z_prot)
     logits = joint @ model.params["dec.w"] + model.params["dec.b"]
@@ -200,11 +211,14 @@ def predict_pairs(
     records: Sequence[InteractionRecord],
     cache: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Interaction probabilities, ``PREDICT_CHUNK`` pairs at a time, from cached proteins."""
+    """Interaction probabilities, ``PREDICT_CHUNK`` pairs at a time, from cached proteins.
+
+    The compound forward keeps no layer caches.
+    """
     out = np.empty(len(records))
     for start in range(0, len(records), PREDICT_CHUNK):
         chunk = records[start : start + PREDICT_CHUNK]
-        logits, _, _, _ = _pair_logits(model, chunk, cache)
+        logits, _, _, _ = _pair_logits(model, chunk, cache, keep_caches=False)
         out[start : start + len(chunk)] = _sigmoid(logits)
     return out
 
@@ -256,7 +270,7 @@ def _batch_grads(
 
 
 def _half_grads(params: dict[str, np.ndarray], part: tuple):
-    """((loss, probabilities), head gradients) of part of a batch, without the L2 term.
+    """((loss, probabilities), head gradients) of one micro-batch, without the L2 term.
 
     ``part`` is (head config, encoder config, the pairs, their proteins'
     cached embeddings): it needs neither the encoder nor the whole cache.
@@ -273,29 +287,27 @@ def _step_grads(
     cache: dict[str, np.ndarray],
     lam: float,
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """``_batch_grads`` of a training batch, as two halves where it holds two or more pairs.
+    """``_batch_grads`` of a training batch, as the micro-batches of its two halves.
 
     The halves, its first ceil(B/2) pairs and the rest, run through
     ``nn.run_halves`` (the second in its worker process where there are 2
-    workers); their losses and gradients are summed in that order, and the
-    L2 term is added once, to both. The bits differ from one call's in
-    rounding only, and not at all between worker counts.
+    workers), each as micro-batches of at most ``nn.TRAIN_TOKENS``
+    compound tokens; their losses and gradients are summed in that order,
+    and the L2 term is added once, to both. The bits differ from one
+    call's in rounding only, and not at all between worker counts.
     """
-    if len(chunk) < 2:
-        return _batch_grads(model, chunk, cache, lam)
 
     def part(pairs: Sequence[InteractionRecord]) -> tuple:
         proteins = {r.protein.raw: cache[r.protein.raw] for r in pairs}
         return model.config, model.encoder_state.config, pairs, proteins
 
-    (loss, probs), (more_loss, more_probs), grads = nn.run_halves(
-        _half_grads, model.params, chunk, part
-    )
+    tokens = [len(r.compound.tokens) for r in chunk]
+    values, grads = nn.run_halves(_half_grads, model.params, chunk, part, tokens)
     if lam > 0:
         for key, g in grads.items():
             g += lam * model.params[key]
-    loss = loss + more_loss + nn.l2_penalty(model.params, lam)
-    return loss, np.concatenate([probs, more_probs]), grads
+    loss = sum(loss for loss, _ in values) + nn.l2_penalty(model.params, lam)
+    return loss, np.concatenate([probs for _, probs in values]), grads
 
 
 def finetune_run(

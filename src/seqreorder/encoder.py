@@ -17,7 +17,10 @@ unrolled steps as gradient.
 
 Every entry point is batched and returns plain arrays: pooled block
 vectors (B, n, embed_dim) and a (B, n, n) stack of logit matrices, which
-``perm.sinkhorn`` normalizes in one call.
+``perm.sinkhorn`` normalizes in one call. The inference entry points
+(``forward_batch``, ``protein_embeddings``, ``segment_embeddings``) run
+``INFER_TOKENS`` at a time and keep no layer caches; only training keeps
+them, for ``_backward_core``.
 """
 
 from __future__ import annotations
@@ -81,13 +84,17 @@ def init(config: EncoderConfig, seed: int = 0) -> EncoderState:
     return EncoderState(config=config, params=nn.draw_params(param_table(config), seed))
 
 
-def _forward_core(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
+def _forward_core(
+    state: EncoderState, blocks: np.ndarray, lengths: np.ndarray, keep_caches: bool = True
+):
     """Batched forward. blocks (B, n, f_max) int, lengths (B, n) int.
 
     Only real tokens are embedded: one row per token, example by example
     and in slot order within an example, as token + within-block position
     + slot embeddings. ``nn.token_encoder_forward`` pools each block's run
-    of rows, and the head scores the pooled blocks.
+    of rows, and the head scores the pooled blocks. Returns (pooled,
+    logits, cache); an inference forward, without ``keep_caches``, keeps
+    one layer's cache at a time and returns None for the cache.
 
     Blocks of length 0 are legal (``segment_protein``'s fixed f_max cut
     leaves trailing empties); they pool to the zero vector.
@@ -98,10 +105,11 @@ def _forward_core(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
     ex, slot, pos = np.nonzero(np.arange(f) < lengths[:, :, None])
     lookups = (("tok_embed", blocks[ex, slot, pos]), ("pos_embed", pos), ("slot_embed", slot))
     pooled, core = nn.token_encoder_forward(
-        state.params, "", lookups, lengths.sum(axis=1), lengths.ravel(), cfg.layers, cfg.heads
+        state.params, "", lookups, lengths.sum(axis=1), lengths.ravel(), cfg.layers, cfg.heads,
+        keep_caches,
     )
     pooled = pooled.reshape(b, n, -1)
-    return pooled, pooled @ state.params["head.w"], (core, pooled)
+    return pooled, pooled @ state.params["head.w"], (core, pooled) if keep_caches else None
 
 
 def _backward_core(state: EncoderState, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -126,15 +134,16 @@ def _validate_input(state: EncoderState, sset: SubsequenceSet) -> None:
 
 
 def _chunked_forward(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
-    """Pooled vectors and logits, one ``_forward_core`` per ``INFER_TOKENS`` chunk."""
+    """Pooled vectors and logits, one cache-free ``_forward_core`` per ``INFER_TOKENS`` chunk."""
     b, n, f = blocks.shape
     per_chunk = max(1, INFER_TOKENS // (n * f))
     pooled = np.empty((b, n, state.config.embed_dim))
     logits = np.empty((b, n, n))
     for start in range(0, b, per_chunk):
         chunk = slice(start, start + per_chunk)
-        # the cache is not kept, so it is freed before the next chunk runs
-        pooled[chunk], logits[chunk] = _forward_core(state, blocks[chunk], lengths[chunk])[:2]
+        pooled[chunk], logits[chunk], _ = _forward_core(
+            state, blocks[chunk], lengths[chunk], keep_caches=False
+        )
     if not (np.isfinite(pooled).all() and np.isfinite(logits).all()):
         raise NumericError("encoder forward produced non-finite activations")
     return pooled, logits
@@ -191,14 +200,22 @@ def protein_embeddings(state: EncoderState, proteins: Sequence[ProteinRecord]) -
     """Whole-protein vectors for downstream use, shape (len(proteins), embed_dim).
 
     Each protein is cut by ``segment_protein`` (no noise, natural slot
-    order) and its vector is the mean of its non-empty block embeddings.
+    order) and embedded by ``segment_embeddings``.
+    """
+    return segment_embeddings(state, [segment_protein(state.config, p) for p in proteins])
+
+
+def segment_embeddings(state: EncoderState, segments: Sequence[tuple]) -> np.ndarray:
+    """Whole-protein vectors (len(segments), embed_dim) of ``segment_protein`` cuts.
+
+    A protein's vector is the mean of its non-empty block embeddings.
     Proteins are encoded ``INFER_TOKENS`` at a time.
     """
     cfg = state.config
-    blocks = np.empty((len(proteins), cfg.n, cfg.f_max), dtype=np.int64)
-    lengths = np.empty((len(proteins), cfg.n), dtype=np.int64)
-    for i, protein in enumerate(proteins):
-        blocks[i], lengths[i] = segment_protein(cfg, protein)
+    blocks = np.empty((len(segments), cfg.n, cfg.f_max), dtype=np.int64)
+    lengths = np.empty((len(segments), cfg.n), dtype=np.int64)
+    for i, segment in enumerate(segments):
+        blocks[i], lengths[i] = segment
     pooled, _ = _chunked_forward(state, blocks, lengths)
     # empty blocks pool to zero, so the sum runs over non-empty ones
     return pooled.sum(axis=1) / (lengths > 0).sum(axis=1, keepdims=True)

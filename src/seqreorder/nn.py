@@ -17,7 +17,9 @@ divide the (t, dh) context and its gradient, never the (t, t) weights.
 Layernorm's row statistics are einsum row dots; the FFN's ReLU runs in place.
 ``token_encoder_forward`` is the whole token path of the protein and the
 compound encoders: summed embedding lookups, the stack, a final layernorm
-and mean pooling, with its mirror in ``token_encoder_backward``.
+and mean pooling, with its mirror in ``token_encoder_backward``. An
+inference forward keeps no caches: it drops each layer's cache before the
+next layer runs, so its memory does not grow with depth.
 
 Importing this module fixes glibc's malloc thresholds for the whole
 process (see ``_keep_freed_memory``), so each training step reuses the
@@ -25,12 +27,13 @@ pages the previous step freed instead of faulting them in again, and pins
 BLAS to one thread (see ``_pin_blas_threads``); ``BLAS_THREADS`` is the
 count the library reports after the pin, or None where none reports one.
 ``run_halves`` cuts a training batch in two, in pretraining and in
-fine-tuning, and ``run_pair`` runs the halves on ``WORKERS`` processes (2
-where the process may run on two CPUs, else 1): this one, and one forked
-worker process that lives as long as the process. Parameters and
-gradients cross through shared memory, and only the small inputs and
-outputs through a pipe. Adam runs each large key in blocks that stay in
-cache.
+fine-tuning, and each half into micro-batches of at most ``TRAIN_TOKENS``
+real tokens, so a step's memory does not grow with the batch size.
+``run_pair`` runs the halves on ``WORKERS`` processes (2 where the
+process may run on two CPUs, else 1): this one, and one forked worker
+process that lives as long as the process. Parameters and gradients cross
+through shared memory, and only the small inputs and outputs through a
+pipe. Adam runs each large key in blocks that stay in cache.
 """
 
 from __future__ import annotations
@@ -125,6 +128,10 @@ BLAS_THREADS = _pin_blas_threads()
 
 # processes ``run_pair`` runs on: this one, plus a worker where a second CPU is ours
 WORKERS = 2 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else 1
+
+# the most real tokens one training micro-batch holds (see ``run_halves``):
+# a step's memory is that of one micro-batch, whatever the batch size
+TRAIN_TOKENS = 4096
 
 # the smallest shared region a worker maps: room for the parameters and
 # gradients of every model the README trains, so one fork serves a process;
@@ -328,19 +335,66 @@ def run_pair(fn, params: dict, first, second) -> tuple:
     return head, tail
 
 
-def run_halves(fn, params: dict, items, part) -> tuple:
-    """``run_pair`` of ``fn`` on the first ceil(B/2) of ``items`` and on the rest.
+def _micro_batches(tokens, start: int, stop: int) -> list[slice]:
+    """Consecutive runs of items start..stop-1 holding at most ``TRAIN_TOKENS`` tokens.
 
-    ``part`` makes each half's argument from its items. Returns (the first
-    half's value, the second's, the gradients): the second half's gradients
-    are added into the first's arrays, in that order. The data alone sets
-    the cut, so the worker count changes no bit.
+    ``tokens`` holds each item's real tokens. A run never holds less than
+    one item, so an item over the budget runs alone.
+    """
+    cuts, total = [start], 0
+    for i in range(start, stop):
+        if total + tokens[i] > TRAIN_TOKENS and i > cuts[-1]:
+            cuts.append(i)
+            total = 0
+        total += tokens[i]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [stop])]
+
+
+def _accumulate(params: dict, work: tuple) -> tuple:
+    """(each part's value, the gradients) of ``work``, (fn, parts), run in order.
+
+    Each later part's gradients are added into the first's arrays, in
+    order, so the work keeps one part's activations at a time.
+    """
+    fn, parts = work
+    values, grads = [], None
+    for part in parts:
+        value, more = fn(params, part)
+        values.append(value)
+        if grads is None:
+            grads = more
+            continue
+        for key, g in more.items():
+            grads[key] += g
+    return values, grads
+
+
+def run_halves(fn, params: dict, items, part, tokens) -> tuple:
+    """``fn`` on the first ceil(B/2) of ``items`` and on the rest, in micro-batches.
+
+    Each half runs as consecutive micro-batches of at most
+    ``TRAIN_TOKENS`` real tokens (``tokens`` holds each item's count), one
+    item at least, in order: the halves through ``run_pair``, so the
+    second in the worker where there are 2 workers, and a batch of one
+    item in process. ``part`` makes each micro-batch's argument from its
+    items. Returns (each micro-batch's value, in item order; the
+    gradients): every micro-batch's gradients are summed in order within
+    its half, and the second half's are added into the first's. The data
+    alone sets the cuts, so the worker count changes no bit (Ott et al.
+    2018).
     """
     cut = (len(items) + 1) // 2
-    (value, grads), (more_value, more) = run_pair(fn, params, part(items[:cut]), part(items[cut:]))
+    halves = [
+        (fn, [part(items[run]) for run in _micro_batches(tokens, start, stop)])
+        for start, stop in ((0, cut), (cut, len(items)))
+        if start < stop
+    ]
+    if len(halves) < 2:
+        return _accumulate(params, *halves)
+    (values, grads), (more_values, more) = run_pair(_accumulate, params, *halves)
     for key, g in more.items():
         grads[key] += g
-    return value, more_value, grads
+    return values + more_values, grads
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Array:
@@ -618,16 +672,24 @@ def draw_params(table: list, seed: int) -> dict:
     }
 
 
-def stack_forward(x: Array, p: dict, prefix: str, layers: int, lengths: Array, heads: int):
+def stack_forward(
+    x: Array, p: dict, prefix: str, layers: int, lengths: Array, heads: int,
+    keep_caches: bool = True,
+):
     """The layers on packed rows x (N, d); the output rows keep their order.
 
     x holds each example's rows in turn, ``lengths`` (B,) of them each.
+    Without ``keep_caches`` each layer's cache is dropped before the next
+    layer runs, so the memory does not grow with depth, and the caches
+    returned are None.
     """
     caches = []
     for layer in range(layers):
         x, c = layer_forward(x, p, f"{prefix}layers.{layer}.", lengths, heads)
-        caches.append(c)
-    return x, caches
+        if keep_caches:
+            caches.append(c)
+        del c  # else it would live through the next layer
+    return x, caches if keep_caches else None
 
 
 def stack_backward(caches, dx: Array):
@@ -656,20 +718,26 @@ def mean_pool_backward(dmeans: Array, counts: Array) -> Array:
 
 
 def token_encoder_forward(
-    p: dict, prefix: str, lookups, lengths: Array, counts: Array, layers: int, heads: int
+    p: dict, prefix: str, lookups, lengths: Array, counts: Array, layers: int, heads: int,
+    keep_caches: bool = True,
 ):
     """Vectors (R, d): summed lookups, the stack, final layernorm, mean of each run of rows.
 
     Each (table, ids) lookup gives one row (ids (N,)) per real token of the
     examples of ``lengths`` (B,), summed in order. ``ln_f`` has a beta only
     where ``p`` holds one. ``counts`` (R,) are the pooled runs of rows.
+    Returns (vectors, cache); an inference forward, without
+    ``keep_caches``, keeps one layer's cache at a time and returns None
+    for the cache, with the same vectors bit for bit.
     """
     (table, ids), *rest = lookups
     x = p[prefix + table][ids]
     for table, ids in rest:
         x += p[prefix + table][ids]
-    h, stack_cache = stack_forward(x, p, prefix, layers, lengths, heads)
+    h, stack_cache = stack_forward(x, p, prefix, layers, lengths, heads, keep_caches)
     h, ln_cache = layernorm_forward(h, p[prefix + "ln_f.gamma"], p.get(prefix + "ln_f.beta"))
+    if not keep_caches:
+        return mean_pool(h, counts), None
     return mean_pool(h, counts), (p, prefix, lookups, counts, stack_cache, ln_cache)
 
 

@@ -126,13 +126,14 @@ def objective(
     example's slot accuracy once its Q is rounded to a permutation. Weight
     decay is not part of it: Adam adds that term.
 
-    A batch of two or more examples runs as two micro-batches, its first
-    ceil(B/2) examples and the rest, through ``nn.run_halves`` (the second
-    in its worker process where there are 2 workers), each scaled by 1/B;
-    the gradients are their sum, joined in micro-batch order (Ott et al.
-    2018). Losses, log Q and accuracies are those of one call over the
-    batch, bit for bit; the gradients differ from one call's only in
-    rounding, and not at all between worker counts.
+    The batch runs as its two halves, its first ceil(B/2) examples and the
+    rest, through ``nn.run_halves`` (the second in its worker process where
+    there are 2 workers), each as micro-batches of at most
+    ``nn.TRAIN_TOKENS`` real tokens scaled by 1/B; the gradients are their
+    sum, joined in micro-batch order (Ott et al. 2018). Losses, log Q and
+    accuracies are those of one call over the batch, bit for bit; the
+    gradients differ from one call's only in rounding, and not at all
+    between worker counts.
     """
 
     def part(examples: Sequence[PretrainExample]) -> tuple:
@@ -140,14 +141,10 @@ def objective(
         lengths = np.stack([ex.shuffled.true_lengths for ex in examples])
         return state.config, sinkhorn, blocks, lengths, [ex.target for ex in examples], len(batch)
 
-    if len(batch) < 2:
-        (losses, log_q, accs), grads = _micro(state.params, part(batch))
-        return losses, log_q, grads, accs
-    (losses, log_q, accs), (more_losses, more_log_q, more_accs), grads = nn.run_halves(
-        _micro, state.params, batch, part
-    )
-    losses, log_q = np.concatenate([losses, more_losses]), np.concatenate([log_q, more_log_q])
-    return losses, log_q, grads, accs + more_accs
+    tokens = [int(ex.shuffled.true_lengths.sum()) for ex in batch]
+    values, grads = nn.run_halves(_micro, state.params, batch, part, tokens)
+    losses, log_q, accs = zip(*values)
+    return np.concatenate(losses), np.concatenate(log_q), grads, [a for run in accs for a in run]
 
 
 def pretrain_step(

@@ -126,6 +126,21 @@ def test_shuffle_matrix_rejects_non_permutation():
         ShuffleMatrix(np.array([0, 0, 1]))
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [[[0, 1], [1, 0]], 0, [0, 2, 2], [0, 1, 3], [-1, 0, 1], [1, 2, 3]],
+    ids=["2-d", "0-d", "duplicate", "out-of-range", "negative", "shifted"],
+)
+def test_shuffle_matrix_refuses_every_non_permutation(perm):
+    with pytest.raises(ValidationError, match="permutation of 0..n-1"):
+        ShuffleMatrix(np.array(perm))
+
+
+@pytest.mark.parametrize("perm", [[], [0], [2, 0, 3, 1]])
+def test_shuffle_matrix_accepts_every_permutation(perm):
+    assert ShuffleMatrix(np.array(perm, dtype=np.int64)).perm.tolist() == perm
+
+
 def test_shuffle_uniformity():
     # 10k seeds over the 24 permutations of 4 slots; each should land
     # within +/-30% of the uniform rate

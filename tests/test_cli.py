@@ -5,6 +5,7 @@ import json
 import re
 import shlex
 import struct
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -622,6 +623,42 @@ def test_export_embeddings(pretrain_dir, corpus_dir, tmp_path):
     assert (out_a / "embeddings.tsv").read_bytes() == (out_b / "embeddings.tsv").read_bytes()
     skipped = (out_a / "skipped.log").read_text().splitlines()
     assert [line.split("\t")[0] for line in skipped] == ["tiny", "empty", "noseq"]
+
+
+def test_export_embeddings_cuts_each_protein_once(pretrain_dir, corpus_dir, tmp_path, monkeypatch):
+    from seqreorder import encoder as enc
+
+    cut = []  # every protein cut, kept alive so that no two share an id
+    segment_protein = enc.segment_protein
+
+    def counting(config, protein):
+        cut.append(protein)
+        return segment_protein(config, protein)
+
+    monkeypatch.setattr(enc, "segment_protein", counting)
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text((corpus_dir / "seqs.tsv").read_text() + "tiny\tMK\n\nnoseq\t\n")
+    code = main(
+        ["export-embeddings", "--checkpoint", str(pretrain_dir / "best.ckpt"),
+         "--proteins", str(mixed), "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    assert len(cut) == 31 and len({id(p) for p in cut}) == 31  # 30 exported, 1 too short
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss counts KiB on Linux")
+def test_run_meta_records_the_peak_rss_of_the_commands_that_run_a_model(
+    pretrain_dir, split_dir, tmp_path
+):
+    import resource
+
+    assert _finetune(split_dir, tmp_path, ["--random-init"] + TINY_ENCODER) == 0
+    now_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    for out in (pretrain_dir, tmp_path):
+        peak = json.loads((out / "run_meta.json").read_text())["peak_rss_mb"]
+        assert isinstance(peak, float) and 0 < peak <= now_mb + 0.1
+    # a split's rerun writes the same bytes
+    assert "peak_rss_mb" not in json.loads((split_dir / "run_meta.json").read_text())
 
 
 def test_synth_commands(tmp_path):

@@ -381,8 +381,8 @@ def test_read_predictions_round_trips_write_predictions(tmp_path):
     assert got_labels.tolist() == labels.tolist()
 
 
-def _padded_compound_forward(model, token_rows):
-    """Dense padded compound stack: every compound padded to the longest."""
+def _padded_compound_forward(model, token_rows, keep_caches=True):
+    """Dense padded compound stack: every compound padded to the longest; it always keeps its cache."""
     cfg, p = model.config, model.params
     t = max(len(r) for r in token_rows)
     tokens = np.full((len(token_rows), t), SMILES_PAD_ID)
@@ -533,9 +533,9 @@ def test_batch_grads_and_predictions_match_undeduplicated_reference(batch, monke
     encoded = []
     compound_forward = cpi._compound_forward
 
-    def spy(model, token_rows):
+    def spy(model, token_rows, **kwargs):
         encoded.append(len(token_rows))
-        return compound_forward(model, token_rows)
+        return compound_forward(model, token_rows, **kwargs)
 
     monkeypatch.setattr(cpi, "_compound_forward", spy)
     loss, probs, grads = cpi._batch_grads(model, records, cache, lam=0.01)
@@ -566,9 +566,9 @@ def test_compounds_with_identical_tokens_are_encoded_once(monkeypatch):
     encoded = []
     compound_forward = cpi._compound_forward
 
-    def spy(model, token_rows):
+    def spy(model, token_rows, **kwargs):
         encoded.append([list(row) for row in token_rows])
-        return compound_forward(model, token_rows)
+        return compound_forward(model, token_rows, **kwargs)
 
     monkeypatch.setattr(cpi, "_compound_forward", spy)
     cpi._batch_grads(model, records, cache, lam=0.0)
@@ -634,3 +634,22 @@ def test_finetune_bits_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
         outputs.append(((out / "cpi.ckpt").read_bytes(), (out / "val_log.csv").read_bytes(), steps))
         nn.stop_worker()
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_micro_batched_step_grads_match_one_batch_grads_call(workers, monkeypatch):
+    monkeypatch.setattr(nn, "WORKERS", workers)
+    monkeypatch.setattr(nn, "TRAIN_TOKENS", 12)
+    model = _model(seed=6)
+    records = _ragged_pairs((5, 17, 3, 9, 3, 12, 7), seed=7)
+    # 12 compound tokens a micro-batch: each half runs as several
+    tokens = [len(r.compound.tokens) for r in records]
+    assert len(nn._micro_batches(tokens, 0, 4)) > 1 and len(nn._micro_batches(tokens, 4, 7)) > 1
+    cache = build_protein_cache(model, records)
+    loss, probs, grads = cpi._step_grads(model, records, cache, 0.01)
+    want_loss, want_probs, want_grads = cpi._batch_grads(model, records, cache, 0.01)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert _rel_err(probs, want_probs) <= 1e-12
+    assert sorted(grads) == sorted(want_grads) == sorted(model.params)
+    for key, want in want_grads.items():
+        assert np.abs(grads[key] - want).max() <= 1e-12 * np.abs(want).max(), key

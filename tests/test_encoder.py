@@ -349,3 +349,19 @@ def test_inference_memory_does_not_grow_with_the_number_of_inputs(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def test_inference_memory_does_not_grow_with_depth():
+    # each layer's cache is dropped as soon as the next layer runs
+    proteins = [_protein(128, offset=k) for k in range(4)]
+    peaks = []
+    for layers in (1, 4):
+        cfg = EncoderConfig(embed_dim=16, layers=layers, heads=2, ffn_dim=32, n=4, f_max=32)
+        state = enc.init(cfg, seed=0)
+        tracemalloc.start()
+        try:
+            enc.protein_embeddings(state, proteins)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks

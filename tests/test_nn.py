@@ -681,6 +681,31 @@ def test_run_pair_returns_in_argument_order_after_both_finish(monkeypatch):
     assert nn.run_pair(_fails_on, {}, "ok", "ok") == (("ok", {}), ("ok", {}))
 
 
+def _sums(params, part):
+    """(the part's items, their sum times each parameter)."""
+    return part, {key: sum(part) * p for key, p in params.items()}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_halves_runs_each_half_as_micro_batches_in_order(workers, monkeypatch):
+    monkeypatch.setattr(nn, "WORKERS", workers)
+    monkeypatch.setattr(nn, "TRAIN_TOKENS", 10)
+    tokens = [4, 6, 1, 12, 3, 3, 3, 3]
+    # consecutive runs within the budget; an item over it runs alone
+    assert nn._micro_batches(tokens, 0, 4) == [slice(0, 2), slice(2, 3), slice(3, 4)]
+    assert nn._micro_batches(tokens, 4, 8) == [slice(4, 7), slice(7, 8)]
+    values, grads = nn.run_halves(_sums, {"w": np.ones(2)}, list(range(8)), list, tokens)
+    assert values == [[0, 1], [2], [3], [4, 5, 6], [7]]
+    np.testing.assert_array_equal(grads["w"], [28.0, 28.0])
+    # a batch of one item runs in process
+    assert nn.run_halves(_sums, {"w": np.ones(2)}, [5], list, [99])[0] == [[5]]
+
+
+def test_todays_largest_half_is_one_micro_batch():
+    # B=4 at l_max=1200: every artifact keeps the bits of one call per half
+    assert nn._micro_batches([1200] * 4, 0, 2) == [slice(0, 2)]
+
+
 def test_malloc_setup_does_nothing_without_glibc_mallopt(monkeypatch):
     def no_library(name):
         raise OSError(f"{name}: cannot open shared object file")

@@ -199,6 +199,52 @@ def test_objective_bits_do_not_depend_on_the_worker_count(monkeypatch):
         np.testing.assert_array_equal(grads[key], more_grads[key])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_micro_batched_objective_matches_one_call_over_the_batch(workers, monkeypatch):
+    monkeypatch.setattr(nn, "WORKERS", workers)
+    monkeypatch.setattr(nn, "TRAIN_TOKENS", 15)
+    state = enc.init(TINY, seed=0)
+    batch = _ragged((12, 7, 12, 9, 3))
+    # 15 real tokens a micro-batch: the halves run as [12], [7], [12] and [9, 3]
+    tokens = [int(ex.shuffled.true_lengths.sum()) for ex in batch]
+    assert nn._micro_batches(tokens, 0, 3) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert nn._micro_batches(tokens, 3, 5) == [slice(3, 5)]
+    sk = SinkhornConfig(m=3)
+    losses, log_q, grads, accs = pretrain_mod.objective(state, batch, sk)
+    want_losses, want_log_q, want_grads = _one_call_objective(state, batch, sk)
+    np.testing.assert_array_equal(losses, want_losses)
+    np.testing.assert_array_equal(log_q, want_log_q)
+    assert accs == [
+        perm.permutation_accuracy(perm.round_to_permutation(q), ex.target)
+        for ex, q in zip(batch, np.exp(want_log_q))
+    ]
+    assert sorted(grads) == sorted(want_grads)
+    for key, want in want_grads.items():
+        assert np.abs(grads[key] - want).max() <= 1e-12 * np.abs(want).max(), key
+
+
+def test_a_step_keeps_one_micro_batch_at_a_time(monkeypatch):
+    # one example a micro-batch: a half of two examples peaks near a half of one
+    monkeypatch.setattr(nn, "WORKERS", 1)
+    monkeypatch.setattr(nn, "TRAIN_TOKENS", 96)
+    cfg = EncoderConfig(embed_dim=16, layers=4, heads=2, ffn_dim=32, n=4, f_max=24)
+    cut = RAcutConfig(n=4, l_max=96)
+    state = enc.init(cfg, seed=0)
+    batch = [
+        make_pretrain_example(_protein(96, offset=i), cut, NOISE, seed=(0, 1, i))
+        for i in range(4)
+    ]
+    peaks = []
+    for size in (2, 4):
+        tracemalloc.start()
+        try:
+            pretrain_mod.objective(state, batch[:size], SinkhornConfig(m=3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.3 * peaks[0], peaks
+
+
 def test_batched_heldout_accuracy_matches_one_at_a_time(monkeypatch):
     state = enc.init(TINY, seed=0)
     adam = nn.adam_init(state.params)

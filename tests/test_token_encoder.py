@@ -56,7 +56,8 @@ def _reference_backward_core(state, cache, dlogits):
     return grads
 
 
-def _reference_compound_forward(model, token_rows):
+def _reference_compound_forward(model, token_rows, keep_caches=True):
+    """The compound copy; it keeps its cache whatever ``keep_caches`` says."""
     cfg = model.config
     p = model.params
     if not token_rows:
@@ -176,3 +177,36 @@ def test_compound_path_matches_the_cpi_copy_bit_for_bit(lengths, monkeypatch):
     assert loss == ref_loss
     np.testing.assert_array_equal(probs, ref_probs)
     _assert_grads_equal(grads, ref_grads)
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_cache_free_forwards_match_the_training_forwards(layers):
+    # the protein stack on ragged lengths, empty blocks included
+    cfg = EncoderConfig(8, layers=layers, heads=2, ffn_dim=16, n=4, f_max=5)
+    state = enc.init(cfg, seed=layers)
+    cuts = [enc.segment_protein(cfg, _protein(t, i)) for i, t in enumerate((4, 19, 7, 11, 20))]
+    blocks, lengths = np.stack([c[0] for c in cuts]), np.stack([c[1] for c in cuts])
+    pooled, logits, cache = enc._forward_core(state, blocks, lengths)
+    free_pooled, free_logits, free_cache = enc._forward_core(state, blocks, lengths, keep_caches=False)
+    assert cache is not None and free_cache is None
+    np.testing.assert_array_equal(free_pooled, pooled)
+    np.testing.assert_array_equal(free_logits, logits)
+
+    # the compound stack, through its forward and through the pair logits
+    model = _compound_model(seed=layers)
+    rng = np.random.default_rng(layers)
+    smiles = ["".join(rng.choice(list(SMILES_CHARS), size=t)) for t in (9, 2, 24, 2, 13)]
+    rows = [encode_smiles(s).tokens for s in smiles]
+    pooled, cache = cpi._compound_forward(model, rows)
+    free_pooled, free_cache = cpi._compound_forward(model, rows, keep_caches=False)
+    assert cache is not None and free_cache is None
+    np.testing.assert_array_equal(free_pooled, pooled)
+    records = [
+        InteractionRecord(compound=encode_smiles(s), protein=_protein(12, i), label=i % 2)
+        for i, s in enumerate(smiles)
+    ]
+    proteins = build_protein_cache(model, records)
+    np.testing.assert_array_equal(
+        cpi._pair_logits(model, records, proteins, keep_caches=False)[0],
+        cpi._pair_logits(model, records, proteins)[0],
+    )
