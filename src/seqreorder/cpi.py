@@ -16,8 +16,9 @@ trainable parameters; the encoder parameters are frozen and receive no
 gradient. Fine-tuning supplies a step and a validation-AUROC score to
 ``pretrain.train_epochs``, the epoch loop pretraining runs through too;
 each step runs the two halves of its batch through ``nn.run_halves``, as
-micro-batches of at most ``nn.TRAIN_TOKENS`` compound tokens. Prediction
-runs the compound stack without keeping its layer caches.
+micro-batches of at most ``nn.MAX_TOKENS`` compound tokens. Prediction
+runs its pairs in the same cut, ``nn._micro_batches`` over their compound
+tokens, and runs the compound stack without keeping its layer caches.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .evaluation import auroc
 from .pretrain import PretrainConfig, check_schedule, train_epochs
 
 logger = logging.getLogger(__name__)
-
-PREDICT_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,13 @@ def init_cpi(config: CpiConfig, encoder_state: EncoderState, seed: int = 0) -> C
 
 
 def _compound_forward(
-    model: CpiModel, token_rows: Sequence[Sequence[int]], keep_caches: bool = True
+    cfg: CpiConfig, params: dict, token_rows: Sequence[Sequence[int]], keep_caches: bool = True
 ):
     """Pooled compound vectors (B, embed_dim) and the cache; the stack runs on real tokens only.
 
     Without ``keep_caches`` (inference) it keeps one layer's cache at a time
     and returns None for the cache.
     """
-    cfg = model.config
     if not token_rows:
         raise ValidationError("no compounds in batch")
     lengths = np.array([len(r) for r in token_rows])
@@ -128,19 +126,18 @@ def _compound_forward(
     pos = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     lookups = (("tok_embed", ids), ("pos_embed", pos))
     return nn.token_encoder_forward(
-        model.params, "comp.", lookups, lengths, lengths, cfg.comp_layers, cfg.comp_heads,
-        keep_caches,
+        params, "comp.", lookups, lengths, lengths, cfg.comp_layers, cfg.comp_heads, keep_caches
     )
 
 
-def _compound_backward(model: CpiModel, cache, d_pooled: np.ndarray) -> dict[str, np.ndarray]:
+def _compound_backward(cache, d_pooled: np.ndarray) -> dict[str, np.ndarray]:
     return nn.token_encoder_backward(cache, d_pooled)
 
 
-def _fuse_batch(model: CpiModel, z_comp: np.ndarray, z_prot: np.ndarray):
+def _fuse_batch(params: dict, z_comp: np.ndarray, z_prot: np.ndarray):
     """relu(cat @ w1 + b1) @ w2 + b2 on the concatenated pair vectors."""
     cat = np.concatenate([z_comp, z_prot], axis=1)
-    return nn.ffn_forward(cat, model.params, "fusion.")
+    return nn.ffn_forward(cat, params, "fusion.")
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -184,7 +181,8 @@ def build_protein_cache(
 
 
 def _pair_logits(
-    model: CpiModel,
+    cfg: CpiConfig,
+    params: dict,
     records: Sequence[InteractionRecord],
     cache: dict[str, np.ndarray],
     keep_caches: bool = True,
@@ -199,10 +197,10 @@ def _pair_logits(
     inverse = np.array(
         [distinct.setdefault(tuple(r.compound.tokens), len(distinct)) for r in records]
     )
-    pooled, comp_cache = _compound_forward(model, list(distinct), keep_caches=keep_caches)
+    pooled, comp_cache = _compound_forward(cfg, params, list(distinct), keep_caches=keep_caches)
     z_prot = np.stack([cache[r.protein.raw] for r in records])
-    joint, fuse_cache = _fuse_batch(model, pooled[inverse], z_prot)
-    logits = joint @ model.params["dec.w"] + model.params["dec.b"]
+    joint, fuse_cache = _fuse_batch(params, pooled[inverse], z_prot)
+    logits = joint @ params["dec.w"] + params["dec.b"]
     return logits, joint, (comp_cache, inverse, len(distinct)), fuse_cache
 
 
@@ -211,15 +209,16 @@ def predict_pairs(
     records: Sequence[InteractionRecord],
     cache: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Interaction probabilities, ``PREDICT_CHUNK`` pairs at a time, from cached proteins.
+    """Interaction probabilities from cached proteins, ``nn.MAX_TOKENS`` compound tokens at a time.
 
-    The compound forward keeps no layer caches.
+    The pairs run in consecutive runs of at most that many compound tokens,
+    one pair at least, and the compound forward keeps no layer caches.
     """
     out = np.empty(len(records))
-    for start in range(0, len(records), PREDICT_CHUNK):
-        chunk = records[start : start + PREDICT_CHUNK]
-        logits, _, _, _ = _pair_logits(model, chunk, cache, keep_caches=False)
-        out[start : start + len(chunk)] = _sigmoid(logits)
+    tokens = [len(r.compound.tokens) for r in records]
+    for run in nn._micro_batches(tokens, 0, len(records)):
+        logits = _pair_logits(model.config, model.params, records[run], cache, keep_caches=False)[0]
+        out[run] = _sigmoid(logits)
     return out
 
 
@@ -231,54 +230,34 @@ class FinetuneResult:
     val_history: list[tuple[int, float]]
 
 
-def _batch_grads(
-    model: CpiModel,
-    chunk: Sequence[InteractionRecord],
-    cache: dict[str, np.ndarray],
-    lam: float,
-) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """Loss, probabilities, and head gradients for one batch.
+def _batch_grads(params: dict[str, np.ndarray], part: tuple):
+    """((loss, probabilities), head gradients) of one micro-batch, without the L2 term.
 
-    Protein embeddings come from the cache and are treated as constants;
-    the summed BCE is computed in stable logit form, and so is its
-    gradient: d(loss)/d(logit) is -sigmoid(-logit) for a positive and
-    sigmoid(logit) for a negative, which neither cancels nor clips at
-    saturated logits. The gradients include the lam * theta regularizer
-    term. Compound gradients are summed onto the distinct compounds
-    before the compound backward.
+    ``part`` is (the head config, the pairs, their proteins' cached
+    embeddings): it needs neither the encoder nor the whole cache. The
+    protein embeddings are constants; the summed BCE is computed in stable
+    logit form, and so is its gradient: d(loss)/d(logit) is
+    -sigmoid(-logit) for a positive and sigmoid(logit) for a negative,
+    which neither cancels nor clips at saturated logits. Compound
+    gradients are summed onto the distinct compounds before the compound
+    backward.
     """
-    y = np.array([r.label for r in chunk], dtype=np.float64)
+    cfg, pairs, proteins = part
+    y = np.array([r.label for r in pairs], dtype=np.float64)
     logits, joint, (comp_cache, inverse, n_distinct), fuse_cache = _pair_logits(
-        model, chunk, cache
+        cfg, params, pairs, proteins
     )
-    data_loss = float((np.logaddexp(0.0, logits) - y * logits).sum())
-    loss = data_loss + nn.l2_penalty(model.params, lam)
-    p = model.params
+    loss = float((np.logaddexp(0.0, logits) - y * logits).sum())
     dlogit = np.where(y == 1.0, -_expit(-logits), _expit(logits))
-    djoint = dlogit[:, None] * p["dec.w"][None, :]
+    djoint = dlogit[:, None] * params["dec.w"][None, :]
     dcat, fusion_grads = nn.ffn_backward(fuse_cache, djoint)
-    dz_comp = dcat[:, : model.encoder_state.config.embed_dim]  # protein side is constant
+    dz_comp = dcat[:, : params["comp.tok_embed"].shape[1]]  # protein side is constant
     d_pooled = nn.embedding_backward(inverse, dz_comp, n_distinct)
-    grads = _compound_backward(model, comp_cache, d_pooled)
+    grads = _compound_backward(comp_cache, d_pooled)
     grads.update(fusion_grads)
     grads["dec.w"] = joint.T @ dlogit
     grads["dec.b"] = np.asarray(dlogit.sum())  # 0-d array: the L2 term adds in place
-    if lam > 0:
-        for k, g in grads.items():
-            g += lam * p[k]
-    return loss, _sigmoid(logits), grads
-
-
-def _half_grads(params: dict[str, np.ndarray], part: tuple):
-    """((loss, probabilities), head gradients) of one micro-batch, without the L2 term.
-
-    ``part`` is (head config, encoder config, the pairs, their proteins'
-    cached embeddings): it needs neither the encoder nor the whole cache.
-    """
-    config, encoder_config, chunk, proteins = part
-    model = CpiModel(config, params, EncoderState(encoder_config, {}))
-    loss, probs, grads = _batch_grads(model, chunk, proteins, 0.0)
-    return (loss, probs), grads
+    return (loss, _sigmoid(logits)), grads
 
 
 def _step_grads(
@@ -287,22 +266,22 @@ def _step_grads(
     cache: dict[str, np.ndarray],
     lam: float,
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """``_batch_grads`` of a training batch, as the micro-batches of its two halves.
+    """Loss, probabilities and head gradients of a training batch, with the L2 term.
 
     The halves, its first ceil(B/2) pairs and the rest, run through
     ``nn.run_halves`` (the second in its worker process where there are 2
-    workers), each as micro-batches of at most ``nn.TRAIN_TOKENS``
-    compound tokens; their losses and gradients are summed in that order,
-    and the L2 term is added once, to both. The bits differ from one
-    call's in rounding only, and not at all between worker counts.
+    workers), each as ``_batch_grads`` micro-batches of at most
+    ``nn.MAX_TOKENS`` compound tokens; their losses and gradients are
+    summed in that order, and the lam * theta regularizer term is added
+    once, to both. The bits differ from one ``_batch_grads`` call's over
+    the batch in rounding only, and not at all between worker counts.
     """
 
     def part(pairs: Sequence[InteractionRecord]) -> tuple:
-        proteins = {r.protein.raw: cache[r.protein.raw] for r in pairs}
-        return model.config, model.encoder_state.config, pairs, proteins
+        return model.config, pairs, {r.protein.raw: cache[r.protein.raw] for r in pairs}
 
     tokens = [len(r.compound.tokens) for r in chunk]
-    values, grads = nn.run_halves(_half_grads, model.params, chunk, part, tokens)
+    values, grads = nn.run_halves(_batch_grads, model.params, chunk, part, tokens)
     if lam > 0:
         for key, g in grads.items():
             g += lam * model.params[key]

@@ -19,8 +19,10 @@ Every entry point is batched and returns plain arrays: pooled block
 vectors (B, n, embed_dim) and a (B, n, n) stack of logit matrices, which
 ``perm.sinkhorn`` normalizes in one call. The inference entry points
 (``forward_batch``, ``protein_embeddings``, ``segment_embeddings``) run
-``INFER_TOKENS`` at a time and keep no layer caches; only training keeps
-them, for ``_backward_core``.
+their inputs in consecutive runs of at most ``nn.MAX_TOKENS`` real tokens
+(``nn._micro_batches``, the cut training uses too), one input at least,
+and keep no layer caches; only training keeps them, for
+``_backward_core``. The cut changes no bit of their results.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from . import nn, perm
 from .augment import RAcutConfig, SubsequenceSet
 from .corpus import DEFAULT_MAX_RESIDUES, RESIDUE_PAD_ID, RESIDUE_VOCAB_SIZE, ProteinRecord
 from .errors import NumericError, ValidationError
-
-# Real tokens per inference forward, whatever the training batch size:
-# INFER_TOKENS // (n * f_max) examples, and at least one (Ott et al. 2018).
-INFER_TOKENS = 2048
 
 
 @dataclass(frozen=True)
@@ -134,15 +132,13 @@ def _validate_input(state: EncoderState, sset: SubsequenceSet) -> None:
 
 
 def _chunked_forward(state: EncoderState, blocks: np.ndarray, lengths: np.ndarray):
-    """Pooled vectors and logits, one cache-free ``_forward_core`` per ``INFER_TOKENS`` chunk."""
-    b, n, f = blocks.shape
-    per_chunk = max(1, INFER_TOKENS // (n * f))
+    """Pooled vectors and logits, one cache-free ``_forward_core`` per ``nn.MAX_TOKENS`` run."""
+    b, n, _ = blocks.shape
     pooled = np.empty((b, n, state.config.embed_dim))
     logits = np.empty((b, n, n))
-    for start in range(0, b, per_chunk):
-        chunk = slice(start, start + per_chunk)
-        pooled[chunk], logits[chunk], _ = _forward_core(
-            state, blocks[chunk], lengths[chunk], keep_caches=False
+    for run in nn._micro_batches(lengths.sum(axis=1), 0, b):
+        pooled[run], logits[run], _ = _forward_core(
+            state, blocks[run], lengths[run], keep_caches=False
         )
     if not (np.isfinite(pooled).all() and np.isfinite(logits).all()):
         raise NumericError("encoder forward produced non-finite activations")
@@ -152,7 +148,7 @@ def _chunked_forward(state: EncoderState, blocks: np.ndarray, lengths: np.ndarra
 def forward_batch(
     state: EncoderState, ssets: Sequence[SubsequenceSet]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode SubsequenceSets for inference, ``INFER_TOKENS`` at a time.
+    """Encode SubsequenceSets for inference, ``nn.MAX_TOKENS`` real tokens at a time.
 
     Returns the pooled block vectors (B, n, embed_dim) and the logit
     matrices (B, n, n).
@@ -209,7 +205,7 @@ def segment_embeddings(state: EncoderState, segments: Sequence[tuple]) -> np.nda
     """Whole-protein vectors (len(segments), embed_dim) of ``segment_protein`` cuts.
 
     A protein's vector is the mean of its non-empty block embeddings.
-    Proteins are encoded ``INFER_TOKENS`` at a time.
+    Proteins are encoded ``nn.MAX_TOKENS`` real tokens at a time.
     """
     cfg = state.config
     blocks = np.empty((len(segments), cfg.n, cfg.f_max), dtype=np.int64)

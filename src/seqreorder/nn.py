@@ -26,9 +26,12 @@ process (see ``_keep_freed_memory``), so each training step reuses the
 pages the previous step freed instead of faulting them in again, and pins
 BLAS to one thread (see ``_pin_blas_threads``); ``BLAS_THREADS`` is the
 count the library reports after the pin, or None where none reports one.
+``MAX_TOKENS`` is the most real tokens one forward holds, training or
+inference, in both stacks, and ``_micro_batches`` the one cut by it:
 ``run_halves`` cuts a training batch in two, in pretraining and in
-fine-tuning, and each half into micro-batches of at most ``TRAIN_TOKENS``
-real tokens, so a step's memory does not grow with the batch size.
+fine-tuning, and each half into such micro-batches, and the inference
+forwards run their inputs in the same cut, so no forward's memory grows
+with the number of its inputs.
 ``run_pair`` runs the halves on ``WORKERS`` processes (2 where the
 process may run on two CPUs, else 1): this one, and one forked worker
 process that lives as long as the process. Parameters and gradients cross
@@ -129,9 +132,11 @@ BLAS_THREADS = _pin_blas_threads()
 # processes ``run_pair`` runs on: this one, plus a worker where a second CPU is ours
 WORKERS = 2 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else 1
 
-# the most real tokens one training micro-batch holds (see ``run_halves``):
-# a step's memory is that of one micro-batch, whatever the batch size
-TRAIN_TOKENS = 4096
+# the most real tokens one forward holds, a training micro-batch (see
+# ``run_halves``) or an inference run of inputs, one input at least: a
+# forward's memory is that of one budget, whatever the number of inputs
+# (Ott et al. 2018)
+MAX_TOKENS = 2048
 
 # the smallest shared region a worker maps: room for the parameters and
 # gradients of every model the README trains, so one fork serves a process;
@@ -336,18 +341,19 @@ def run_pair(fn, params: dict, first, second) -> tuple:
 
 
 def _micro_batches(tokens, start: int, stop: int) -> list[slice]:
-    """Consecutive runs of items start..stop-1 holding at most ``TRAIN_TOKENS`` tokens.
+    """Consecutive runs of items start..stop-1 holding at most ``MAX_TOKENS`` tokens.
 
     ``tokens`` holds each item's real tokens. A run never holds less than
-    one item, so an item over the budget runs alone.
+    one item, so an item over the budget runs alone; an empty range has
+    no runs.
     """
     cuts, total = [start], 0
     for i in range(start, stop):
-        if total + tokens[i] > TRAIN_TOKENS and i > cuts[-1]:
+        if total + tokens[i] > MAX_TOKENS and i > cuts[-1]:
             cuts.append(i)
             total = 0
         total += tokens[i]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [stop])]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [stop]) if a < b]
 
 
 def _accumulate(params: dict, work: tuple) -> tuple:
@@ -373,7 +379,7 @@ def run_halves(fn, params: dict, items, part, tokens) -> tuple:
     """``fn`` on the first ceil(B/2) of ``items`` and on the rest, in micro-batches.
 
     Each half runs as consecutive micro-batches of at most
-    ``TRAIN_TOKENS`` real tokens (``tokens`` holds each item's count), one
+    ``MAX_TOKENS`` real tokens (``tokens`` holds each item's count), one
     item at least, in order: the halves through ``run_pair``, so the
     second in the worker where there are 2 workers, and a batch of one
     item in process. ``part`` makes each micro-batch's argument from its

@@ -129,7 +129,7 @@ def objective(
     The batch runs as its two halves, its first ceil(B/2) examples and the
     rest, through ``nn.run_halves`` (the second in its worker process where
     there are 2 workers), each as micro-batches of at most
-    ``nn.TRAIN_TOKENS`` real tokens scaled by 1/B; the gradients are their
+    ``nn.MAX_TOKENS`` real tokens scaled by 1/B; the gradients are their
     sum, joined in micro-batch order (Ott et al. 2018). Losses, log Q and
     accuracies are those of one call over the batch, bit for bit; the
     gradients differ from one call's only in rounding, and not at all

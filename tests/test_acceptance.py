@@ -16,6 +16,7 @@ from itertools import permutations
 from math import fsum
 
 import numpy as np
+from test_cpi import one_call_grads
 
 from seqreorder import encoder as enc
 from seqreorder.artifacts import write_predictions
@@ -29,7 +30,6 @@ from seqreorder.corpus import (
 from seqreorder.cpi import (
     CpiConfig,
     FinetuneConfig,
-    _batch_grads,
     build_protein_cache,
     finetune_run,
     predict_pairs,
@@ -264,7 +264,7 @@ def test_criterion_6_finetune_smoke():
         pairs, [], frozen, CPI_CFG, FinetuneConfig(epochs=300, lr=3e-3, batch_size=16, lam=0.0, seed=3)
     )
     cache = build_protein_cache(result.model, pairs)
-    mean_bce = _batch_grads(result.model, pairs, cache, 0.0)[0] / len(pairs)
+    mean_bce = one_call_grads(result.model, pairs, cache, 0.0)[0] / len(pairs)
     untouched = all(frozen.params[k].tobytes() == blob for k, blob in before.items())
     elapsed = time.perf_counter() - start
     ok = mean_bce < 0.05 and untouched and elapsed < 120.0

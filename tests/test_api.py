@@ -219,6 +219,24 @@ def test_only_the_shared_loop_runs_epochs():
     assert found == {"pretrain.py train_epochs"}
 
 
+def test_only_nn_sizes_forwards():
+    # one token budget, nn.MAX_TOKENS, sizes every forward, training and
+    # inference, in both stacks: no other module keeps a size of its own
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for path in sorted(root.glob("src/seqreorder/*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update(
+                    f"{path.name} {n.id}"
+                    for t in targets
+                    for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and n.id.endswith(("_TOKENS", "_CHUNK"))
+                )
+    assert found == {"nn.py MAX_TOKENS"}
+
+
 def _referrers(name):
     """Each "file function" in src whose code names ``name``; module level counts as "<module>"."""
     root = Path(__file__).resolve().parents[1]

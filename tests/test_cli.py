@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import test_fingerprint
 
 from seqreorder import nn
 from seqreorder.cli import _GEOMETRY_FLAGS, _run_config, build_parser, main
@@ -585,11 +586,12 @@ def test_gradcheck_command_passes(capsys):
 def test_gradcheck_passes_on_every_seed():
     # the model parameters whose only gradient was rounding noise made
     # gradcheck pass on 18 of these 30 seeds
-    failed = {
-        seed: [(r.name, r.max_rel_err) for r in run_gradcheck(seed=seed) if not r.passed]
-        for seed in range(30)
-    }
+    lines = test_fingerprint.gradcheck_lines()
+    failed = {seed: [line for line in out if not line.startswith("PASS")] for seed, out in lines.items()}
     assert {seed: f for seed, f in failed.items() if f} == {}
+    # and the lines keep their bits
+    digest = test_fingerprint.gradcheck_digest(lines)
+    assert digest == test_fingerprint.stored_entry()["gradcheck"]
 
 
 def test_gradcheck_detects_planted_error():

@@ -1,6 +1,7 @@
 """Compound encoder, fusion, prediction, and the fine-tuning loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import padded_stack
@@ -16,6 +17,7 @@ from seqreorder.artifacts import (
 )
 from seqreorder import encoder as enc
 from seqreorder import nn
+from seqreorder.augment import NoiseSpec, RAcutConfig, make_pretrain_example
 from seqreorder.corpus import (
     CANONICAL_RESIDUES,
     SMILES_CHARS,
@@ -36,6 +38,7 @@ from seqreorder.cpi import (
 )
 from seqreorder.encoder import EncoderConfig
 from seqreorder.errors import CheckpointError, ValidationError
+from seqreorder.pretrain import PretrainConfig, pretrain_step
 
 TINY_ENC = EncoderConfig(embed_dim=8, layers=1, heads=2, ffn_dim=16, n=3, f_max=4)
 TINY_CPI = CpiConfig(
@@ -66,6 +69,20 @@ def _pairs(count, length=12):
     return records
 
 
+def one_call_grads(model, records, cache, lam):
+    """Loss, probabilities and gradients of one ``_batch_grads`` call over the whole batch.
+
+    The L2 term is added as ``_step_grads`` adds it: lam * theta to each
+    gradient, then the penalty to the summed loss.
+    """
+    proteins = {r.protein.raw: cache[r.protein.raw] for r in records}
+    (loss, probs), grads = cpi._batch_grads(model.params, (model.config, records, proteins))
+    if lam > 0:
+        for key, g in grads.items():
+            g += lam * model.params[key]
+    return loss + nn.l2_penalty(model.params, lam), probs, grads
+
+
 def test_init_takes_its_width_from_the_encoder():
     model = _model()
     assert model.params["comp.tok_embed"].shape[1] == TINY_ENC.embed_dim
@@ -83,11 +100,11 @@ def test_init_is_deterministic():
 
 def test_encode_compound_shape_and_determinism():
     model = _model()
-    a, _ = cpi._compound_forward(model, [encode_smiles("CC(=O)O").tokens])
-    b, _ = cpi._compound_forward(model, [encode_smiles("CC(=O)O").tokens])
+    a, _ = cpi._compound_forward(model.config, model.params, [encode_smiles("CC(=O)O").tokens])
+    b, _ = cpi._compound_forward(model.config, model.params, [encode_smiles("CC(=O)O").tokens])
     assert a.shape == (1, 8)
     np.testing.assert_array_equal(a, b)
-    c, _ = cpi._compound_forward(model, [encode_smiles("CCCCCC").tokens])
+    c, _ = cpi._compound_forward(model.config, model.params, [encode_smiles("CCCCCC").tokens])
     assert not np.array_equal(a, c)
 
 
@@ -95,7 +112,7 @@ def test_encode_compound_rejects_too_long():
     model = _model()
     too_long = encode_smiles("C" * 33)
     with pytest.raises(ValidationError):
-        cpi._compound_forward(model, [too_long.tokens])
+        cpi._compound_forward(model.config, model.params, [too_long.tokens])
     record = InteractionRecord(compound=too_long, protein=_protein(12), label=1)
     with pytest.raises(ValidationError):
         predict_pairs(model, [record], build_protein_cache(model, [record]))
@@ -105,16 +122,16 @@ def test_fuse_is_asymmetric():
     model = _model()
     rng = np.random.default_rng(0)
     zc, zp = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
-    joint, _ = cpi._fuse_batch(model, zc, zp)
+    joint, _ = cpi._fuse_batch(model.params, zc, zp)
     assert joint.shape == (1, 6)
-    assert not np.allclose(joint, cpi._fuse_batch(model, zp, zc)[0])
+    assert not np.allclose(joint, cpi._fuse_batch(model.params, zp, zc)[0])
 
 
 def test_fuse_zero_weights_gives_zero_vector():
     model = _model()
     for key in ("fusion.w1", "fusion.b1", "fusion.w2", "fusion.b2"):
         model.params[key][...] = 0.0
-    joint, _ = cpi._fuse_batch(model, np.ones((1, 8)), np.ones((1, 8)))
+    joint, _ = cpi._fuse_batch(model.params, np.ones((1, 8)), np.ones((1, 8)))
     np.testing.assert_array_equal(joint, np.zeros((1, 6)))
 
 
@@ -153,10 +170,10 @@ def test_cpi_loss_hand_values():
     model.params["dec.b"][...] = 0.0
     for records in (_pairs(1), _pairs(2)):
         cache = build_protein_cache(model, records)
-        loss = cpi._batch_grads(model, records, cache, 0.0)[0]
+        loss = one_call_grads(model, records, cache, 0.0)[0]
         assert loss == pytest.approx(len(records) * math.log(2), rel=1e-12)
         # the L2 term adds (lam / 2) * ||theta||^2
-        loss = cpi._batch_grads(model, records, cache, 2.0)[0]
+        loss = one_call_grads(model, records, cache, 2.0)[0]
         want = len(records) * math.log(2) + nn.l2_penalty(model.params, 2.0)
         assert loss == pytest.approx(want, rel=1e-12)
 
@@ -164,14 +181,12 @@ def test_cpi_loss_hand_values():
 def test_head_gradients_match_finite_differences():
     # full-chain FD check through sigmoid, decoder, fusion, and the
     # compound attention stack; a few coordinates from every group
-    from seqreorder.cpi import _batch_grads
-
     model = _model()
     records = _pairs(6)
     assert len({len(r.compound.tokens) for r in records}) > 1  # a ragged batch
     cache = build_protein_cache(model, records)
     lam = 0.01
-    _, _, grads = _batch_grads(model, records, cache, lam)
+    _, _, grads = one_call_grads(model, records, cache, lam)
 
     rng = np.random.default_rng(0)
     step = 1e-6
@@ -181,9 +196,9 @@ def test_head_gradients_match_finite_differences():
         for idx in rng.choice(flat.size, size=n_coords, replace=False):
             original = flat[idx]
             flat[idx] = original + step
-            up, _, _ = _batch_grads(model, records, cache, lam)
+            up, _, _ = one_call_grads(model, records, cache, lam)
             flat[idx] = original - step
-            down, _, _ = _batch_grads(model, records, cache, lam)
+            down, _, _ = one_call_grads(model, records, cache, lam)
             flat[idx] = original
             fd = (up - down) / (2 * step)
             analytic = grads[key].reshape(-1)[idx]
@@ -348,14 +363,16 @@ def test_cpi_checkpoint_holds_the_models_own_arrays(tmp_path):
 def test_predict_pairs_uses_cache_consistently(monkeypatch):
     model = _model()
     records = _pairs(8)
-    monkeypatch.setattr(enc, "INFER_TOKENS", 10**6)
+    monkeypatch.setattr(nn, "MAX_TOKENS", 10**6)
     at_once = predict_pairs(model, records, build_protein_cache(model, records))
     # a cache extended in place, a few proteins at a time and one per
     # encoder forward, holds the same vectors
-    monkeypatch.setattr(enc, "INFER_TOKENS", 1)
+    monkeypatch.setattr(nn, "MAX_TOKENS", 1)
     grown = {}
     for start in range(0, len(records), 3):
         build_protein_cache(model, records[start : start + 3], grown)
+    # scored in the cut at_once was scored in
+    monkeypatch.setattr(nn, "MAX_TOKENS", 10**6)
     np.testing.assert_array_equal(predict_pairs(model, records, grown), at_once)
     assert all(0.0 < s < 1.0 for s in at_once)
 
@@ -381,9 +398,8 @@ def test_read_predictions_round_trips_write_predictions(tmp_path):
     assert got_labels.tolist() == labels.tolist()
 
 
-def _padded_compound_forward(model, token_rows, keep_caches=True):
+def _padded_compound_forward(cfg, p, token_rows, keep_caches=True):
     """Dense padded compound stack: every compound padded to the longest; it always keeps its cache."""
-    cfg, p = model.config, model.params
     t = max(len(r) for r in token_rows)
     tokens = np.full((len(token_rows), t), SMILES_PAD_ID)
     for i, row in enumerate(token_rows):
@@ -396,12 +412,12 @@ def _padded_compound_forward(model, token_rows, keep_caches=True):
     h, ln_cache = nn.layernorm_forward(h, p["comp.ln_f.gamma"], p["comp.ln_f.beta"])
     lengths = mask.sum(axis=1)[:, None]
     pooled = (h * mask[..., None]).sum(axis=1) / lengths
-    return pooled, (tokens, mask, lengths, stack_cache, ln_cache)
+    return pooled, (p, tokens, mask, lengths, stack_cache, ln_cache)
 
 
-def _padded_compound_backward(model, cache, d_pooled):
-    tokens, mask, lengths, stack_cache, ln_cache = cache
-    p, d = model.params, model.encoder_state.config.embed_dim
+def _padded_compound_backward(cache, d_pooled):
+    p, tokens, mask, lengths, stack_cache, ln_cache = cache
+    d = p["comp.tok_embed"].shape[1]
     dh, dgamma, dbeta = nn.layernorm_backward(
         ln_cache, (d_pooled / lengths)[:, None, :] * mask[..., None]
     )
@@ -440,10 +456,10 @@ def test_batch_grads_match_padded_compound_oracle(lengths, monkeypatch):
     model = _model(seed=1)
     records = _ragged_pairs(lengths, seed=len(lengths))
     cache = build_protein_cache(model, records)
-    loss, probs, grads = cpi._batch_grads(model, records, cache, lam=0.01)
+    loss, probs, grads = one_call_grads(model, records, cache, lam=0.01)
     monkeypatch.setattr(cpi, "_compound_forward", _padded_compound_forward)
     monkeypatch.setattr(cpi, "_compound_backward", _padded_compound_backward)
-    ref_loss, ref_probs, ref_grads = cpi._batch_grads(model, records, cache, lam=0.01)
+    ref_loss, ref_probs, ref_grads = one_call_grads(model, records, cache, lam=0.01)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert _rel_err(probs, ref_probs) <= 1e-12
     assert sorted(grads) == sorted(ref_grads)
@@ -456,9 +472,10 @@ def test_predict_pairs_does_not_depend_on_batch_size(monkeypatch):
     records = _ragged_pairs((4, 32, 1, 11, 20, 7, 15), seed=5)
     cache = build_protein_cache(model, records)
     many = predict_pairs(model, records, cache)
-    monkeypatch.setattr(cpi, "PREDICT_CHUNK", 1)
+    monkeypatch.setattr(nn, "MAX_TOKENS", 1)
     one = predict_pairs(model, records, cache)
     assert _rel_err(one, many) <= 1e-12
+    assert predict_pairs(model, [], cache).shape == (0,)
 
 
 def test_finetune_val_log_is_reproducible(tmp_path):
@@ -486,7 +503,7 @@ def _undeduplicated_batch_grads(model, records, cache, lam):
     """Loss, probabilities and gradients with every pair's compound encoded on its own."""
     p, d = model.params, model.encoder_state.config.embed_dim
     y = np.array([r.label for r in records], dtype=np.float64)
-    z_comp, comp_cache = cpi._compound_forward(model, [r.compound.tokens for r in records])
+    z_comp, comp_cache = cpi._compound_forward(model.config, p, [r.compound.tokens for r in records])
     cat = np.concatenate([z_comp, np.stack([cache[r.protein.raw] for r in records])], axis=1)
     pre = cat @ p["fusion.w1"] + p["fusion.b1"]
     hid = np.maximum(pre, 0.0)
@@ -497,7 +514,7 @@ def _undeduplicated_batch_grads(model, records, cache, lam):
     dlogit = 1.0 / (1.0 + np.exp(-logits)) - y
     djoint = dlogit[:, None] * p["dec.w"]
     dpre = (djoint @ p["fusion.w2"].T) * (pre > 0)
-    grads = cpi._compound_backward(model, comp_cache, (dpre @ p["fusion.w1"].T)[:, :d])
+    grads = cpi._compound_backward(comp_cache, (dpre @ p["fusion.w1"].T)[:, :d])
     grads["dec.w"] = joint.T @ dlogit
     grads["dec.b"] = dlogit.sum()
     grads["fusion.w2"] = hid.T @ djoint
@@ -533,12 +550,12 @@ def test_batch_grads_and_predictions_match_undeduplicated_reference(batch, monke
     encoded = []
     compound_forward = cpi._compound_forward
 
-    def spy(model, token_rows, **kwargs):
+    def spy(cfg, params, token_rows, **kwargs):
         encoded.append(len(token_rows))
-        return compound_forward(model, token_rows, **kwargs)
+        return compound_forward(cfg, params, token_rows, **kwargs)
 
     monkeypatch.setattr(cpi, "_compound_forward", spy)
-    loss, probs, grads = cpi._batch_grads(model, records, cache, lam=0.01)
+    loss, probs, grads = one_call_grads(model, records, cache, lam=0.01)
     scores = predict_pairs(model, records, cache)
     assert encoded == [len(set(smiles))] * 2  # once per distinct compound, per call
     monkeypatch.undo()
@@ -566,12 +583,12 @@ def test_compounds_with_identical_tokens_are_encoded_once(monkeypatch):
     encoded = []
     compound_forward = cpi._compound_forward
 
-    def spy(model, token_rows, **kwargs):
+    def spy(cfg, params, token_rows, **kwargs):
         encoded.append([list(row) for row in token_rows])
-        return compound_forward(model, token_rows, **kwargs)
+        return compound_forward(cfg, params, token_rows, **kwargs)
 
     monkeypatch.setattr(cpi, "_compound_forward", spy)
-    cpi._batch_grads(model, records, cache, lam=0.0)
+    one_call_grads(model, records, cache, lam=0.0)
     assert encoded == [[a.tokens, c.tokens]]  # in order of first appearance
 
 
@@ -587,7 +604,7 @@ def test_fine_tune_gradient_is_exact_at_saturated_logits(label, bias):
         for r in _pairs(5)
     ]
     cache = build_protein_cache(model, records)
-    _, probs, grads = cpi._batch_grads(model, records, cache, lam=0.0)
+    _, probs, grads = one_call_grads(model, records, cache, lam=0.0)
     tail = math.exp(-40.0) / (1.0 + math.exp(-40.0))
     want = len(records) * (-tail if label else tail)
     assert abs(float(grads["dec.b"]) - want) <= 1e-12 * abs(want)
@@ -609,7 +626,7 @@ def test_step_grads_match_one_batch_grads_call(lengths, lam, monkeypatch):
     records = _ragged_pairs(lengths, seed=len(lengths))
     cache = build_protein_cache(model, records)
     loss, probs, grads = cpi._step_grads(model, records, cache, lam)
-    want_loss, want_probs, want_grads = cpi._batch_grads(model, records, cache, lam)
+    want_loss, want_probs, want_grads = one_call_grads(model, records, cache, lam)
     # a one-pair batch is one call; two halves' sums round apart
     tol = 0.0 if len(records) == 1 else 1e-12
     assert abs(loss - want_loss) <= tol * abs(want_loss)
@@ -639,7 +656,7 @@ def test_finetune_bits_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_micro_batched_step_grads_match_one_batch_grads_call(workers, monkeypatch):
     monkeypatch.setattr(nn, "WORKERS", workers)
-    monkeypatch.setattr(nn, "TRAIN_TOKENS", 12)
+    monkeypatch.setattr(nn, "MAX_TOKENS", 12)
     model = _model(seed=6)
     records = _ragged_pairs((5, 17, 3, 9, 3, 12, 7), seed=7)
     # 12 compound tokens a micro-batch: each half runs as several
@@ -647,9 +664,65 @@ def test_micro_batched_step_grads_match_one_batch_grads_call(workers, monkeypatc
     assert len(nn._micro_batches(tokens, 0, 4)) > 1 and len(nn._micro_batches(tokens, 4, 7)) > 1
     cache = build_protein_cache(model, records)
     loss, probs, grads = cpi._step_grads(model, records, cache, 0.01)
-    want_loss, want_probs, want_grads = cpi._batch_grads(model, records, cache, 0.01)
+    want_loss, want_probs, want_grads = one_call_grads(model, records, cache, 0.01)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert _rel_err(probs, want_probs) <= 1e-12
     assert sorted(grads) == sorted(want_grads) == sorted(model.params)
     for key, want in want_grads.items():
         assert np.abs(grads[key] - want).max() <= 1e-12 * np.abs(want).max(), key
+
+
+# ---------------------------------------------------------------------------
+# one token budget for every forward
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_forward_holds_at_most_one_token_budget(workers, monkeypatch):
+    # patched before this test's first run_pair, so the worker it forks holds
+    # the budget and the spy too, and a spy's failure there is raised here
+    budget = 20
+    monkeypatch.setattr(nn, "WORKERS", workers)
+    monkeypatch.setattr(nn, "MAX_TOKENS", budget)
+    forward, stacks = nn.token_encoder_forward, set()
+
+    def spy(p, prefix, lookups, lengths, *args):
+        # only an input over the budget runs alone
+        assert lengths.sum() <= budget or len(lengths) == 1, (prefix, lengths.tolist())
+        stacks.add(prefix)
+        return forward(p, prefix, lookups, lengths, *args)
+
+    monkeypatch.setattr(nn, "token_encoder_forward", spy)
+    state = enc.init(TINY_ENC, seed=0)
+    proteins = [_protein(k, offset=k) for k in (12, 7, 3, 12, 9, 12)]
+    enc.protein_embeddings(state, proteins)
+    cut = RAcutConfig(n=TINY_ENC.n, l_max=12)
+    examples = [make_pretrain_example(p, cut, NoiseSpec(), seed=i) for i, p in enumerate(proteins)]
+    enc.forward_batch(state, [ex.shuffled for ex in examples])
+    pretrain_step(state, examples, PretrainConfig(batch_size=6), nn.adam_init(state.params))
+    assert stacks == {""}
+
+    records = _ragged_pairs((5, 17, 3, 9, TINY_CPI.max_atoms, 30, 7, 12, 20, 4, 8, 6), seed=8)
+    result = finetune_run(
+        records[:8], records[8:], state, TINY_CPI, FinetuneConfig(epochs=1, batch_size=8)
+    )
+    predict_pairs(result.model, records, build_protein_cache(result.model, records))
+    assert stacks == {"", "comp."}
+
+
+def test_prediction_memory_does_not_grow_with_the_number_of_pairs():
+    # 8 distinct 250-token compounds fill one budget; 64 run as 8 forwards
+    config = CpiConfig(comp_layers=1, comp_heads=2, comp_ffn_dim=16, fusion_dim=6, max_atoms=250)
+    model = init_cpi(config, enc.init(TINY_ENC, seed=0), seed=0)
+    records = _ragged_pairs([250] * 64, seed=3)
+    assert 8 * 250 <= nn.MAX_TOKENS < 9 * 250
+    cache = build_protein_cache(model, records)
+    peaks = []
+    for count in (8, 64):
+        tracemalloc.start()
+        try:
+            predict_pairs(model, records[:count], cache)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks

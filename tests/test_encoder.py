@@ -307,12 +307,12 @@ def test_scores_do_not_depend_on_batch_neighbours(tiny_config):
 def test_protein_embeddings_match_one_at_a_time(tiny_config, monkeypatch):
     state = enc.init(tiny_config, seed=0)
     proteins = [_protein(k, offset=k) for k in (12, 7, 3, 40, 9)]
-    monkeypatch.setattr(enc, "INFER_TOKENS", 10**6)
+    monkeypatch.setattr(nn, "MAX_TOKENS", 10**6)
     at_once = enc.protein_embeddings(state, proteins)
     assert at_once.shape == (5, 8)
-    # one protein per forward, then two (n * f_max = 12 tokens each)
+    # one protein per forward, then runs of up to 24 real tokens
     for budget in (1, 24):
-        monkeypatch.setattr(enc, "INFER_TOKENS", budget)
+        monkeypatch.setattr(nn, "MAX_TOKENS", budget)
         np.testing.assert_array_equal(enc.protein_embeddings(state, proteins), at_once)
     for vec, protein in zip(at_once, proteins):
         np.testing.assert_array_equal(vec, enc.protein_embedding(state, protein))
@@ -326,10 +326,10 @@ def test_forward_batch_does_not_depend_on_the_token_budget(tiny_config, monkeypa
         make_pretrain_example(_protein(k, offset=k), cfg, NoiseSpec(), seed=k).shuffled
         for k in (12, 5, 9, 3, 12, 7)
     ]
-    monkeypatch.setattr(enc, "INFER_TOKENS", 10**6)
+    monkeypatch.setattr(nn, "MAX_TOKENS", 10**6)
     pooled, logits = enc.forward_batch(state, ssets)
     for budget in (1, 24, 48):
-        monkeypatch.setattr(enc, "INFER_TOKENS", budget)
+        monkeypatch.setattr(nn, "MAX_TOKENS", budget)
         got_pooled, got_logits = enc.forward_batch(state, ssets)
         np.testing.assert_array_equal(got_pooled, pooled)
         np.testing.assert_array_equal(got_logits, logits)
@@ -338,7 +338,7 @@ def test_forward_batch_does_not_depend_on_the_token_budget(tiny_config, monkeypa
 def test_inference_memory_does_not_grow_with_the_number_of_inputs(monkeypatch):
     # one protein per forward: each forward's caches are freed before the next runs
     state = enc.init(EncoderConfig(embed_dim=32, layers=2, heads=2, ffn_dim=64, n=4, f_max=50))
-    monkeypatch.setattr(enc, "INFER_TOKENS", 1)
+    monkeypatch.setattr(nn, "MAX_TOKENS", 1)
     peaks = []
     for count in (1, 8):
         proteins = [_protein(200, offset=k) for k in range(count)]

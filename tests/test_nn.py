@@ -28,8 +28,10 @@ from seqreorder import encoder as enc
 from seqreorder import nn
 from seqreorder.augment import NoiseSpec, RAcutConfig, make_pretrain_example
 from seqreorder.corpus import CANONICAL_RESIDUES, encode_protein
+from seqreorder.evaluation import split_scenarios
 from seqreorder.perm import SinkhornConfig
 from seqreorder.pretrain import PretrainConfig, pretrain_step
+from seqreorder.synthetic import corpus_records, interaction_corpus
 
 D, HEADS, FFN, LAYERS = 8, 2, 16, 2
 
@@ -689,11 +691,12 @@ def _sums(params, part):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_halves_runs_each_half_as_micro_batches_in_order(workers, monkeypatch):
     monkeypatch.setattr(nn, "WORKERS", workers)
-    monkeypatch.setattr(nn, "TRAIN_TOKENS", 10)
+    monkeypatch.setattr(nn, "MAX_TOKENS", 10)
     tokens = [4, 6, 1, 12, 3, 3, 3, 3]
     # consecutive runs within the budget; an item over it runs alone
     assert nn._micro_batches(tokens, 0, 4) == [slice(0, 2), slice(2, 3), slice(3, 4)]
     assert nn._micro_batches(tokens, 4, 8) == [slice(4, 7), slice(7, 8)]
+    assert nn._micro_batches(tokens, 3, 3) == []  # no inputs, no forward
     values, grads = nn.run_halves(_sums, {"w": np.ones(2)}, list(range(8)), list, tokens)
     assert values == [[0, 1], [2], [3], [4, 5, 6], [7]]
     np.testing.assert_array_equal(grads["w"], [28.0, 28.0])
@@ -702,8 +705,19 @@ def test_run_halves_runs_each_half_as_micro_batches_in_order(workers, monkeypatc
 
 
 def test_todays_largest_half_is_one_micro_batch():
-    # B=4 at l_max=1200: every artifact keeps the bits of one call per half
-    assert nn._micro_batches([1200] * 4, 0, 2) == [slice(0, 2)]
+    # The largest halves the benchmark and the README train, 16 examples of
+    # 48 residues (batch 32 at l_max 48) and 2 of 300 (pretrain-paper's
+    # B=4), and every prediction call on the README split (at its seed 7
+    # and five others: 1323 compound tokens in 73 pairs at most) run as one
+    # forward, so every artifact keeps the bits of one call
+    assert nn._micro_batches([48] * 16, 0, 16) == [slice(0, 16)]
+    assert nn._micro_batches([300] * 2, 0, 2) == [slice(0, 2)]
+    for seed in (7, 1, 2, 3, 11, 42):
+        corpus = interaction_corpus(num_proteins=120, num_compounds=120, num_pairs=400, seed=seed)
+        split = split_scenarios(corpus_records(corpus), seed=0)
+        for pairs in (split.valid, *split.test_partitions.values()):
+            tokens = [len(r.compound.tokens) for r in pairs]
+            assert len(nn._micro_batches(tokens, 0, len(pairs))) <= 1
 
 
 def test_malloc_setup_does_nothing_without_glibc_mallopt(monkeypatch):

@@ -202,7 +202,7 @@ def test_objective_bits_do_not_depend_on_the_worker_count(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_micro_batched_objective_matches_one_call_over_the_batch(workers, monkeypatch):
     monkeypatch.setattr(nn, "WORKERS", workers)
-    monkeypatch.setattr(nn, "TRAIN_TOKENS", 15)
+    monkeypatch.setattr(nn, "MAX_TOKENS", 15)
     state = enc.init(TINY, seed=0)
     batch = _ragged((12, 7, 12, 9, 3))
     # 15 real tokens a micro-batch: the halves run as [12], [7], [12] and [9, 3]
@@ -226,7 +226,7 @@ def test_micro_batched_objective_matches_one_call_over_the_batch(workers, monkey
 def test_a_step_keeps_one_micro_batch_at_a_time(monkeypatch):
     # one example a micro-batch: a half of two examples peaks near a half of one
     monkeypatch.setattr(nn, "WORKERS", 1)
-    monkeypatch.setattr(nn, "TRAIN_TOKENS", 96)
+    monkeypatch.setattr(nn, "MAX_TOKENS", 96)
     cfg = EncoderConfig(embed_dim=16, layers=4, heads=2, ffn_dim=32, n=4, f_max=24)
     cut = RAcutConfig(n=4, l_max=96)
     state = enc.init(cfg, seed=0)
@@ -264,9 +264,9 @@ def test_batched_heldout_accuracy_matches_one_at_a_time(monkeypatch):
             for ex in examples
         ]
     )
-    # one example per forward, four (n * f_max = 12 tokens each), and all
+    # one example per forward, runs of up to 48 real tokens, and all
     for budget in (1, 48, 10**6):
-        monkeypatch.setattr(enc, "INFER_TOKENS", budget)
+        monkeypatch.setattr(nn, "MAX_TOKENS", budget)
         assert heldout_accuracy(state, examples, 10) == one_at_a_time
 
 
@@ -512,15 +512,15 @@ def _finetune_failing_at_epoch_3(tmp_path, monkeypatch):
         InteractionRecord(encode_smiles("CCO" if i % 3 else "CCN"), _protein(12, offset=i), i % 2)
         for i in range(12)
     ]
-    batch_grads, calls = cpi._batch_grads, []
+    step_grads, calls = cpi._step_grads, []
 
     def fails_at_epoch_3(model, chunk, cache, lam):
         calls.append(len(chunk))
         if len(calls) > 4:  # 8 pairs in batches of 4: epoch 3 begins at step 5
             raise NumericError("non-finite fine-tune loss at epoch 3")
-        return batch_grads(model, chunk, cache, lam)
+        return step_grads(model, chunk, cache, lam)
 
-    monkeypatch.setattr(cpi, "_batch_grads", fails_at_epoch_3)
+    monkeypatch.setattr(cpi, "_step_grads", fails_at_epoch_3)
     config = cpi.CpiConfig(comp_layers=1, comp_heads=2, comp_ffn_dim=16, fusion_dim=6)
     ft = cpi.FinetuneConfig(epochs=5, lr=1e-3, batch_size=4)
     cpi.finetune_run(pairs[:8], pairs[8:], enc.init(TINY), config, ft, out_dir=tmp_path)

@@ -9,6 +9,7 @@ must match them bit for bit.
 
 import numpy as np
 import pytest
+from test_cpi import one_call_grads
 
 from seqreorder import cpi
 from seqreorder import encoder as enc
@@ -56,10 +57,8 @@ def _reference_backward_core(state, cache, dlogits):
     return grads
 
 
-def _reference_compound_forward(model, token_rows, keep_caches=True):
+def _reference_compound_forward(cfg, p, token_rows, keep_caches=True):
     """The compound copy; it keeps its cache whatever ``keep_caches`` says."""
-    cfg = model.config
-    p = model.params
     if not token_rows:
         raise ValidationError("no compounds in batch")
     lengths = np.array([len(r) for r in token_rows])
@@ -75,13 +74,12 @@ def _reference_compound_forward(model, token_rows, keep_caches=True):
     h, stack_cache = nn.stack_forward(x, p, "comp.", cfg.comp_layers, lengths, cfg.comp_heads)
     h, ln_cache = nn.layernorm_forward(h, p["comp.ln_f.gamma"], p["comp.ln_f.beta"])
     pooled = nn.mean_pool(h, lengths)
-    cache = (ids, pos, lengths, stack_cache, ln_cache)
+    cache = (p, ids, pos, lengths, stack_cache, ln_cache)
     return pooled, cache
 
 
-def _reference_compound_backward(model, cache, d_pooled):
-    p = model.params
-    ids, pos, lengths, stack_cache, ln_cache = cache
+def _reference_compound_backward(cache, d_pooled):
+    p, ids, pos, lengths, stack_cache, ln_cache = cache
     dh = nn.mean_pool_backward(d_pooled, lengths)
     dh, dgamma, dbeta = nn.layernorm_backward(ln_cache, dh)
     dx, grads = nn.stack_backward(stack_cache, dh)
@@ -153,12 +151,12 @@ def test_compound_path_matches_the_cpi_copy_bit_for_bit(lengths, monkeypatch):
     smiles = ["".join(rng.choice(list(SMILES_CHARS), size=t)) for t in lengths]
     rows = [encode_smiles(s).tokens for s in smiles]
     d_pooled = rng.normal(size=(len(rows), model.encoder_state.config.embed_dim))
-    pooled, cache = cpi._compound_forward(model, rows)
-    ref_pooled, ref_cache = _reference_compound_forward(model, rows)
+    pooled, cache = cpi._compound_forward(model.config, model.params, rows)
+    ref_pooled, ref_cache = _reference_compound_forward(model.config, model.params, rows)
     np.testing.assert_array_equal(pooled, ref_pooled)
     _assert_grads_equal(
-        cpi._compound_backward(model, cache, d_pooled),
-        _reference_compound_backward(model, ref_cache, d_pooled),
+        cpi._compound_backward(cache, d_pooled),
+        _reference_compound_backward(ref_cache, d_pooled),
     )
 
     # the same through the pair logits and the head's training gradients; the
@@ -168,12 +166,14 @@ def test_compound_path_matches_the_cpi_copy_bit_for_bit(lengths, monkeypatch):
         for i, s in enumerate(smiles + smiles[:1])
     ]
     proteins = build_protein_cache(model, records)
-    logits = cpi._pair_logits(model, records, proteins)[0]
-    loss, probs, grads = cpi._batch_grads(model, records, proteins, lam=0.01)
+    logits = cpi._pair_logits(model.config, model.params, records, proteins)[0]
+    loss, probs, grads = one_call_grads(model, records, proteins, lam=0.01)
     monkeypatch.setattr(cpi, "_compound_forward", _reference_compound_forward)
     monkeypatch.setattr(cpi, "_compound_backward", _reference_compound_backward)
-    np.testing.assert_array_equal(logits, cpi._pair_logits(model, records, proteins)[0])
-    ref_loss, ref_probs, ref_grads = cpi._batch_grads(model, records, proteins, lam=0.01)
+    np.testing.assert_array_equal(
+        logits, cpi._pair_logits(model.config, model.params, records, proteins)[0]
+    )
+    ref_loss, ref_probs, ref_grads = one_call_grads(model, records, proteins, lam=0.01)
     assert loss == ref_loss
     np.testing.assert_array_equal(probs, ref_probs)
     _assert_grads_equal(grads, ref_grads)
@@ -197,8 +197,10 @@ def test_cache_free_forwards_match_the_training_forwards(layers):
     rng = np.random.default_rng(layers)
     smiles = ["".join(rng.choice(list(SMILES_CHARS), size=t)) for t in (9, 2, 24, 2, 13)]
     rows = [encode_smiles(s).tokens for s in smiles]
-    pooled, cache = cpi._compound_forward(model, rows)
-    free_pooled, free_cache = cpi._compound_forward(model, rows, keep_caches=False)
+    pooled, cache = cpi._compound_forward(model.config, model.params, rows)
+    free_pooled, free_cache = cpi._compound_forward(
+        model.config, model.params, rows, keep_caches=False
+    )
     assert cache is not None and free_cache is None
     np.testing.assert_array_equal(free_pooled, pooled)
     records = [
@@ -207,6 +209,6 @@ def test_cache_free_forwards_match_the_training_forwards(layers):
     ]
     proteins = build_protein_cache(model, records)
     np.testing.assert_array_equal(
-        cpi._pair_logits(model, records, proteins, keep_caches=False)[0],
-        cpi._pair_logits(model, records, proteins)[0],
+        cpi._pair_logits(model.config, model.params, records, proteins, keep_caches=False)[0],
+        cpi._pair_logits(model.config, model.params, records, proteins)[0],
     )
